@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -80,5 +83,29 @@ func TestRunProgressStatusLine(t *testing.T) {
 	}
 	if !strings.HasSuffix(se, "\n") {
 		t.Errorf("status line not terminated: %q", se)
+	}
+}
+
+// TestAllCSVPinned: `fredsim all -csv` hashes to the value the
+// benchmark pins, at -parallel 1 and 2 — the sweep memo and every
+// other speed-up must leave the paper tables byte-identical.
+func TestAllCSVPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fredsim all twice")
+	}
+	pin, err := os.ReadFile(filepath.Join("..", "..", "bench", "fredbench", "testdata", "paper-all.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(string(pin))[0]
+	for _, parallel := range []string{"1", "2"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"all", "-csv", "-parallel", parallel}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-parallel %s: run = %d, stderr: %s", parallel, code, stderr.String())
+		}
+		sum := sha256.Sum256(stdout.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("-parallel %s: fredsim all -csv hashes to %s, want %s", parallel, got, want)
+		}
 	}
 }

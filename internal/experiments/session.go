@@ -25,6 +25,9 @@ import (
 // experiment run. Every driver is a Session method; each figure/table
 // cell it executes builds a fresh scheduler+network, so cells are fully
 // self-contained simulations and independent cells can run concurrently.
+// A training cell that several studies share is simulated once per
+// session and its report reused (the sweep memo, memo.go), unless an
+// observer is attached.
 //
 // The zero-config session (NewSession) runs cells across GOMAXPROCS
 // workers with observability off. Attaching a tracer (SetTracer) forces
@@ -71,6 +74,12 @@ type Session struct {
 	// and keyed by the System fingerprint; see collective.SharedCache.
 	// Nil when sharing is disabled (ShareSchedules(false)).
 	schedCache *collective.SharedCache
+
+	// memo holds every training cell the session has simulated (see
+	// memo.go), so a cell that several studies share runs once.
+	// forEach's child sessions inherit the pointer, as they do
+	// schedCache. Observed sessions bypass it.
+	memo *trainMemo
 
 	mu       sync.Mutex
 	buildSeq int
@@ -140,6 +149,7 @@ func NewSession() *Session {
 		critColl:    critpath.NewCollector(),
 		tsColl:      timeseries.NewCollector(),
 		schedCache:  collective.NewSharedCache(),
+		memo:        newTrainMemo(),
 	}
 }
 
@@ -337,6 +347,7 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 		c.collectTS = s.collectTS
 		c.parallel = 1
 		c.schedCache = s.schedCache
+		c.memo = s.memo
 		c.ctx = s.ctx
 		children[i] = c
 		slots[i] = s.linkTables.Reserve()
@@ -422,15 +433,43 @@ func (s *Session) observeNetwork(net *netsim.Network, system System) {
 // returned as an error, not a panic; cells that treat their config as
 // known-good may panic on it themselves, which forEach records as a
 // CellError without killing the run.
+//
+// Unless an observer is attached, each distinct cell is simulated once
+// per session: a repeat request returns the first run's report, whose
+// Config no longer references the wafer. Treat the report as read-only.
 func (s *Session) RunTraining(sys System, m *workload.Model, strat parallelism.Strategy, perReplica int) (*training.Report, error) {
 	return s.runTraining(sys, m, strat, perReplica, false)
+}
+
+// observed reports whether the session attaches a per-run observer —
+// a tracer, link stats, metrics, critpath or timeseries collection —
+// whose artifacts need every RunTraining call to simulate.
+func (s *Session) observed() bool {
+	return s.tracer != nil || s.linkStats || s.collectMetrics || s.collectCrit || s.collectTS
 }
 
 // runTraining is RunTraining with an extra knob: blamed forces a
 // critpath recorder onto the freshly built wafer even when the session
 // is not collecting critpath artifacts, so blame-column studies
-// (Figure 10) always have a decomposition to print.
+// (Figure 10) always have a decomposition to print. Unobserved
+// sessions go through the memo.
 func (s *Session) runTraining(sys System, m *workload.Model, strat parallelism.Strategy, perReplica int, blamed bool) (*training.Report, error) {
+	if s.observed() {
+		return s.simulateTraining(sys, m, strat, perReplica, blamed)
+	}
+	key := trainKey{sys: sys, model: modelKey(m), strat: strat, perReplica: perReplica}
+	return s.memo.do(key, blamed, func() (*training.Report, error) {
+		r, err := s.simulateTraining(sys, m, strat, perReplica, blamed)
+		if err != nil {
+			return nil, err
+		}
+		return detach(r), nil
+	})
+}
+
+// simulateTraining builds the system and simulates one iteration,
+// feeding the session's observers.
+func (s *Session) simulateTraining(sys System, m *workload.Model, strat parallelism.Strategy, perReplica int, blamed bool) (*training.Report, error) {
 	w := s.Build(sys)
 	net := w.Network()
 	if blamed {

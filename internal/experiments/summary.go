@@ -27,9 +27,10 @@ func (r SummaryRow) Match() bool {
 
 // Summary recomputes every headline number of the paper next to its
 // reported value — the one-screen answer to "does this reproduction
-// hold up?". It runs Figure 10, the Figure 11(a) aggregates and the
-// I/O hotspot law on fresh simulators each call, reusing the session's
-// pool inside those nested drivers.
+// hold up?". It reads Figure 10, the Figure 11(a) aggregates and the
+// I/O hotspot law through the session: training cells an earlier study
+// of the session already simulated come from its memo, the rest run on
+// fresh simulators across the session's pool.
 func (s *Session) Summary() ([]SummaryRow, *report.Table) {
 	var rows []SummaryRow
 	add := func(claim string, paper, measured, tol float64) {

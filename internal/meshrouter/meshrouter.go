@@ -106,6 +106,10 @@ type Mesh struct {
 	// built from BFS over alive channels once any channel has failed.
 	table      []Direction
 	tableDirty bool
+	// moves and injections are step's per-cycle plans, kept here so
+	// their backing arrays are reused from cycle to cycle.
+	moves      []move
+	injections []inject
 }
 
 // New creates an empty mesh NoC.
@@ -262,7 +266,7 @@ func (m *Mesh) done() bool {
 	return true
 }
 
-// step advances one cycle; returns whether any flit moved.
+// move is one flit forwarded (or delivered) in a cycle.
 type move struct {
 	fromNode int
 	fromPort Direction
@@ -272,8 +276,16 @@ type move struct {
 	deliver  bool
 }
 
+// inject is one flit entering a source's Local input in a cycle.
+type inject struct {
+	node int
+	f    flit
+	msg  int
+}
+
+// step advances one cycle; returns whether any flit moved.
 func (m *Mesh) step() bool {
-	var moves []move
+	moves := m.moves[:0]
 	// Phase 1: plan. Each output channel forwards at most one flit;
 	// wormhole ownership keeps a packet contiguous; round-robin
 	// arbitration picks among competing inputs.
@@ -330,12 +342,7 @@ func (m *Mesh) step() bool {
 	}
 	// Injections: one flit per source per cycle into the Local input,
 	// respecting buffer space.
-	type inject struct {
-		node int
-		f    flit
-		msg  int
-	}
-	var injections []inject
+	injections := m.injections[:0]
 	for src, queue := range m.sendQ {
 		if len(queue) == 0 {
 			continue
@@ -390,5 +397,6 @@ func (m *Mesh) step() bool {
 		}
 		progress = true
 	}
+	m.moves, m.injections = moves, injections
 	return progress
 }

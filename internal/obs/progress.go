@@ -94,6 +94,11 @@ func (c *Cell) SetHorizon(t float64) {
 type Engine struct {
 	now func() time.Time
 
+	// notify serializes CellFinished from its snapshot to the last
+	// callback, so concurrent completions reach the callbacks one at a
+	// time and in completion order.
+	notify sync.Mutex
+
 	mu       sync.Mutex
 	start    time.Time
 	study    string
@@ -154,6 +159,8 @@ func (e *Engine) CellFinished(c *Cell, failed bool) {
 	if c == nil {
 		return
 	}
+	e.notify.Lock()
+	defer e.notify.Unlock()
 	e.mu.Lock()
 	for i, rc := range e.running {
 		if rc == c {

@@ -62,6 +62,11 @@ func (e *engine) runStreaming() (*Report, error) {
 		computeDone[i] = &signal{}
 	}
 
+	// The load and store trees span the wafer and every group pass
+	// reuses them, so each is resolved once per fabric state.
+	loadTrees := newPreparedRoutes(e.net, nIOC, w.IOCLoadTree)
+	storeTrees := newPreparedRoutes(e.net, nIOC, w.IOCStoreTree)
+
 	// Loader: sequential, at most two groups ahead of compute
 	// (double buffering).
 	var startLoad func(i int)
@@ -74,10 +79,10 @@ func (e *engine) runStreaming() (*Report, error) {
 			remaining := nIOC
 			for ioc := 0; ioc < nIOC; ioc++ {
 				e.net.StartFlow(netsim.FlowSpec{
-					Links:   w.IOCLoadTree(ioc),
-					Bytes:   bytes,
-					Latency: -1,
-					Label:   "weight-load",
+					Prepared: loadTrees.get(ioc),
+					Bytes:    bytes,
+					Latency:  -1,
+					Label:    "weight-load",
 					Done: func(f *netsim.Flow) {
 						remaining--
 						if remaining == 0 {
@@ -104,11 +109,11 @@ func (e *engine) runStreaming() (*Report, error) {
 		for ioc := 0; ioc < nIOC; ioc++ {
 			storesOutstanding++
 			e.net.StartFlow(netsim.FlowSpec{
-				Links:   w.IOCStoreTree(ioc),
-				Bytes:   bytes,
-				Latency: -1,
-				Label:   "grad-store",
-				Done:    func(*netsim.Flow) { storesOutstanding-- },
+				Prepared: storeTrees.get(ioc),
+				Bytes:    bytes,
+				Latency:  -1,
+				Label:    "grad-store",
+				Done:     func(*netsim.Flow) { storesOutstanding-- },
 			})
 		}
 	}
@@ -366,4 +371,31 @@ func (e *engine) runStreaming() (*Report, error) {
 		NPUs:      sortNPUs(npus),
 		CritPath:  critIt,
 	}, nil
+}
+
+// preparedRoutes resolves a family of fixed routes, one per index, with
+// netsim.PrepareRoute on first use and hands the prepared route to every
+// later flow. A change of the network's fabric-state epoch (a link
+// failed, degraded or restored) drops them, and they are prepared again
+// against the new state, so each flow sees what StartFlow would resolve.
+type preparedRoutes struct {
+	net    *netsim.Network
+	epoch  uint64
+	route  func(i int) []netsim.LinkID
+	cached []*netsim.PreparedRoute
+}
+
+func newPreparedRoutes(net *netsim.Network, n int, route func(i int) []netsim.LinkID) *preparedRoutes {
+	return &preparedRoutes{net: net, epoch: net.StateEpoch(), route: route, cached: make([]*netsim.PreparedRoute, n)}
+}
+
+func (p *preparedRoutes) get(i int) *netsim.PreparedRoute {
+	if ep := p.net.StateEpoch(); ep != p.epoch {
+		p.epoch = ep
+		clear(p.cached)
+	}
+	if p.cached[i] == nil {
+		p.cached[i] = p.net.PrepareRoute(p.route(i))
+	}
+	return p.cached[i]
 }

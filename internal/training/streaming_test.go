@@ -142,3 +142,22 @@ func TestStreamingBreakdownSumsNearTotal(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedRoutesFollowStateEpoch: a prepared tree is reused while
+// the fabric state holds and prepared again once a link changes.
+func TestPreparedRoutesFollowStateEpoch(t *testing.T) {
+	w := newMesh()
+	net := w.Network()
+	trees := newPreparedRoutes(net, w.IOCCount(), w.IOCLoadTree)
+	first := trees.get(0)
+	if trees.get(0) != first {
+		t.Fatal("prepared route not reused within one fabric state")
+	}
+	if first.Hops() == 0 {
+		t.Fatal("empty prepared load tree")
+	}
+	net.Link(w.IOCLoadTree(0)[0]).Degrade(0.5)
+	if trees.get(0) == first {
+		t.Fatal("prepared route survived a fabric-state change")
+	}
+}
