@@ -31,21 +31,26 @@ type MiddleStageRow struct {
 // placement. The paper picks m = 3 + consecutive placement because
 // that combination never conflicts.
 //
-// The trials draw from one seeded RNG stream shared across all cells,
-// so the cells run in order and do not fan out. Each m builds one
-// interconnect that serves all of its trials: Route only adds to the
-// interconnect's coloring memo, which returns what a fresh search
-// would, so reuse leaves every routing outcome unchanged.
+// The trials draw from one seeded RNG stream shared across all cells.
+// The draws never depend on routing outcomes, so every trial's flows
+// are drawn up front in the stream's order (m, then placement, then
+// trial), and the six (m, placement) cells then route in parallel,
+// each on an interconnect of its own. One cell per (m, placement).
 func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 	const ports = 12
 	const trials = 300
 	rng := rand.New(rand.NewSource(42))
 	strategies := parallelism.EnumerateExact(ports)
 
-	routable := func(ic *fred.Interconnect, random bool) float64 {
-		ok := 0
-		for trial := 0; trial < trials; trial++ {
-			s := strategies[rng.Intn(len(strategies))]
+	type cell struct {
+		m      int
+		name   string
+		trials [][]fred.Flow // concurrent flows per trial; nil routes trivially
+	}
+	draw := func(random bool) [][]fred.Flow {
+		out := make([][]fred.Flow, trials)
+		for trial := range out {
+			strat := strategies[rng.Intn(len(strategies))]
 			perm := make([]int, ports)
 			for i := range perm {
 				perm[i] = i
@@ -55,8 +60,7 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 			}
 			// Concurrent flows: one all-reduce per MP group (the
 			// simultaneous phase FRED must route).
-			var flows []fred.Flow
-			for _, g := range s.MPGroups() {
+			for _, g := range strat.MPGroups() {
 				if len(g) < 2 {
 					continue
 				}
@@ -64,8 +68,28 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 				for i, r := range g {
 					ports[i] = perm[r]
 				}
-				flows = append(flows, fred.AllReduce(ports))
+				out[trial] = append(out[trial], fred.AllReduce(ports))
 			}
+		}
+		return out
+	}
+	var cells []cell
+	for _, m := range []int{2, 3, 4} {
+		for _, random := range []bool{false, true} {
+			name := "consecutive"
+			if random {
+				name = "random"
+			}
+			cells = append(cells, cell{m: m, name: name, trials: draw(random)})
+		}
+	}
+
+	rows := make([]MiddleStageRow, len(cells))
+	s.forEach("MiddleStageAblation", len(cells), func(i int, cs *Session) {
+		c := cells[i]
+		ic := fred.NewInterconnect(c.m, ports)
+		ok := 0
+		for _, flows := range c.trials {
 			if len(flows) == 0 {
 				ok++
 				continue
@@ -74,25 +98,15 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 				ok++
 			}
 		}
-		return float64(ok) / trials
-	}
+		rows[i] = MiddleStageRow{M: c.m, Placement: c.name, SuccessRate: float64(ok) / trials}
+	})
 
 	tbl := &report.Table{
 		Title:  "Ablation: middle stages (m) x device placement — routing success of concurrent MP all-reduces on Fred_m(12)",
 		Header: []string{"m", "placement", "success"},
 	}
-	var rows []MiddleStageRow
-	for _, m := range []int{2, 3, 4} {
-		ic := fred.NewInterconnect(m, ports)
-		for _, random := range []bool{false, true} {
-			name := "consecutive"
-			if random {
-				name = "random"
-			}
-			r := MiddleStageRow{M: m, Placement: name, SuccessRate: routable(ic, random)}
-			rows = append(rows, r)
-			tbl.AddRow(m, name, report.FormatFraction(r.SuccessRate))
-		}
+	for _, r := range rows {
+		tbl.AddRow(r.M, r.Placement, report.FormatFraction(r.SuccessRate))
 	}
 	tbl.AddNote("Section 5.3: m=3 with consecutive placement prevents routing conflicts for 3D parallelism")
 	return rows, tbl

@@ -30,9 +30,14 @@ type trainKey struct {
 
 // modelKey fingerprints a model by content. %#v prints every field,
 // floats in their shortest exact form, so two models hash alike only
-// if they are field-for-field equal.
+// if they are field-for-field equal. The rendering streams straight
+// into the hash instead of being built as a string first.
 func modelKey(m *workload.Model) [sha256.Size]byte {
-	return sha256.Sum256([]byte(fmt.Sprintf("%#v", *m)))
+	h := sha256.New()
+	fmt.Fprintf(h, "%#v", *m)
+	var key [sha256.Size]byte
+	h.Sum(key[:0])
+	return key
 }
 
 // memoEntry is one cell's result. report is nil while the cell is in

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -306,4 +308,16 @@ func reachesType(v reflect.Value, banned map[reflect.Type]bool, seen map[uintptr
 		}
 	}
 	return ""
+}
+
+// TestModelKeyHashesRendering: modelKey streams the %#v rendering into
+// the hash, so its key must equal the SHA-256 of the rendered string.
+func TestModelKeyHashesRendering(t *testing.T) {
+	models := append(workload.Models(), workload.Transformer17B(), workload.Transformer1T())
+	for _, m := range models {
+		want := sha256.Sum256([]byte(fmt.Sprintf("%#v", *m)))
+		if got := modelKey(m); got != want {
+			t.Errorf("%s: modelKey %x, want %x", m.Name, got, want)
+		}
+	}
 }

@@ -66,23 +66,25 @@ func (s *Session) ScaleOutStudy() ([]ScaleOutRow, *report.Table) {
 		cfg.Wafers = wafersOf(systems[i])
 		cfg.Dims = systems[i]
 		cfg.FillWorkers = 4
+		// Read the hierarchical system's row fields and release it
+		// before building the naive one, so the two 64-wafer systems are
+		// never alive together.
 		sh := multiwafer.New(cfg)
-		defer sh.Close()
 		hier := sh.Run(sh.GlobalAllReduce(10e9))
-		work := sh.Network().FillStats()
-		sn := multiwafer.New(cfg)
-		defer sn.Close()
-		naive := sn.Run(sn.NaiveAllReduce(10e9))
-		rows[i] = ScaleOutRow{
+		row := ScaleOutRow{
 			NPUs:     sh.NPUCount(),
 			Wafers:   cfg.Wafers,
 			Dims:     sh.Dims(),
 			Links:    sh.Network().NumLinks(),
 			Hier:     hier,
-			Naive:    naive,
-			Gain:     naive / hier,
-			FillWork: work,
+			FillWork: sh.Network().FillStats(),
 		}
+		sh.Close()
+		sn := multiwafer.New(cfg)
+		defer sn.Close()
+		row.Naive = sn.Run(sn.NaiveAllReduce(10e9))
+		row.Gain = row.Naive / hier
+		rows[i] = row
 	})
 
 	tbl := &report.Table{

@@ -41,6 +41,9 @@ type Interconnect struct {
 	colorMemo   map[string]colorResult
 	colorKeyBuf []byte
 	faultEpoch  uint64
+	// pending collects one Route call's connections before they are
+	// grouped into the plan's per-element configuration (routing.go).
+	pending []elemConn
 }
 
 // NewInterconnect constructs a Fred_m(P) interconnect. m is the number

@@ -1,8 +1,11 @@
 package fred
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -126,12 +129,18 @@ func (ic *Interconnect) Route(flows []Flow) (*Plan, error) {
 	if err := validateFlows(ic.p, flows); err != nil {
 		return nil, err
 	}
-	plan := &Plan{ic: ic, flows: flows, config: make(map[int][]Connection)}
+	plan := &Plan{ic: ic, flows: flows}
 	local := make([]localFlow, len(flows))
 	for i, f := range flows {
 		local[i] = localFlow{id: i, ips: sortedCopy(f.IPs), ops: sortedCopy(f.OPs)}
 	}
-	if err := ic.routeStage(ic.root, local, plan, 0, ""); err != nil {
+	ic.pending = ic.pending[:0]
+	err := ic.routeStage(ic.root, local, plan, 0, "")
+	if err == nil {
+		plan.config = groupConns(ic.pending)
+	}
+	clear(ic.pending) // drop the port lists until the next Route
+	if err != nil {
 		return nil, err
 	}
 	// Validate the produced configuration element by element.
@@ -153,8 +162,42 @@ func (ic *Interconnect) MustRoute(flows []Flow) *Plan {
 	return p
 }
 
-func addConn(plan *Plan, e *Element, c Connection) {
-	plan.config[e.ID] = append(plan.config[e.ID], c)
+// elemConn is one connection routeStage configured on element elem.
+type elemConn struct {
+	elem int
+	c    Connection
+}
+
+// addConn records a connection on element e. Route groups the recorded
+// connections per element once routing is done (groupConns).
+func (ic *Interconnect) addConn(e *Element, c Connection) {
+	ic.pending = append(ic.pending, elemConn{elem: e.ID, c: c})
+}
+
+// groupConns builds Plan.config from the connections in the order
+// routeStage recorded them: a stable sort by element keeps each
+// element's connections in recording order, and all of them share one
+// backing array, each element's slice capped at its own length.
+func groupConns(pending []elemConn) map[int][]Connection {
+	slices.SortStableFunc(pending, func(a, b elemConn) int { return cmp.Compare(a.elem, b.elem) })
+	distinct := 0
+	for i := range pending {
+		if i == 0 || pending[i].elem != pending[i-1].elem {
+			distinct++
+		}
+	}
+	config := make(map[int][]Connection, distinct)
+	conns := make([]Connection, len(pending))
+	for start := 0; start < len(pending); {
+		end := start
+		for end < len(pending) && pending[end].elem == pending[start].elem {
+			conns[end] = pending[end].c
+			end++
+		}
+		config[pending[start].elem] = conns[start:end:end]
+		start = end
+	}
+	return config
 }
 
 // routeStage implements the recursive routing protocol: color the
@@ -171,7 +214,7 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 			return &DeadSwitchError{Level: level, Element: st.base.Label, Flows: flowIDs(flows)}
 		}
 		for _, f := range flows {
-			addConn(plan, st.base, Connection{In: f.ips, Out: f.ops, Flow: f.id})
+			ic.addConn(st.base, Connection{In: f.ips, Out: f.ops, Flow: f.id})
 		}
 		return nil
 	}
@@ -179,31 +222,20 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 	// Conflict graph: an edge joins two flows that share an input
 	// µswitch or an output µswitch (Section 5.2, first intuition).
 	n := len(flows)
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	inSW := make([]map[int][]int, n)  // flow → input µswitch → local ports
-	outSW := make([]map[int][]int, n) // flow → output µswitch → local ports
+	inSW := make([][]swUse, n)  // flow → input µswitches used, ascending
+	outSW := make([][]swUse, n) // flow → output µswitches used, ascending
 	oddIn := make([]bool, n)
 	oddOut := make([]bool, n)
+	nIn, nOut := 0, 0
+	for _, f := range flows {
+		nIn += len(f.ips)
+		nOut += len(f.ops)
+	}
+	inArena := make([]swUse, 0, nIn)
+	outArena := make([]swUse, 0, nOut)
 	for i, f := range flows {
-		inSW[i] = make(map[int][]int)
-		outSW[i] = make(map[int][]int)
-		for _, p := range f.ips {
-			if st.odd && p == 2*st.r {
-				oddIn[i] = true
-			} else {
-				inSW[i][p/2] = append(inSW[i][p/2], p%2)
-			}
-		}
-		for _, p := range f.ops {
-			if st.odd && p == 2*st.r {
-				oddOut[i] = true
-			} else {
-				outSW[i][p/2] = append(outSW[i][p/2], p%2)
-			}
-		}
+		inSW[i], inArena, oddIn[i] = st.switchUses(f.ips, inArena)
+		outSW[i], outArena, oddOut[i] = st.switchUses(f.ops, outArena)
 	}
 	// A failed input/output µswitch (or odd-port mux/demux) owns its
 	// external ports outright — no middle-stage spare path can bypass
@@ -235,24 +267,14 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 		}
 	}
 
+	adj := make([][]bool, n)
+	cells := make([]bool, n*n)
+	for i := range adj {
+		adj[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			conflict := false
-			for s := range inSW[i] {
-				if _, ok := inSW[j][s]; ok {
-					conflict = true
-					break
-				}
-			}
-			if !conflict {
-				for s := range outSW[i] {
-					if _, ok := outSW[j][s]; ok {
-						conflict = true
-						break
-					}
-				}
-			}
-			if conflict {
+			if shareSwitch(inSW[i], inSW[j]) || shareSwitch(outSW[i], outSW[j]) {
 				adj[i][j] = true
 				adj[j][i] = true
 			}
@@ -275,35 +297,124 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 	}
 
 	// Configure this level and project sub-flows per middle subnetwork.
+	// A flow's µswitches are visited in ascending order, so its sub-flow
+	// ports come out sorted, the odd port (index r) last. Every port
+	// list this level creates is carved from one arena: a flow port
+	// costs at most three entries (its µswitch-local port, the µswitch's
+	// color port and the sub-flow port).
+	ints := intArena(make([]int, 0, 3*(nIn+nOut)))
 	sub := make([][]localFlow, ic.m)
 	for i, f := range flows {
 		c := colors[i]
 		plan.Assignments = append(plan.Assignments, Assignment{Level: level, Path: path, Flow: f.id, Color: c})
-		var subIPs, subOPs []int
-		for s, ports := range inSW[i] {
-			addConn(plan, st.inputs[s], Connection{In: sortedCopy(ports), Out: []int{c}, Flow: f.id})
-			subIPs = append(subIPs, s)
+		for _, u := range inSW[i] {
+			ic.addConn(st.inputs[u.sw], Connection{In: ints.ports(u.mask), Out: ints.take(c), Flow: f.id})
 		}
 		if oddIn[i] {
-			addConn(plan, st.demux, Connection{In: []int{0}, Out: []int{c}, Flow: f.id})
-			subIPs = append(subIPs, st.r)
+			ic.addConn(st.demux, Connection{In: ints.take(0), Out: ints.take(c), Flow: f.id})
 		}
-		for s, ports := range outSW[i] {
-			addConn(plan, st.outputs[s], Connection{In: []int{c}, Out: sortedCopy(ports), Flow: f.id})
-			subOPs = append(subOPs, s)
+		for _, u := range outSW[i] {
+			ic.addConn(st.outputs[u.sw], Connection{In: ints.take(c), Out: ints.ports(u.mask), Flow: f.id})
 		}
 		if oddOut[i] {
-			addConn(plan, st.mux, Connection{In: []int{c}, Out: []int{0}, Flow: f.id})
-			subOPs = append(subOPs, st.r)
+			ic.addConn(st.mux, Connection{In: ints.take(c), Out: ints.take(0), Flow: f.id})
 		}
-		sub[c] = append(sub[c], localFlow{id: f.id, ips: sortedCopy(subIPs), ops: sortedCopy(subOPs)})
+		sub[c] = append(sub[c], localFlow{
+			id:  f.id,
+			ips: ints.subPorts(inSW[i], oddIn[i], st.r),
+			ops: ints.subPorts(outSW[i], oddOut[i], st.r),
+		})
 	}
 	for c, flows := range sub {
-		if err := ic.routeStage(st.middles[c], flows, plan, level+1, fmt.Sprintf("%smid[%d].", path, c)); err != nil {
+		if len(flows) == 0 {
+			continue
+		}
+		midPath := path + "mid[" + strconv.Itoa(c) + "]."
+		if err := ic.routeStage(st.middles[c], flows, plan, level+1, midPath); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// swUse records that a flow uses first- or last-stage µswitch sw
+// through the local ports set in mask (bit 0 for port 0, bit 1 for
+// port 1).
+type swUse struct {
+	sw   int
+	mask uint8
+}
+
+// intArena hands out port lists carved from one preallocated slice.
+// Each list is capped at its own length, so appending to one never
+// overwrites the next.
+type intArena []int
+
+// take appends vals and returns them as a list of their own.
+func (a *intArena) take(vals ...int) []int {
+	start := len(*a)
+	*a = append(*a, vals...)
+	return (*a)[start:len(*a):len(*a)]
+}
+
+// ports returns the µswitch-local ports set in mask, ascending.
+func (a *intArena) ports(mask uint8) []int {
+	switch mask {
+	case 1:
+		return a.take(0)
+	case 2:
+		return a.take(1)
+	}
+	return a.take(0, 1)
+}
+
+// subPorts returns a flow's ports in the middle subnetwork: its
+// µswitches in ascending order, then r for the odd port.
+func (a *intArena) subPorts(uses []swUse, odd bool, r int) []int {
+	start := len(*a)
+	for _, u := range uses {
+		*a = append(*a, u.sw)
+	}
+	if odd {
+		*a = append(*a, r)
+	}
+	return (*a)[start:len(*a):len(*a)]
+}
+
+// switchUses appends to arena the µswitches that the stage-local ports
+// (sorted ascending) occupy, one entry per µswitch in ascending order,
+// and reports whether the odd port is among them. It returns the
+// flow's entries and the grown arena.
+func (st *stage) switchUses(ports []int, arena []swUse) (uses, grown []swUse, odd bool) {
+	start := len(arena)
+	for _, p := range ports {
+		if st.odd && p == 2*st.r {
+			odd = true
+			continue
+		}
+		sw, bit := p/2, uint8(1)<<uint(p%2)
+		if k := len(arena); k > start && arena[k-1].sw == sw {
+			arena[k-1].mask |= bit
+		} else {
+			arena = append(arena, swUse{sw: sw, mask: bit})
+		}
+	}
+	return arena[start:len(arena):len(arena)], arena, odd
+}
+
+// shareSwitch reports whether two ascending µswitch lists intersect.
+func shareSwitch(a, b []swUse) bool {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i].sw == b[j].sw:
+			return true
+		case a[i].sw < b[j].sw:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
 }
 
 // flowIDs extracts the original flow indices of a level's flows.
@@ -315,13 +426,16 @@ func flowIDs(flows []localFlow) []int {
 	return ids
 }
 
-// flowsUsingSwitch returns the original IDs of flows whose port map
-// references first/last-stage µswitch s.
-func flowsUsingSwitch(flows []localFlow, sw []map[int][]int, s int) []int {
+// flowsUsingSwitch returns the original IDs of flows that use
+// first/last-stage µswitch s.
+func flowsUsingSwitch(flows []localFlow, sw [][]swUse, s int) []int {
 	var ids []int
 	for i := range flows {
-		if _, ok := sw[i][s]; ok {
-			ids = append(ids, flows[i].id)
+		for _, u := range sw[i] {
+			if u.sw == s {
+				ids = append(ids, flows[i].id)
+				break
+			}
 		}
 	}
 	return ids

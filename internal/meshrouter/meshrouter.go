@@ -61,16 +61,34 @@ type flit struct {
 	tail bool
 }
 
-// fifo is an input-port buffer.
+// fifo is an input-port buffer: a fixed-capacity ring of BufferFlits
+// entries, so moving a flit never allocates. Credit checks keep every
+// push within capacity.
 type fifo struct {
-	q []flit
-	// owner is the message currently holding this input's route
-	// (wormhole: flits of one packet stay contiguous).
+	buf     []flit
+	head, n int
+}
+
+func (q *fifo) front() flit { return q.buf[q.head] }
+
+func (q *fifo) push(f flit) {
+	q.buf[(q.head+q.n)%len(q.buf)] = f
+	q.n++
+}
+
+func (q *fifo) pop() flit {
+	f := q.buf[q.head]
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return f
 }
 
 // router is one mesh node's switch.
 type router struct {
 	in [numPorts]fifo
+	// buffered counts the flits held in all inputs; a router holding
+	// none can grant nothing, so step skips it.
+	buffered int
 	// outOwner[d] is the message that currently owns output d, or -1.
 	outOwner [numPorts]int
 	// rrNext[d] is the round-robin arbitration pointer for output d.
@@ -91,14 +109,16 @@ type Mesh struct {
 	cfg     Config
 	routers []*router
 	msgs    []*Message
-	// pending injections per source, in order.
-	sendQ map[int][]int // src → message indices
+	// pending injections per source, in order: sendQ[src] lists
+	// message indices.
+	sendQ [][]int
 	// flitsLeft tracks each message's flits not yet injected.
 	flitsLeft []int
 	delivered []int // flits delivered per message
 	cycles    int
-	// channel utilization: busy cycles per (node, direction-out).
-	busy map[[2]int]int
+	// channel utilization: busy cycles per output channel, indexed
+	// node*numPorts + direction.
+	busy []int
 	// failed holds directed channels taken out of service, keyed by
 	// (node, direction). Empty while the mesh is healthy.
 	failed map[[2]int]bool
@@ -120,11 +140,15 @@ func New(cfg Config) *Mesh {
 	if cfg.BufferFlits < 1 {
 		panic("meshrouter: need at least one buffer flit")
 	}
-	m := &Mesh{cfg: cfg, sendQ: make(map[int][]int), busy: make(map[[2]int]int)}
-	for i := 0; i < cfg.W*cfg.H; i++ {
+	n := cfg.W * cfg.H
+	m := &Mesh{cfg: cfg, sendQ: make([][]int, n), busy: make([]int, n*int(numPorts))}
+	// One backing array holds every input ring.
+	flits := make([]flit, n*int(numPorts)*cfg.BufferFlits)
+	for i := 0; i < n; i++ {
 		r := &router{}
 		for d := range r.outOwner {
 			r.outOwner[d] = -1
+			r.in[d].buf, flits = flits[:cfg.BufferFlits:cfg.BufferFlits], flits[cfg.BufferFlits:]
 		}
 		m.routers = append(m.routers, r)
 	}
@@ -255,7 +279,12 @@ func (m *Mesh) Cycles() int { return m.cycles }
 
 // ChannelBusy returns the busy-cycle count of the output channel at
 // node in direction d.
-func (m *Mesh) ChannelBusy(node int, d Direction) int { return m.busy[[2]int{node, int(d)}] }
+func (m *Mesh) ChannelBusy(node int, d Direction) int {
+	if node < 0 || node >= len(m.routers) || d < 0 || d >= numPorts {
+		return 0
+	}
+	return m.busy[node*int(numPorts)+int(d)]
+}
 
 func (m *Mesh) done() bool {
 	for i := range m.msgs {
@@ -288,20 +317,31 @@ func (m *Mesh) step() bool {
 	moves := m.moves[:0]
 	// Phase 1: plan. Each output channel forwards at most one flit;
 	// wormhole ownership keeps a packet contiguous; round-robin
-	// arbitration picks among competing inputs.
+	// arbitration picks among competing inputs. Routers holding no flit
+	// are skipped, and each input's head flit is routed once.
 	for node, r := range m.routers {
+		if r.buffered == 0 {
+			continue
+		}
+		// want[in] is the output the head flit of input in routes to, or
+		// unroutable when the input is empty or its head has no path.
+		var want [numPorts]Direction
+		for in := range r.in {
+			want[in] = unroutable
+			if q := &r.in[in]; q.n > 0 {
+				if d, ok := m.route(node, q.front().dst); ok {
+					want[in] = d
+				}
+			}
+		}
 		for out := Direction(0); out < numPorts; out++ {
-			// Which inputs want this output?
 			granted := -1
-			if r.outOwner[out] >= 0 {
+			if owner := r.outOwner[out]; owner >= 0 {
 				// Find the owner's input port head flit.
 				for in := Direction(0); in < numPorts; in++ {
-					q := &r.in[in]
-					if len(q.q) > 0 && q.q[0].msg == r.outOwner[out] {
-						if d, ok := m.route(node, q.q[0].dst); ok && d == out {
-							granted = int(in)
-							break
-						}
+					if want[in] == out && r.in[in].front().msg == owner {
+						granted = int(in)
+						break
 					}
 				}
 				if granted < 0 {
@@ -311,13 +351,10 @@ func (m *Mesh) step() bool {
 				// Round-robin over inputs with a head flit routed here.
 				for k := 0; k < int(numPorts); k++ {
 					in := Direction((r.rrNext[out] + k) % int(numPorts))
-					q := &r.in[in]
-					if len(q.q) > 0 {
-						if d, ok := m.route(node, q.q[0].dst); ok && d == out {
-							granted = int(in)
-							r.rrNext[out] = (int(in) + 1) % int(numPorts)
-							break
-						}
+					if want[in] == out {
+						granted = int(in)
+						r.rrNext[out] = (int(in) + 1) % int(numPorts)
+						break
 					}
 				}
 				if granted < 0 {
@@ -334,7 +371,7 @@ func (m *Mesh) step() bool {
 				continue // stale table entry pointing off-mesh: unroutable
 			}
 			inPort := opposite(out)
-			if len(m.routers[next].in[inPort].q) >= m.cfg.BufferFlits {
+			if m.routers[next].in[inPort].n >= m.cfg.BufferFlits {
 				continue
 			}
 			moves = append(moves, move{fromNode: node, fromPort: Direction(granted), out: out, toNode: next, toPort: inPort})
@@ -348,7 +385,7 @@ func (m *Mesh) step() bool {
 			continue
 		}
 		msgIdx := queue[0]
-		if len(m.routers[src].in[Local].q) >= m.cfg.BufferFlits {
+		if m.routers[src].in[Local].n >= m.cfg.BufferFlits {
 			continue
 		}
 		left := m.flitsLeft[msgIdx]
@@ -360,18 +397,19 @@ func (m *Mesh) step() bool {
 	progress := false
 	for _, mv := range moves {
 		r := m.routers[mv.fromNode]
-		q := &r.in[mv.fromPort]
-		f := q.q[0]
-		q.q = q.q[1:]
+		f := r.in[mv.fromPort].pop()
+		r.buffered--
 		out := mv.out
-		m.busy[[2]int{mv.fromNode, int(out)}]++
+		m.busy[mv.fromNode*int(numPorts)+int(out)]++
 		if mv.deliver {
 			m.delivered[f.msg]++
 			if f.tail {
 				m.msgs[f.msg].Delivered = m.cycles + 1
 			}
 		} else {
-			m.routers[mv.toNode].in[mv.toPort].q = append(m.routers[mv.toNode].in[mv.toPort].q, f)
+			to := m.routers[mv.toNode]
+			to.in[mv.toPort].push(f)
+			to.buffered++
 			// Wormhole ownership: hold the channel until the tail.
 			if f.tail {
 				r.outOwner[out] = -1
@@ -387,7 +425,9 @@ func (m *Mesh) step() bool {
 		progress = true
 	}
 	for _, inj := range injections {
-		m.routers[inj.node].in[Local].q = append(m.routers[inj.node].in[Local].q, inj.f)
+		r := m.routers[inj.node]
+		r.in[Local].push(inj.f)
+		r.buffered++
 		m.flitsLeft[inj.msg]--
 		if m.flitsLeft[inj.msg] == 0 {
 			m.sendQ[inj.node] = m.sendQ[inj.node][1:]

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"github.com/wafernet/fred/internal/sim"
@@ -353,5 +354,114 @@ func TestRecomputeSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state recompute allocates %v objects/op, want 0", allocs)
+	}
+}
+
+// TestDifferentialActiveSetCompaction drives enough churn through the
+// active set that detach's holes trigger several in-order compactions
+// mid-run, with arrivals chained from completions so that new flows
+// land behind holes. At every probe the live flows must be in
+// activation order, ActiveFlows must count exactly the active flows,
+// and both engines must agree on every probe, completion time and link
+// byte counter.
+func TestDifferentialActiveSetCompaction(t *testing.T) {
+	type record struct {
+		probes      [][]uint64 // live flow ids in active-set order
+		finishTimes map[uint64]sim.Time
+		linkBytes   []float64
+		compactions int
+	}
+	run := func(reference bool) record {
+		s := sim.NewScheduler()
+		net := New(s)
+		if reference {
+			net.useReferenceEngine()
+		}
+		a, b := net.AddNode("a"), net.AddNode("b")
+		links := []LinkID{
+			net.AddLink(a, b, 100, 0, "l0"),
+			net.AddLink(a, b, 70, 0, "l1"),
+			net.AddLink(a, b, math.Inf(1), 0, "free"),
+		}
+		rng := rand.New(rand.NewSource(9))
+		rec := record{finishTimes: map[uint64]sim.Time{}}
+		var flows []*Flow
+		chain := 40
+		var onDone func(f *Flow)
+		start := func(bytes float64) {
+			route := []LinkID{links[rng.Intn(len(links))]}
+			if rng.Intn(3) == 0 {
+				route = append(route, links[rng.Intn(2)])
+			}
+			flows = append(flows, net.StartFlow(FlowSpec{Links: route, Bytes: bytes, Latency: 0, Done: onDone}))
+		}
+		onDone = func(f *Flow) {
+			rec.finishTimes[f.ID()] = s.Now()
+			if chain > 0 {
+				chain--
+				start(50 + float64(rng.Intn(400)))
+			}
+		}
+		for i := 0; i < 60; i++ {
+			start(50 + float64(rng.Intn(2000)))
+		}
+		prevLen := 0
+		for at := sim.Time(0.5); at < 800; at += 0.5 {
+			s.At(at, func() {
+				var ids []uint64
+				lastSeq := uint64(0)
+				for i, f := range net.active {
+					if f == nil {
+						continue
+					}
+					if len(ids) > 0 && f.actSeq <= lastSeq {
+						t.Fatalf("reference=%v t=%v: live flow %d out of activation order", reference, s.Now(), f.ID())
+					}
+					if f.activeIdx != i {
+						t.Fatalf("reference=%v t=%v: flow %d at slot %d records slot %d", reference, s.Now(), f.ID(), i, f.activeIdx)
+					}
+					lastSeq = f.actSeq
+					ids = append(ids, f.ID())
+				}
+				active := 0
+				for _, f := range flows {
+					if f.State() == FlowActive {
+						active++
+					}
+				}
+				if got := net.ActiveFlows(); got != active || got != len(ids) {
+					t.Fatalf("reference=%v t=%v: ActiveFlows = %d, %d flows active, %d live slots", reference, s.Now(), got, active, len(ids))
+				}
+				if len(net.active) < prevLen && len(ids) > 0 {
+					rec.compactions++
+				}
+				prevLen = len(net.active)
+				rec.probes = append(rec.probes, ids)
+			})
+		}
+		s.RunUntil(1e6)
+		for _, id := range links {
+			rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
+		}
+		if net.ActiveFlows() != 0 {
+			t.Fatalf("reference=%v: %d flows still active at the end", reference, net.ActiveFlows())
+		}
+		return rec
+	}
+	opt, ref := run(false), run(true)
+	if opt.compactions < 3 {
+		t.Fatalf("only %d mid-run compactions observed; the churn no longer exercises them", opt.compactions)
+	}
+	if len(opt.finishTimes) != 100 {
+		t.Fatalf("%d flows finished, want 100", len(opt.finishTimes))
+	}
+	if !reflect.DeepEqual(opt.probes, ref.probes) {
+		t.Fatal("live active-set order diverges from the reference engine")
+	}
+	if !reflect.DeepEqual(opt.finishTimes, ref.finishTimes) {
+		t.Fatal("completion times diverge from the reference engine")
+	}
+	if !reflect.DeepEqual(opt.linkBytes, ref.linkBytes) {
+		t.Fatalf("link bytes %v != reference %v", opt.linkBytes, ref.linkBytes)
 	}
 }

@@ -291,7 +291,7 @@ func (n *Network) collectDirtyDomains() {
 	if n.allDirty {
 		n.allDirty = false
 		for _, f := range n.active {
-			if len(f.finiteLinks) == 0 {
+			if f == nil || len(f.finiteLinks) == 0 {
 				continue
 			}
 			r := domFind(f.finiteLinks[0])

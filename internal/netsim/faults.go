@@ -83,13 +83,16 @@ func (l *Link) Fail() {
 		n.tracer.Instant("link", "fail "+l.Name, n.sched.Now())
 	}
 	// Collect first, then tear down: flowRouteFailed mutates n.active
-	// (detach shifts slots), so the victims are snapshotted into the
+	// (detach may compact it), so the victims are snapshotted into the
 	// reused scratch slice. Active flows are collected in activation
 	// order — the network's canonical deterministic order — and
 	// latency/paused flows are not on any route yet, so they are caught
 	// lazily by the failed-link check in activate instead.
 	victims := n.failScratch[:0]
 	for _, f := range n.active {
+		if f == nil {
+			continue
+		}
 		for _, fl := range f.links {
 			if fl == l {
 				victims = append(victims, f)

@@ -331,9 +331,13 @@ type Network struct {
 	// a set: every settlement and rate-recomputation pass iterates it,
 	// and a deterministic order makes float accumulation, completion-
 	// event tie-breaking and trace emission reproducible bit-for-bit.
-	// Each flow tracks its slot in activeIdx, so removal is an
-	// order-preserving shift with no scan.
-	active     []*Flow
+	// Each flow tracks its slot in activeIdx; removal leaves a nil hole
+	// there (every iteration skips holes), and once holes outnumber
+	// live flows the slice is compacted in order, so detach is O(1)
+	// amortized and the live order never changes. activeHoles counts
+	// the holes.
+	active      []*Flow
+	activeHoles int
 	lastSettle sim.Time
 	dirty      bool
 	dirtyEvent *sim.Event // single re-armed recompute trigger
@@ -542,7 +546,7 @@ func (n *Network) SetTimeseries(rec *timeseries.Recorder) {
 		return
 	}
 	n.telemetry = true
-	rec.Probe("net/active_flows", "", func() float64 { return float64(len(n.active)) })
+	rec.Probe("net/active_flows", "", func() float64 { return float64(n.ActiveFlows()) })
 	rec.Probe("net/flows_completed", "", func() float64 { return float64(n.completed) })
 	rec.Probe("net/bytes_delivered", "B", func() float64 { return n.delivered })
 	rec.Probe("net/fill/recomputes", "", func() float64 { return float64(n.stats.Recomputes) })
@@ -698,7 +702,7 @@ func (n *Network) AddLink(src, dst NodeID, bandwidth, latency float64, name stri
 func (n *Network) Link(id LinkID) *Link { return n.links[id] }
 
 // ActiveFlows returns the number of flows currently holding bandwidth.
-func (n *Network) ActiveFlows() int { return len(n.active) }
+func (n *Network) ActiveFlows() int { return len(n.active) - n.activeHoles }
 
 // StartFlow begins a transfer. The flow first waits out its route
 // latency, then occupies its links until Bytes have drained at the
@@ -944,18 +948,17 @@ func (f *Flow) Cancel() {
 	}
 }
 
-// detach removes the flow from the active set — an order-preserving
-// shift at its tracked slot, so activation-order determinism (settle
-// accumulation, tie-breaking, traces) is untouched and no scan is
-// needed — and parks its completion event.
+// detach removes the flow from the active set — a nil hole at its
+// tracked slot, compacted away in order once holes exceed half the
+// slice, so activation-order determinism (settle accumulation,
+// tie-breaking, traces) is untouched and no scan or shift is needed —
+// and parks its completion event.
 func (n *Network) detach(f *Flow) {
 	if i := f.activeIdx; i >= 0 {
-		copy(n.active[i:], n.active[i+1:])
-		last := len(n.active) - 1
-		n.active[last] = nil
-		n.active = n.active[:last]
-		for j := i; j < last; j++ {
-			n.active[j].activeIdx = j
+		n.active[i] = nil
+		n.activeHoles++
+		if 2*n.activeHoles > len(n.active) {
+			n.compactActive()
 		}
 		f.activeIdx = -1
 		// Leaving the partition dirties the flow's domain: the
@@ -968,6 +971,21 @@ func (n *Network) detach(f *Flow) {
 		n.sched.Cancel(f.complete)
 	}
 	f.rate = 0
+}
+
+// compactActive squeezes the holes out of the active slice, keeping
+// the live flows in activation order and renumbering their slots.
+func (n *Network) compactActive() {
+	live := n.active[:0]
+	for _, f := range n.active {
+		if f != nil {
+			f.activeIdx = len(live)
+			live = append(live, f)
+		}
+	}
+	clear(n.active[len(live):])
+	n.active = live
+	n.activeHoles = 0
 }
 
 func (n *Network) finish(f *Flow) {
@@ -1018,6 +1036,9 @@ func (n *Network) settle() {
 		return
 	}
 	for _, f := range n.active {
+		if f == nil {
+			continue
+		}
 		moved := f.rate * dt
 		if moved > f.remaining {
 			moved = f.remaining
@@ -1176,6 +1197,9 @@ func (n *Network) observeRates(now sim.Time, full bool) {
 			rateSum[i] = 0
 		}
 		for _, f := range n.active {
+			if f == nil {
+				continue
+			}
 			for _, l := range f.finiteLinks {
 				rateSum[l.ID] += f.rate
 			}
@@ -1197,8 +1221,11 @@ func (n *Network) observeRates(now sim.Time, full bool) {
 	if n.tracer == nil {
 		return
 	}
-	n.tracer.Counter(n.trackNet, "active_flows", now, float64(len(n.active)))
+	n.tracer.Counter(n.trackNet, "active_flows", now, float64(n.ActiveFlows()))
 	for _, f := range n.active {
+		if f == nil {
+			continue
+		}
 		if f.rate != f.lastRate && !math.IsInf(f.rate, 1) {
 			n.tracer.AsyncInstant(n.catFlow, "rate", f.id, now,
 				trace.String("label", f.label), trace.Float("bps", f.rate))
@@ -1213,6 +1240,9 @@ func (n *Network) LinkRates() map[LinkID]float64 {
 	n.settle()
 	out := make(map[LinkID]float64)
 	for _, f := range n.active {
+		if f == nil {
+			continue
+		}
 		for _, l := range f.links {
 			out[l.ID] += f.rate
 		}

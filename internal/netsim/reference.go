@@ -76,7 +76,7 @@ func (n *Network) referenceRecompute() {
 		}
 	}
 	for _, f := range n.active {
-		if len(f.finiteLinks) == 0 {
+		if f == nil || len(f.finiteLinks) == 0 {
 			continue
 		}
 		ensure(f.finiteLinks[0])
@@ -95,6 +95,9 @@ func (n *Network) referenceRecompute() {
 	groups := make(map[*Link][]*Flow)
 	var order []*Link
 	for _, f := range n.active {
+		if f == nil {
+			continue
+		}
 		if len(f.finiteLinks) == 0 {
 			// Contention-free flow: freeze at infinite rate upfront.
 			f.rate = math.Inf(1)
@@ -126,6 +129,9 @@ func (n *Network) referenceRecompute() {
 	// reproduces).
 	now := n.sched.Now()
 	for _, f := range n.active {
+		if f == nil {
+			continue
+		}
 		if f.rate <= 0 {
 			if f.complete != nil {
 				n.sched.Cancel(f.complete)
