@@ -109,3 +109,34 @@ func TestAllCSVPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestFig2ArtifactsGolden: the three observer artifacts of
+// `fredsim fig2` hash to the SHA-256 sums in
+// testdata/fig2-artifacts.sha256, so a change to an artifact encoder
+// cannot move a byte unnoticed.
+func TestFig2ArtifactsGolden(t *testing.T) {
+	dir := t.TempDir()
+	var flags []string
+	for _, name := range []string{"metrics", "critpath", "timeseries"} {
+		flags = append(flags, "-"+name, filepath.Join(dir, name))
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"fig2"}, flags...), &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
+	}
+	pin, err := os.ReadFile(filepath.Join("testdata", "fig2-artifacts.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(pin)), "\n") {
+		want, name, _ := strings.Cut(line, "  ")
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("fig2 %s artifact hashes to %s, want %s", name, got, want)
+		}
+	}
+}

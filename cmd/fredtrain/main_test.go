@@ -2,6 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	fredapi "github.com/wafernet/fred"
@@ -88,6 +93,37 @@ func TestTrainMetricsByteIdentical(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		if got := trainArtifact(t, n); !bytes.Equal(got, seq) {
 			t.Fatalf("pool size %d artifact differs from sequential", n)
+		}
+	}
+}
+
+// TestArtifactsGolden: `fredtrain -model t17b -system Fred-D -metrics
+// -critpath` writes artifacts that hash to the SHA-256 sums in
+// testdata/t17b-fred-d.sha256, so a change to an artifact encoder
+// cannot move a byte unnoticed.
+func TestArtifactsGolden(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-model", "t17b", "-system", "Fred-D"}
+	for _, name := range []string{"metrics", "critpath"} {
+		args = append(args, "-"+name, filepath.Join(dir, name))
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
+	}
+	pin, err := os.ReadFile(filepath.Join("testdata", "t17b-fred-d.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(pin)), "\n") {
+		want, name, _ := strings.Cut(line, "  ")
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s artifact hashes to %s, want %s", name, got, want)
 		}
 	}
 }

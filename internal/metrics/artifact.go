@@ -7,6 +7,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+
+	"github.com/wafernet/fred/internal/jsonw"
 )
 
 // Schema is the artifact schema identifier. fredreport accepts any
@@ -177,15 +179,85 @@ func (r *Registry) Export(m Manifest) *Artifact {
 	return a
 }
 
-// Encode renders the artifact as indented JSON with a trailing
-// newline. Encoding uses only structs and slices (no maps), so the
-// bytes are a pure function of the artifact.
-func (a *Artifact) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
+// Encode renders the artifact as indented JSON with a trailing newline
+// in one pass (jsonw): the bytes json.MarshalIndent(a, "", "  ") would
+// give, in an exact-size slice. The artifact holds only structs and
+// slices (no maps), so the bytes are a pure function of it. A NaN or
+// infinite value is an error.
+func (a *Artifact) Encode() ([]byte, error) { return jsonw.Encode(a.WriteJSON) }
+
+// WriteJSON writes the artifact as one JSON value, at whatever depth w
+// is — the top of a file, or a member of a fredd study result.
+func (a *Artifact) WriteJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.Key("schema").String(a.Schema)
+	w.Key("manifest")
+	a.Manifest.WriteJSON(w)
+	w.Key("series")
+	if a.Series == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range a.Series {
+			a.Series[i].writeJSON(w)
+		}
+		w.EndArray()
 	}
-	return append(out, '\n'), nil
+	w.EndObject()
+}
+
+// WriteJSON writes the manifest as one JSON object; the timeseries and
+// critpath artifacts embed it too.
+func (m *Manifest) WriteJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.Key("tool").String(m.Tool)
+	w.OmitString("command", m.Command)
+	w.OmitString("workload", m.Workload)
+	w.OmitString("system", m.System)
+	w.OmitString("strategy", m.Strategy)
+	w.OmitInt("batch_per_replica", int64(m.BatchPerReplica))
+	w.OmitString("schedule", m.Schedule)
+	w.OmitInt("seed", m.Seed)
+	w.OmitString("engine_version", m.EngineVersion)
+	w.OmitString("config_hash", m.ConfigHash)
+	if len(m.Notes) > 0 {
+		w.Key("notes").BeginArray()
+		for _, n := range m.Notes {
+			w.String(n)
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+}
+
+func (d *SeriesData) writeJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.Key("name").String(d.Name)
+	w.Key("kind").String(d.Kind)
+	w.OmitString("unit", d.Unit)
+	w.OmitString("better", d.Better)
+	w.OmitFloat("tolerance", d.Tolerance)
+	if d.Value != nil {
+		w.Key("value").Float(*d.Value)
+	}
+	w.OmitFloat("count", d.Count)
+	w.OmitFloat("sum", d.Sum)
+	w.OmitFloat("min", d.Min)
+	w.OmitFloat("max", d.Max)
+	w.OmitFloat("p50", d.P50)
+	w.OmitFloat("p95", d.P95)
+	if len(d.Buckets) > 0 {
+		w.Key("buckets").BeginArray()
+		for _, b := range d.Buckets {
+			w.BeginObject()
+			w.OmitFloat("le", b.LE)
+			w.OmitBool("overflow", b.Overflow)
+			w.Key("w").Float(b.W)
+			w.EndObject()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
 // Decode parses an artifact and validates its schema family.

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/faults"
+	"github.com/wafernet/fred/internal/jsonw"
 	"github.com/wafernet/fred/internal/metrics"
 	"github.com/wafernet/fred/internal/obs"
 	"github.com/wafernet/fred/internal/parallelism"
@@ -265,18 +265,48 @@ type StudyResult struct {
 	// Summary is the training iteration's breakdown.
 	Summary *StudySummary `json:"summary,omitempty"`
 	// Metrics is the run's full fred-metrics/v1 artifact.
-	Metrics json.RawMessage `json:"metrics,omitempty"`
+	Metrics *metrics.Artifact `json:"metrics,omitempty"`
 }
 
-// Encode renders the result deterministically (indented JSON, trailing
-// newline): structs and slices only, so the bytes are a pure function
-// of the result.
-func (res *StudyResult) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return nil, err
+// Encode renders the result deterministically as indented JSON with a
+// trailing newline, in one pass (jsonw): the bytes
+// json.MarshalIndent(res, "", "  ") would give. The metrics artifact is
+// written in place, one level deep, straight from its struct. The body
+// is exactly sized (cap == len), because the result cache keeps it.
+func (res *StudyResult) Encode() ([]byte, error) { return jsonw.Encode(res.writeJSON) }
+
+func (res *StudyResult) writeJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.Key("schema").String(res.Schema)
+	w.Key("config_hash").String(res.ConfigHash)
+	w.Key("kind").String(res.Kind)
+	w.Key("system").String(res.System)
+	w.OmitString("workload", res.Workload)
+	w.OmitString("strategy", res.Strategy)
+	w.Key("elapsed_sim_s").Float(res.ElapsedSimS)
+	if len(res.PerIterS) > 0 {
+		w.Key("per_iter_s").BeginArray()
+		for _, v := range res.PerIterS {
+			w.Float(v)
+		}
+		w.EndArray()
 	}
-	return append(out, '\n'), nil
+	if sum := res.Summary; sum != nil {
+		w.Key("summary").BeginObject()
+		w.Key("total_s").Float(sum.TotalS)
+		w.Key("compute_s").Float(sum.ComputeS)
+		w.Key("input_load_s").Float(sum.InputLoadS)
+		w.Key("mp_s").Float(sum.MPS)
+		w.Key("dp_s").Float(sum.DPS)
+		w.Key("pp_s").Float(sum.PPS)
+		w.Key("stream_s").Float(sum.StreamS)
+		w.EndObject()
+	}
+	if res.Metrics != nil {
+		w.Key("metrics")
+		res.Metrics.WriteJSON(w)
+	}
+	w.EndObject()
 }
 
 // runStudy executes one normalized study under ctx. The session it
@@ -342,12 +372,7 @@ func runStudy(ctx context.Context, req *StudyRequest, tok *obs.Cell) (*StudyResu
 		return nil, fmt.Errorf("unknown study kind %q", req.Kind)
 	}
 
-	art := sess.Metrics().Export(req.Manifest())
-	data, err := art.Encode()
-	if err != nil {
-		return nil, err
-	}
-	res.Metrics = data
+	res.Metrics = sess.Metrics().Export(req.Manifest())
 	return res, nil
 }
 

@@ -126,6 +126,7 @@ type serveMetrics struct {
 	completed, failed, panics, deadlines *metrics.Series
 	queueDepth, running                  *metrics.Series
 	jobWallMS, queueWaitMS               *metrics.Series
+	simulateMS, encodeMS                 *metrics.Series
 }
 
 func newServeMetrics() *serveMetrics {
@@ -146,6 +147,8 @@ func newServeMetrics() *serveMetrics {
 	bounds := metrics.LogBuckets(0.01, 60000, 3)
 	m.jobWallMS = m.reg.Histogram("serve/job_wall_ms", "ms", bounds)
 	m.queueWaitMS = m.reg.Histogram("serve/queue_wait_ms", "ms", bounds)
+	m.simulateMS = m.reg.Histogram("serve/simulate_ms", "ms", bounds)
+	m.encodeMS = m.reg.Histogram("serve/encode_ms", "ms", bounds)
 	return m
 }
 
@@ -421,8 +424,7 @@ func (s *Server) worker() {
 // the queue, progress registration, isolated execution, completion.
 func (s *Server) runJob(j *jobState) {
 	s.met.set(s.met.queueDepth, float64(len(s.queue)))
-	wait := time.Since(j.accepted)
-	s.met.observe(s.met.queueWaitMS, float64(wait)/float64(time.Millisecond))
+	s.met.observe(s.met.queueWaitMS, msSince(j.accepted))
 	if j.ctx.Err() != nil {
 		// The deadline covers queue wait: a job that expired while
 		// queued is not worth starting.
@@ -441,6 +443,10 @@ func (s *Server) runJob(j *jobState) {
 // execute runs the study with per-job panic isolation: a panic
 // anywhere inside the simulation fails this job with a captured
 // stack, and the worker, the queue and every other job are untouched.
+// It times the job's two phases — serve/simulate_ms for every study
+// that returns, serve/encode_ms for every result it encodes — so the
+// /metrics histograms split job_wall_ms into queue wait, simulation
+// and encoding.
 func (s *Server) execute(j *jobState, tok *obs.Cell) (body []byte, status int, msg string, timedOut, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -451,14 +457,18 @@ func (s *Server) execute(j *jobState, tok *obs.Cell) (body []byte, status int, m
 			s.logf("job %d (%s %s) panicked: %v\n%s", j.id, j.req.Kind, j.key, r, stack)
 		}
 	}()
+	start := time.Now()
 	res, err := runStudy(j.ctx, j.req, tok)
+	s.met.observe(s.met.simulateMS, msSince(start))
 	if err != nil {
 		if errors.Is(err, sim.ErrCanceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			return nil, http.StatusGatewayTimeout, "deadline exceeded: " + err.Error(), true, false
 		}
 		return nil, http.StatusUnprocessableEntity, err.Error(), false, false
 	}
+	start = time.Now()
 	data, err := res.Encode()
+	s.met.observe(s.met.encodeMS, msSince(start))
 	if err != nil {
 		return nil, http.StatusInternalServerError, "encoding result: " + err.Error(), false, false
 	}
@@ -477,7 +487,7 @@ func (s *Server) finish(j *jobState, body []byte, status int, msg string, timedO
 	}
 	s.mu.Unlock()
 	j.body, j.status, j.errMsg = body, status, msg
-	s.met.observe(s.met.jobWallMS, float64(time.Since(j.accepted))/float64(time.Millisecond))
+	s.met.observe(s.met.jobWallMS, msSince(j.accepted))
 	switch {
 	case body != nil:
 		s.met.inc(s.met.completed)
@@ -493,6 +503,10 @@ func (s *Server) finish(j *jobState, body []byte, status int, msg string, timedO
 	}
 	close(j.done)
 }
+
+// msSince is the wall time since t in milliseconds, the unit of the
+// serve/*_ms histograms.
+func msSince(t time.Time) float64 { return float64(time.Since(t)) / float64(time.Millisecond) }
 
 // handleHealthz is liveness: 200 as long as the process serves.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/wafernet/fred/internal/metrics"
 )
 
 // postStudy submits one study and returns status, body, and the cache
@@ -84,6 +86,38 @@ func TestServerStudyLifecycle(t *testing.T) {
 	}
 	if got := s.met.value(s.met.cacheMisses); got != misses {
 		t.Fatalf("warm submit re-simulated: misses %g → %g", misses, got)
+	}
+}
+
+// TestServerPhaseHistograms: one completed job records exactly one
+// sample in each latency histogram /metrics serves — queue wait,
+// simulation, encoding and the whole job.
+func TestServerPhaseHistograms(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	if status, body, _ := postStudy(t, ts.URL, &StudyRequest{Kind: KindAllReduce, Bytes: 64 << 10}); status != http.StatusOK {
+		t.Fatalf("status %d, body %s", status, body)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := metrics.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]float64{}
+	for _, d := range art.Series {
+		counts[d.Name] = d.Count
+	}
+	for _, name := range []string{"serve/queue_wait_ms", "serve/simulate_ms", "serve/encode_ms", "serve/job_wall_ms"} {
+		if got, ok := counts[name]; !ok || got != 1 {
+			t.Errorf("%s: %g samples (present %v), want 1", name, got, ok)
+		}
 	}
 }
 

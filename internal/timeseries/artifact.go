@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 
+	"github.com/wafernet/fred/internal/jsonw"
 	"github.com/wafernet/fred/internal/metrics"
 )
 
@@ -63,16 +64,68 @@ func Export(m metrics.Manifest, cells []Cell) *Artifact {
 	return &Artifact{Schema: Schema, Manifest: m.Stamp(), Cells: cells}
 }
 
-// Encode renders the artifact as indented JSON with a trailing
-// newline. Encoding uses only structs and slices (no maps), so the
-// bytes are a pure function of the artifact — the basis of the
-// byte-identical-at-every-pool-size guarantee.
-func (a *Artifact) Encode() ([]byte, error) {
-	out, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return nil, err
+// Encode renders the artifact as indented JSON with a trailing newline
+// in one pass (jsonw): the bytes json.MarshalIndent(a, "", "  ") would
+// give, in an exact-size slice. The artifact holds only structs and
+// slices (no maps), so the bytes are a pure function of it — the basis
+// of the byte-identical-at-every-pool-size guarantee. A NaN or
+// infinite sample is an error.
+func (a *Artifact) Encode() ([]byte, error) { return jsonw.Encode(a.writeJSON) }
+
+func (a *Artifact) writeJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.Key("schema").String(a.Schema)
+	w.Key("manifest")
+	a.Manifest.WriteJSON(w)
+	w.Key("cells")
+	if a.Cells == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range a.Cells {
+			a.Cells[i].writeJSON(w)
+		}
+		w.EndArray()
 	}
-	return append(out, '\n'), nil
+	w.EndObject()
+}
+
+func (c *Cell) writeJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.OmitString("label", c.Label)
+	w.Key("interval_s").Float(c.IntervalS)
+	w.OmitInt("decimations", int64(c.Decimations))
+	w.Key("series")
+	if c.Series == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for i := range c.Series {
+			c.Series[i].writeJSON(w)
+		}
+		w.EndArray()
+	}
+	w.EndObject()
+}
+
+func (d *SeriesData) writeJSON(w *jsonw.Writer) {
+	w.BeginObject()
+	w.Key("name").String(d.Name)
+	w.OmitString("unit", d.Unit)
+	w.Key("samples")
+	if d.Samples == nil {
+		w.Null()
+	} else {
+		w.BeginArray()
+		for _, s := range d.Samples {
+			w.BeginArray()
+			w.Float(s[0])
+			w.Float(s[1])
+			w.EndArray()
+		}
+		w.EndArray()
+	}
+	w.EndObject()
 }
 
 // Decode parses an artifact and validates its schema family.
