@@ -13,10 +13,12 @@
 // it declares a preferred direction (better: lower/higher) and the
 // candidate moves the wrong way beyond the tolerance — the series' own
 // tolerance when it carries one, else -threshold. Reference values of
-// zero are compared absolutely (the zero-allocation gates). Series
-// present on only one side are noted, never failed. The exit status is
-// 1 when any series regressed, so the command drops into CI as a
-// bench-regression gate.
+// zero are compared absolutely (the zero-allocation gates). A directed
+// reference series the candidate lacks fails too, so deleting a gated
+// benchmark cannot silently un-gate it; undirected series and
+// candidate-only series present on one side are noted, never failed.
+// The exit status is 1 when any series regressed or went missing, so
+// the command drops into CI as a bench-regression gate.
 //
 // The -frombench form converts `go test -bench -benchmem` output into
 // a fred-metrics artifact: one better:lower gauge per benchmark for
@@ -104,11 +106,16 @@ func compare(refPath, candPath string, threshold float64, csv bool, w io.Writer)
 	} else {
 		fmt.Fprintln(w, tbl)
 	}
+	code := 0
 	if n := metrics.Regressions(deltas); n > 0 {
 		fmt.Fprintf(w, "fredreport: %d series regressed\n", n)
-		return 1, nil
+		code = 1
 	}
-	return 0, nil
+	if n := metrics.MissingGated(deltas); n > 0 {
+		fmt.Fprintf(w, "fredreport: %d gated series missing from the candidate\n", n)
+		code = 1
+	}
+	return code, nil
 }
 
 // deltaTable renders comparison rows; gated rows (ok / regression /
@@ -123,6 +130,10 @@ func deltaTable(deltas []metrics.Delta, refPath, candPath string, threshold floa
 	for _, d := range deltas {
 		switch d.Verdict {
 		case metrics.VerdictMissing:
+			if d.Better != "" {
+				tbl.AddRow(d.Name, formatVal(d.Old, d.Unit), "-", "-", string(d.Verdict))
+				continue
+			}
 			missing++
 			continue
 		case metrics.VerdictNew:
@@ -137,7 +148,7 @@ func deltaTable(deltas []metrics.Delta, refPath, candPath string, threshold floa
 			delta, string(d.Verdict))
 	}
 	if missing > 0 {
-		tbl.AddNote("%d reference series absent from the candidate (not failed)", missing)
+		tbl.AddNote("%d undirected reference series absent from the candidate (not failed)", missing)
 	}
 	if added > 0 {
 		tbl.AddNote("%d candidate series absent from the reference (not failed)", added)

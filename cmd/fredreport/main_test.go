@@ -51,6 +51,40 @@ func TestCompareDetectsRegression(t *testing.T) {
 	}
 }
 
+// A directed reference series the candidate lacks fails the gate and
+// is named in the table; an undirected one only earns the note.
+func TestCompareMissingDirectedSeriesFails(t *testing.T) {
+	dir := t.TempDir()
+	ref := writeArtifact(t, dir, "ref.json", func(r *metrics.Registry) {
+		r.Gauge("bench/Kept/ns_per_op", "ns/op").SetBetter("lower").Set(1000)
+		r.Gauge("bench/Gone/allocs_per_op", "allocs/op").SetBetter("lower").SetTolerance(0.25).Set(0)
+		r.Gauge("bench/Context/ns_per_op", "ns/op").Set(5)
+	})
+	cand := writeArtifact(t, dir, "cand.json", func(r *metrics.Registry) {
+		r.Gauge("bench/Kept/ns_per_op", "ns/op").Set(1000)
+	})
+	var buf bytes.Buffer
+	code, err := compare(ref, cand, 0.10, false, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code != 1 {
+		t.Fatalf("exit code %d with a gated series missing, want 1\n%s", code, buf.String())
+	}
+	out := buf.String()
+	for _, want := range []string{"bench/Gone/allocs_per_op", "missing", "1 gated series missing from the candidate", "1 undirected reference series absent"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "bench/Context/ns_per_op") {
+		t.Errorf("undirected missing series got a row:\n%s", out)
+	}
+	if strings.Contains(out, "series regressed") {
+		t.Errorf("missing series reported as regressed:\n%s", out)
+	}
+}
+
 func TestCompareCleanPass(t *testing.T) {
 	dir := t.TempDir()
 	build := func(r *metrics.Registry) {

@@ -153,7 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cpuProfile := ""
 	memProfile := ""
 	mutexProfile := ""
-	noSchedCache := false
 	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.Usage = func() { usage(stderr) }
@@ -170,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile of the simulator to this file")
 	fs.StringVar(&memProfile, "memprofile", "", "write an end-of-run heap profile to this file")
 	fs.StringVar(&mutexProfile, "mutexprofile", "", "write an end-of-run mutex-contention profile to this file")
-	fs.BoolVar(&noSchedCache, "noschedcache", false, "disable the cross-cell compiled-schedule cache (results are byte-identical either way)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -182,9 +180,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	session := experiments.NewSession()
 	session.SetParallel(parallel)
-	if noSchedCache {
-		session.ShareSchedules(false)
-	}
 	var rec *trace.Recorder
 	if tracePath != "" {
 		rec = trace.NewRecorder()

@@ -3,7 +3,6 @@ package collective
 import (
 	"encoding/binary"
 	"math"
-	"sync"
 )
 
 // Schedule compiler: a training run asks the Comm for the same handful
@@ -44,8 +43,7 @@ import (
 // prepare, shared read-only by every Op replaying the schedule, and
 // dropped wholesale when the Comm is garbage (a fresh Comm per cell).
 // Prepared routes hold *netsim.Link pointers, so a prepared schedule
-// must never leave its network: the shared cross-cell cache (see
-// SharedCache) stores only unprepared LinkID-level schedules.
+// must never leave its network.
 
 // Collective kinds, the first key byte. Values are stable only within
 // a process — keys never persist.
@@ -75,39 +73,25 @@ func (c *Comm) buildKey(kind byte, root, dst int, group []int, bytes float64) {
 	c.keyBuf = buf
 }
 
-// lookup returns the compiled schedule for the key, consulting the
-// per-Comm memo and then (healthy fabric only) the shared cross-cell
-// cache. On a miss the encoded key stays in keyBuf for the insert that
-// must follow the caller's build.
+// lookup returns the memoized schedule for the key. On a miss the
+// encoded key stays in keyBuf for the insert that must follow the
+// caller's build.
 func (c *Comm) lookup(kind byte, root, dst int, group []int, bytes float64) (Schedule, bool) {
 	if !c.memoize {
 		return Schedule{}, false
 	}
 	c.buildKey(kind, root, dst, group, bytes)
-	if s, ok := c.memo[string(c.keyBuf)]; ok {
-		return s, true
-	}
-	if c.shared != nil && c.w.Network().StateEpoch() == 0 {
-		if raw, ok := c.shared.lookup(c.fabricID, string(c.keyBuf)); ok {
-			s := c.prepare(raw)
-			c.memo[string(c.keyBuf)] = s
-			return s, true
-		}
-	}
-	return Schedule{}, false
+	s, ok := c.memo[string(c.keyBuf)]
+	return s, ok
 }
 
 // insert memoizes a freshly built schedule under the key left in
-// keyBuf by the preceding failed lookup: the raw LinkID-level schedule
-// goes to the shared cache (healthy fabric, no error), the prepared
-// copy to the per-Comm memo. With memoization off it returns the
-// schedule unchanged — the compile-every-iteration reference path.
+// keyBuf by the preceding failed lookup, in its prepared form. With
+// memoization off it returns the schedule unchanged — the
+// compile-every-iteration reference path.
 func (c *Comm) insert(raw Schedule) Schedule {
 	if !c.memoize {
 		return raw
-	}
-	if c.shared != nil && raw.Err == nil && c.w.Network().StateEpoch() == 0 {
-		c.shared.store(c.fabricID, string(c.keyBuf), raw)
 	}
 	s := c.prepare(raw)
 	c.memo[string(c.keyBuf)] = s
@@ -151,63 +135,3 @@ func (c *Comm) prepare(s Schedule) Schedule {
 // and detaches nothing: turning it back on resumes with the existing
 // memo.
 func (c *Comm) SetMemoize(on bool) { c.memoize = on }
-
-// Share attaches a cross-cell schedule cache. fabricID must identify
-// the wafer construction exactly (same topology constructor, same
-// config ⇒ same LinkID assignment); cells with bespoke fabrics should
-// not share. Only healthy-fabric (epoch 0) schedules are shared:
-// fault history is per-cell, so degraded schedules stay in the
-// per-Comm memo. A nil cache detaches.
-func (c *Comm) Share(cache *SharedCache, fabricID string) {
-	c.shared = cache
-	c.fabricID = fabricID
-}
-
-// SharedCache is a read-mostly cross-cell schedule cache, shared by the
-// Comms of every experiment cell that builds the same fabric (keyed by
-// a fabric fingerprint, e.g. the experiments.System name). It stores
-// only unprepared LinkID-level schedules — prepared routes hold *Link
-// pointers and must never cross networks — and only for the healthy
-// fabric (epoch 0), where construction determinism guarantees every
-// cell would compile the identical schedule. Safe for concurrent use.
-type SharedCache struct {
-	mu      sync.RWMutex
-	entries map[string]map[string]Schedule // fabric fingerprint → key → raw schedule
-}
-
-// NewSharedCache returns an empty cross-cell cache.
-func NewSharedCache() *SharedCache {
-	return &SharedCache{entries: make(map[string]map[string]Schedule)}
-}
-
-func (sc *SharedCache) lookup(fabric, key string) (Schedule, bool) {
-	sc.mu.RLock()
-	s, ok := sc.entries[fabric][key]
-	sc.mu.RUnlock()
-	return s, ok
-}
-
-func (sc *SharedCache) store(fabric, key string, s Schedule) {
-	sc.mu.Lock()
-	m := sc.entries[fabric]
-	if m == nil {
-		m = make(map[string]Schedule)
-		sc.entries[fabric] = m
-	}
-	// Concurrent cells may race to store the same key; construction
-	// determinism makes every candidate identical, so last-write-wins
-	// is safe.
-	m[key] = s
-	sc.mu.Unlock()
-}
-
-// Len reports the number of cached schedules across all fabrics.
-func (sc *SharedCache) Len() int {
-	sc.mu.RLock()
-	n := 0
-	for _, m := range sc.entries {
-		n += len(m)
-	}
-	sc.mu.RUnlock()
-	return n
-}

@@ -198,50 +198,6 @@ func TestEpochInvalidationRecompiles(t *testing.T) {
 	}
 }
 
-// The cross-cell cache: a second Comm on an identically constructed
-// fabric replays the first Comm's raw schedule (re-prepared against
-// its own network) and produces bit-identical results. Schedules
-// compiled on a degraded fabric never enter the shared cache.
-func TestSharedCacheCrossComm(t *testing.T) {
-	cache := NewSharedCache()
-	build := func() (*netsim.Network, *Comm, []int) {
-		net := netsim.New(sim.NewScheduler())
-		m := topology.NewMesh(net, topology.DefaultMeshConfig())
-		c := NewComm(m)
-		c.Share(cache, "mesh-5x4")
-		group := make([]int, m.NPUCount())
-		for i := range group {
-			group[i] = i
-		}
-		return net, c, group
-	}
-	net1, c1, group := build()
-	s1 := c1.AllReduce(group, 1e6)
-	if cache.Len() != 1 {
-		t.Fatalf("cache holds %d schedules after first compile, want 1", cache.Len())
-	}
-	net2, c2, _ := build()
-	s2 := c2.AllReduce(group, 1e6)
-	if cache.Len() != 1 {
-		t.Fatalf("shared hit stored a duplicate: cache len %d", cache.Len())
-	}
-	e1, e2 := RunToCompletion(net1, s1), RunToCompletion(net2, s2)
-	if e1 != e2 {
-		t.Fatalf("shared replay elapsed %v, original %v", e2, e1)
-	}
-	if !reflect.DeepEqual(s1.LinkBytes(), s2.LinkBytes()) {
-		t.Fatal("shared replay moves different per-link bytes")
-	}
-	// Degraded fabrics stay out of the shared cache: fault history is
-	// per-cell.
-	net2.Link(netsim.LinkID(0)).Fail()
-	net2.Scheduler().Run()
-	c2.AllReduce(group, 2e6)
-	if cache.Len() != 1 {
-		t.Fatalf("degraded-fabric compile leaked into the shared cache: len %d", cache.Len())
-	}
-}
-
 // alienWafer is a topology the dispatcher has no algorithm for: it
 // carries all of Mesh's methods but is not *topology.Mesh.
 type alienWafer struct{ *topology.Mesh }

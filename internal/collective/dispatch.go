@@ -20,13 +20,10 @@ type Comm struct {
 	w topology.Wafer
 
 	// Memoization state (compile.go): the per-Comm memo of prepared
-	// schedules, the reused key scratch buffer, and the optional
-	// cross-cell shared cache of raw schedules.
-	memoize  bool
-	memo     map[string]Schedule
-	keyBuf   []byte
-	shared   *SharedCache
-	fabricID string
+	// schedules and the reused key scratch buffer.
+	memoize bool
+	memo    map[string]Schedule
+	keyBuf  []byte
 }
 
 // NewComm returns a compiler for the given wafer, with schedule

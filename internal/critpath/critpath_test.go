@@ -48,10 +48,10 @@ func TestClampBlame(t *testing.T) {
 		want                  Blame
 	}{
 		{1, 0.25, 0.25, Blame{Serial: 0.5, Contention: 0.25, Fault: 0.25}},
-		{1, 2, 0, Blame{Contention: 1}},              // stall clamped to elapsed
+		{1, 2, 0, Blame{Contention: 1}},                       // stall clamped to elapsed
 		{1, 0.75, 0.75, Blame{Contention: 0.75, Fault: 0.25}}, // fault clamped to remainder
-		{1, -1, -1, Blame{Serial: 1}},                // negative inputs ignored
-		{0, 5, 5, Blame{}},                           // empty interval
+		{1, -1, -1, Blame{Serial: 1}},                         // negative inputs ignored
+		{0, 5, 5, Blame{}},                                    // empty interval
 	}
 	for _, c := range cases {
 		got := ClampBlame(c.elapsed, c.stall, c.fault)

@@ -15,7 +15,7 @@ type Segment struct {
 	Label string `json:"label"`
 	// Class is the communication class of a wait ("MP", "DP", ...);
 	// empty for compute.
-	Class string `json:"class,omitempty"`
+	Class string  `json:"class,omitempty"`
 	Start float64 `json:"start_s"`
 	End   float64 `json:"end_s"`
 	// Blame decomposes the non-compute part of the interval; a compute

@@ -45,9 +45,8 @@ func dimsLabel(dims []int) string {
 // flows a phase actually perturbs instead of the whole system —
 // FillWork.FlowsFilled grows sublinearly in total link count, which is
 // the scaling headroom the sharded engine buys (see DESIGN.md,
-// "Sharded rate engine"). Fills run on a width-4 worker pool; every
-// counter and time below is byte-identical at any pool width and any
-// -parallel fan-out. One cell per system size.
+// "Sharded rate engine"). Every counter and time below is
+// byte-identical at any -parallel fan-out. One cell per system size.
 func (s *Session) ScaleOutStudy() ([]ScaleOutRow, *report.Table) {
 	systems := [][]int{nil, {4}, {4, 2}, {4, 4}, {8, 4}, {8, 8}}
 	wafersOf := func(dims []int) int {
@@ -65,10 +64,9 @@ func (s *Session) ScaleOutStudy() ([]ScaleOutRow, *report.Table) {
 		cfg := multiwafer.DefaultConfig()
 		cfg.Wafers = wafersOf(systems[i])
 		cfg.Dims = systems[i]
-		cfg.FillWorkers = 4
-		// Read the hierarchical system's row fields and release it
-		// before building the naive one, so the two 64-wafer systems are
-		// never alive together.
+		// Read the hierarchical system's row fields before building the
+		// naive one, so the two 64-wafer systems are never alive
+		// together.
 		sh := multiwafer.New(cfg)
 		hier := sh.Run(sh.GlobalAllReduce(10e9))
 		row := ScaleOutRow{
@@ -79,9 +77,7 @@ func (s *Session) ScaleOutStudy() ([]ScaleOutRow, *report.Table) {
 			Hier:     hier,
 			FillWork: sh.Network().FillStats(),
 		}
-		sh.Close()
 		sn := multiwafer.New(cfg)
-		defer sn.Close()
 		row.Naive = sn.Run(sn.NaiveAllReduce(10e9))
 		row.Gain = row.Naive / hier
 		rows[i] = row

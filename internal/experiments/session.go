@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/critpath"
 	"github.com/wafernet/fred/internal/metrics"
 	"github.com/wafernet/fred/internal/netsim"
@@ -64,21 +63,10 @@ type Session struct {
 	// Child sessions inherit it.
 	ctx context.Context
 
-	// schedCache shares compiled healthy-fabric collective schedules
-	// across every cell the session runs: the first cell to need an
-	// all-reduce on a given system compiles it once, and every later
-	// cell — same study or not, same worker or not — replays the raw
-	// schedule instead of rebuilding it. forEach's child sessions
-	// inherit the pointer, so the cache spans the whole fan-out. Safe
-	// because the shared entries are LinkID-level (no network pointers)
-	// and keyed by the System fingerprint; see collective.SharedCache.
-	// Nil when sharing is disabled (ShareSchedules(false)).
-	schedCache *collective.SharedCache
-
 	// memo holds every training cell the session has simulated (see
 	// memo.go), so a cell that several studies share runs once.
-	// forEach's child sessions inherit the pointer, as they do
-	// schedCache. Observed sessions bypass it.
+	// forEach's child sessions inherit the pointer. Observed sessions
+	// bypass it.
 	memo *trainMemo
 
 	mu       sync.Mutex
@@ -148,23 +136,16 @@ func NewSession() *Session {
 		metricsColl: metrics.NewCollector(),
 		critColl:    critpath.NewCollector(),
 		tsColl:      timeseries.NewCollector(),
-		schedCache:  collective.NewSharedCache(),
 		memo:        newTrainMemo(),
 	}
 }
 
-// ShareSchedules toggles the cross-cell compiled-schedule cache
-// (on by default). Turning it off makes every cell compile its own
-// schedules from scratch — the -noschedcache escape hatch for
-// isolating cache bugs; results are byte-identical either way.
-// Turning it back on starts from an empty cache.
-func (s *Session) ShareSchedules(on bool) {
-	if on {
-		s.schedCache = collective.NewSharedCache()
-	} else {
-		s.schedCache = nil
-	}
-}
+// ShareSchedules does nothing: every cell compiles its own collective
+// schedules.
+//
+// Deprecated: there is no cross-cell schedule cache to toggle. Its only
+// caller is the fredbench benchmark module.
+func (s *Session) ShareSchedules(on bool) {}
 
 // SetParallel sizes the worker pool used to fan independent cells out:
 // n ≤ 0 means GOMAXPROCS, 1 means sequential. Merged rows and tables
@@ -346,7 +327,6 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 		c.collectCrit = s.collectCrit
 		c.collectTS = s.collectTS
 		c.parallel = 1
-		c.schedCache = s.schedCache
 		c.memo = s.memo
 		c.ctx = s.ctx
 		children[i] = c
@@ -481,8 +461,6 @@ func (s *Session) simulateTraining(sys System, m *workload.Model, strat parallel
 		Strategy:            strat,
 		MinibatchPerReplica: perReplica,
 		Tracer:              s.tracer,
-		Schedules:           s.schedCache,
-		FabricID:            string(sys),
 	})
 	if err != nil {
 		return nil, err

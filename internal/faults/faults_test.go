@@ -134,7 +134,7 @@ func TestInjectorRedundantFaultsAreNoops(t *testing.T) {
 	inj := NewInjector(net).SetMetrics(reg)
 	plan := Plan{Events: []Event{
 		{At: 1, Kind: LinkFail, Target: int(links[0])},
-		{At: 2, Kind: LinkFail, Target: int(links[0])},         // already dead
+		{At: 2, Kind: LinkFail, Target: int(links[0])},                 // already dead
 		{At: 3, Kind: LinkDegrade, Target: int(links[0]), Factor: 0.5}, // dead: skip
 	}}
 	if err := inj.Schedule(plan); err != nil {

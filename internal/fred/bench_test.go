@@ -6,9 +6,8 @@ import (
 )
 
 // BenchmarkRoute routes seeded concurrent flow sets on Fred_3(12), the
-// leaf switch MiddleStageAblation exercises, cycling through 64 sets.
-// The coloring memo is warm after the first pass, so the benchmark
-// measures the per-level bookkeeping Route does around the coloring.
+// leaf switch MiddleStageAblation exercises, cycling through 64 sets:
+// the per-level conflict-graph coloring plus the bookkeeping around it.
 func BenchmarkRoute(b *testing.B) {
 	ic := NewInterconnect(3, 12)
 	rng := rand.New(rand.NewSource(1))

@@ -43,10 +43,7 @@ func (ic *Interconnect) FailElement(id int) {
 	if ic.failed == nil {
 		ic.failed = make([]bool, len(ic.elements))
 	}
-	if !ic.failed[id] {
-		ic.failed[id] = true
-		ic.faultEpoch++
-	}
+	ic.failed[id] = true
 }
 
 // ElementFailed reports whether FailElement was called on the element.

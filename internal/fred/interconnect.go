@@ -35,12 +35,6 @@ type Interconnect struct {
 	// failed flags elements taken out of service (FailElement), indexed
 	// by element ID; nil while the interconnect is healthy.
 	failed []bool
-	// Coloring memo (memo.go): conflict-graph colorings keyed by packed
-	// (adjacency, banned-middle set), with a reused key scratch buffer;
-	// faultEpoch counts FailElement calls for plan-level caches.
-	colorMemo   map[string]colorResult
-	colorKeyBuf []byte
-	faultEpoch  uint64
 	// pending collects one Route call's connections before they are
 	// grouped into the plan's per-element configuration (routing.go).
 	pending []elemConn

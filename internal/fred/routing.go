@@ -285,7 +285,7 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 	// banned from the palette, and the coloring re-plans over the
 	// survivors.
 	banned := ic.bannedMiddles(st)
-	colors, ok := ic.colorCached(adj, banned)
+	colors, ok := colorGraph(adj, ic.m, banned)
 	if !ok {
 		nBanned := 0
 		for _, b := range banned {
@@ -460,11 +460,13 @@ func flowsWithOdd(flows []localFlow, odd []bool) []int {
 // greedy — never reports a spurious conflict.
 func colorGraph(adj [][]bool, m int, banned []bool) ([]int, bool) {
 	n := len(adj)
-	order := make([]int, n)
+	// One backing array: colors, then the visit order, then degrees.
+	buf := make([]int, 3*n)
+	colors, order, deg := buf[:n:n], buf[n:2*n], buf[2*n:]
 	for i := range order {
 		order[i] = i
+		colors[i] = -1
 	}
-	deg := make([]int, n)
 	for i := range adj {
 		for j := range adj[i] {
 			if adj[i][j] {
@@ -472,58 +474,61 @@ func colorGraph(adj [][]bool, m int, banned []bool) ([]int, bool) {
 			}
 		}
 	}
-	sort.SliceStable(order, func(a, b int) bool { return deg[order[a]] > deg[order[b]] })
-
-	colors := make([]int, n)
-	for i := range colors {
-		colors[i] = -1
-	}
-	var assign func(k int) bool
-	assign = func(k int) bool {
-		if k == n {
-			return true
-		}
-		v := order[k]
-		// Symmetry breaking: the first vertex can take color 0 only;
-		// later vertices may only use colors 0..(max used + 1). Banned
-		// colors break the palette's symmetry, so the pruning is only
-		// sound on a healthy interconnect.
-		limit := m - 1
-		if banned == nil {
-			maxUsed := -1
-			for i := 0; i < k; i++ {
-				if colors[order[i]] > maxUsed {
-					maxUsed = colors[order[i]]
-				}
-			}
-			limit = maxUsed + 1
-			if limit >= m {
-				limit = m - 1
-			}
-		}
-		for c := 0; c <= limit; c++ {
-			if banned != nil && banned[c] {
-				continue
-			}
-			ok := true
-			for u := 0; u < n; u++ {
-				if adj[v][u] && colors[u] == c {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				colors[v] = c
-				if assign(k + 1) {
-					return true
-				}
-				colors[v] = -1
-			}
-		}
-		return false
-	}
-	if !assign(0) {
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(deg[b], deg[a]) })
+	g := coloring{adj: adj, m: m, banned: banned, order: order, colors: colors}
+	if !g.assign(0) {
 		return nil, false
 	}
 	return colors, true
+}
+
+// coloring is colorGraph's backtracking state.
+type coloring struct {
+	adj    [][]bool
+	m      int
+	banned []bool
+	order  []int // vertices in descending-degree order
+	colors []int // per vertex; -1 while uncolored
+}
+
+// assign colors order[k:], given order[:k] colored.
+func (g *coloring) assign(k int) bool {
+	if k == len(g.order) {
+		return true
+	}
+	v := g.order[k]
+	// Symmetry breaking: the first vertex can take color 0 only; later
+	// vertices may only use colors 0..(max used + 1). Banned colors
+	// break the palette's symmetry, so the pruning is only sound on a
+	// healthy interconnect.
+	limit := g.m - 1
+	if g.banned == nil {
+		maxUsed := -1
+		for _, u := range g.order[:k] {
+			if g.colors[u] > maxUsed {
+				maxUsed = g.colors[u]
+			}
+		}
+		limit = min(maxUsed+1, g.m-1)
+	}
+	for c := 0; c <= limit; c++ {
+		if g.banned != nil && g.banned[c] {
+			continue
+		}
+		ok := true
+		for u, edge := range g.adj[v] {
+			if edge && g.colors[u] == c {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			g.colors[v] = c
+			if g.assign(k + 1) {
+				return true
+			}
+			g.colors[v] = -1
+		}
+	}
+	return false
 }

@@ -73,19 +73,10 @@ func (m *Mesh) ChannelFailed(node int, d Direction) bool {
 }
 
 // rebuildTable installs the detour next-hop table for the current
-// fault state, consulting the shared cross-mesh cache (tablecache.go)
-// before recomputing: for each destination, a BFS from dst over alive
+// fault state: for each destination, a BFS from dst over alive
 // channels (deterministic E/W/S/N expansion) labels every node with
 // its first hop toward dst, or unroutable when no alive path exists.
-// The installed table is shared read-only — a later FailChannel makes
-// the next rebuild resolve a different key into a fresh slice.
 func (m *Mesh) rebuildTable() {
-	key := m.tableKey()
-	if t, ok := lookupDetourTable(key); ok {
-		m.table = t
-		m.tableDirty = false
-		return
-	}
 	n := len(m.routers)
 	table := make([]Direction, n*n)
 	dirs := [...]Direction{East, West, South, North}
@@ -116,5 +107,4 @@ func (m *Mesh) rebuildTable() {
 	}
 	m.table = table
 	m.tableDirty = false
-	storeDetourTable(key, table)
 }

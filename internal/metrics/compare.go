@@ -23,9 +23,11 @@ type Delta struct {
 // Verdict classifies one comparison row.
 type Verdict string
 
-// Comparison verdicts. Only Regression fails a gate: Missing and New
-// mark series present on one side only (schema drift worth a note, not
-// a failure), Info marks undirected series.
+// Comparison verdicts. Regression fails a gate, and so does Missing on
+// a directed series: deleting a gated benchmark must not silently
+// un-gate it. Missing on an undirected series and New mark series
+// present on one side only (schema drift worth a note, not a failure),
+// Info marks undirected series.
 const (
 	VerdictOK         Verdict = "ok"
 	VerdictRegression Verdict = "regression"
@@ -112,11 +114,23 @@ func classify(d Delta) Verdict {
 	return VerdictOK
 }
 
-// Regressions counts the failing rows of a comparison.
+// Regressions counts the rows of a comparison that regressed.
 func Regressions(deltas []Delta) int {
 	n := 0
 	for _, d := range deltas {
 		if d.Verdict == VerdictRegression {
+			n++
+		}
+	}
+	return n
+}
+
+// MissingGated counts the directed reference series the candidate
+// lacks. Each fails a gate like a regression.
+func MissingGated(deltas []Delta) int {
+	n := 0
+	for _, d := range deltas {
+		if d.Verdict == VerdictMissing && d.Better != "" {
 			n++
 		}
 	}

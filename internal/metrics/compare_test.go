@@ -138,9 +138,9 @@ func TestCompareZeroBaselineImproves(t *testing.T) {
 	}
 }
 
-// Missing and New rows are schema-drift notes, never gate failures:
-// they carry the one-sided presence flags, keep the side they do have,
-// and don't count toward Regressions.
+// Missing and New rows carry the one-sided presence flags, keep the
+// side they do have, and don't count toward Regressions. A directed
+// missing series counts toward MissingGated instead.
 func TestCompareMissingVersusNew(t *testing.T) {
 	ref := artifactOf(func(r *Registry) {
 		r.Gauge("gone", "s").SetBetter("lower").Set(7)
@@ -167,6 +167,12 @@ func TestCompareMissingVersusNew(t *testing.T) {
 	}
 	if got := Regressions(deltas); got != 0 {
 		t.Fatalf("missing/new counted as regressions: %d", got)
+	}
+	if got := MissingGated(deltas); got != 1 {
+		t.Fatalf("MissingGated = %d, want 1 (the directed gone series)", got)
+	}
+	if got := MissingGated(Compare(artifactOf(func(r *Registry) { r.Gauge("ctx", "").Set(1) }), cand, 0.10)); got != 0 {
+		t.Fatalf("undirected missing series gated: MissingGated = %d", got)
 	}
 }
 

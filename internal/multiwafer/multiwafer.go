@@ -26,8 +26,8 @@
 // size at each level. A single dimension reproduces the original
 // Section 8.3 ring model exactly. Per-wafer fabrics and each
 // dimension's rings touch disjoint link sets, so the sharded netsim
-// rate engine (see netsim.SetFillParallel) partitions such a system
-// into many independent contention domains by construction.
+// rate engine (see netsim's domain.go) partitions such a system into
+// many independent contention domains by construction.
 package multiwafer
 
 import (
@@ -60,10 +60,8 @@ type Config struct {
 	// Wafers. Every boundary port gets a ring per dimension. Empty
 	// means a single dimension of all wafers — the original flat ring.
 	Dims []int
-	// FillWorkers sets the netsim fill worker-pool width (≤ 1 means
-	// sequential). Results are byte-identical at every width; large
-	// hierarchical systems fill their many independent contention
-	// domains concurrently.
+	// Deprecated: FillWorkers is ignored; domain fills always run
+	// sequentially. Its only caller is the fredbench benchmark module.
 	FillWorkers int
 }
 
@@ -164,9 +162,6 @@ func NewErr(cfg Config) (*System, error) {
 		acc *= size
 	}
 	s.net = netsim.New(s.sched)
-	if cfg.FillWorkers > 1 {
-		s.net.SetFillParallel(cfg.FillWorkers)
-	}
 	for w := 0; w < cfg.Wafers; w++ {
 		s.wafers = append(s.wafers, topology.NewFredVariant(s.net, cfg.Variant))
 	}
@@ -250,9 +245,11 @@ func (s *System) Dims() []int { return s.dims }
 // NPUCount returns the total NPU count across all wafers.
 func (s *System) NPUCount() int { return s.cfg.Wafers * s.wafers[0].NPUCount() }
 
-// Close releases the network's fill worker pool, if FillWorkers
-// enabled one.
-func (s *System) Close() { s.net.Close() }
+// Close does nothing.
+//
+// Deprecated: a System holds no resources to release. Its only caller
+// is the fredbench benchmark module.
+func (s *System) Close() {}
 
 // Network returns the shared flow network.
 func (s *System) Network() *netsim.Network { return s.net }

@@ -191,9 +191,7 @@ func TestHierarchicalAllReduceCompletes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Wafers = 8
 	cfg.Dims = []int{4, 2}
-	cfg.FillWorkers = 4
 	s := New(cfg)
-	defer s.Close()
 	sched := s.GlobalAllReduce(1e9)
 	// RS down dim 0, AR on dim 1, AG back up dim 0 → 3 inter phases
 	// between the intra-wafer steps.
@@ -207,7 +205,6 @@ func TestHierarchicalAllReduceCompletes(t *testing.T) {
 	// The naive leader exchange still loses, and by more than on the
 	// flat ring: it repeats the full payload in every dimension.
 	sN := New(cfg)
-	defer sN.Close()
 	naive := sN.Run(sN.NaiveAllReduce(1e9))
 	if naive <= d {
 		t.Fatalf("naive (%g) not slower than hierarchical (%g)", naive, d)

@@ -124,8 +124,7 @@ func groupedNet(tb testing.TB, groups, flowsPer int) (*sim.Scheduler, *Network, 
 // so its cost must stay flat — and allocation-free — as the total
 // system grows; a global engine's cost would grow linearly with
 // groups. global forces every domain dirty for the full-system
-// baseline, and parallel4 is the same full fill on a width-4 worker
-// pool. 32 flows per 16-link group throughout.
+// baseline. 32 flows per 16-link group throughout.
 func BenchmarkDomainFill(b *testing.B) {
 	for _, groups := range []int{1, 4, 16} {
 		groups := groups
@@ -152,14 +151,4 @@ func BenchmarkDomainFill(b *testing.B) {
 			}
 		})
 	}
-	b.Run("parallel4/groups=16", func(b *testing.B) {
-		_, net, _ := groupedNet(b, 16, 32)
-		net.SetFillParallel(4)
-		defer net.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			net.ForceFullFill()
-		}
-	})
 }

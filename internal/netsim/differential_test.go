@@ -22,7 +22,10 @@ type churnRecord struct {
 	finishOrder []uint64   // flow ids in Done-callback order
 	rateSamples []float64  // all flows' rates at each probe time
 	linkBytes   []float64  // final per-link byte counters
-	endTime     sim.Time
+	// flowBytes is, per link, Σ(Bytes − Remaining()) at run end over
+	// the flows routed through it: what linkBytes must conserve.
+	flowBytes []float64
+	endTime   sim.Time
 }
 
 // churnScenario is the deterministic program derived from a seed. All
@@ -121,24 +124,10 @@ func makeScenario(seed int64) churnScenario {
 // run replays the scenario on a fresh network, on the reference engine
 // when reference is set, and records all observables.
 func (sc churnScenario) run(reference bool) churnRecord {
-	return sc.runWith(reference, 1)
-}
-
-// runParallel replays on the sharded engine with a width-pool fill
-// worker pool.
-func (sc churnScenario) runParallel(pool int) churnRecord {
-	return sc.runWith(false, pool)
-}
-
-func (sc churnScenario) runWith(reference bool, pool int) churnRecord {
 	s := sim.NewScheduler()
 	net := New(s)
-	defer net.Close()
 	if reference {
 		net.useReferenceEngine()
-	}
-	if pool > 1 {
-		net.SetFillParallel(pool)
 	}
 	nodes := make([]NodeID, sc.nNodes)
 	for i := range nodes {
@@ -221,7 +210,26 @@ func (sc churnScenario) runWith(reference bool, pool int) churnRecord {
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
 	}
+	rec.flowBytes = make([]float64, len(links))
+	for _, f := range allFlows {
+		moved := f.total - f.Remaining()
+		for _, l := range f.links {
+			rec.flowBytes[l.ID] += moved
+		}
+	}
 	return rec
+}
+
+// checkConservation asserts that every link's carried bytes equal the
+// bytes its flows moved, to 1e-9 relative.
+func checkConservation(t *testing.T, seed int64, engine string, rec churnRecord) {
+	t.Helper()
+	for i, got := range rec.linkBytes {
+		want := rec.flowBytes[i]
+		if math.Abs(got-want) > 1e-9*math.Max(math.Abs(want), 1) {
+			t.Errorf("seed %d: %s link %d carried %v, its flows moved %v", seed, engine, i, got, want)
+		}
+	}
 }
 
 func minInt(a, b int) int {
@@ -233,12 +241,16 @@ func minInt(a, b int) int {
 
 // TestDifferentialEnginesBitIdentical is the tentpole property test:
 // 50 seeded random scenarios, each replayed on both engines, every
-// observable compared with exact float equality.
+// observable compared with exact float equality. The scenarios inject
+// no faults, so each engine must also conserve bytes: a link carried
+// exactly what its flows delivered.
 func TestDifferentialEnginesBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		sc := makeScenario(seed)
 		opt := sc.run(false)
 		ref := sc.run(true)
+		checkConservation(t, seed, "optimized", opt)
+		checkConservation(t, seed, "reference", ref)
 
 		if opt.endTime != ref.endTime {
 			t.Errorf("seed %d: end time %v != reference %v", seed, opt.endTime, ref.endTime)

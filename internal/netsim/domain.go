@@ -39,16 +39,13 @@ package netsim
 //     activation order, and across recomputes older arming passes hold
 //     older sequences.
 //
-// Independent dirty domains fill in parallel on a bounded sim.Pool
-// (SetFillParallel). Every write inside a domain fill is domain-local
-// (per-flow rates, per-link epoch scratch, disjoint rate-sum slots),
-// and the merge back into shared state — stats, completion arming,
-// proxy re-arm — runs sequentially in deterministic domain order, so
-// output is byte-identical at every pool size. See DESIGN.md
-// ("Sharded rate engine") for the invariants and determinism argument.
+// Dirty domains fill sequentially, in collection order. Every write
+// inside a domain fill is domain-local (per-flow rates, per-link epoch
+// scratch, disjoint rate-sum slots), and completion arming runs after
+// all fills in the same domain order. See DESIGN.md ("Sharded rate
+// engine") for the invariants.
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
@@ -90,61 +87,12 @@ func (n *Network) ForceFullFill() {
 	n.recomputeFn()
 }
 
-// SetFillParallel sets the worker-pool width used to fill independent
-// dirty domains concurrently. Width 1 (the default) runs sequentially
-// with no goroutines. Output is byte-identical at every width; only
-// wall-clock time changes. Call it before starting flows; a pool
-// created here owns goroutines until Close.
-func (n *Network) SetFillParallel(workers int) {
-	if workers < 1 {
-		panic(fmt.Sprintf("netsim: fill parallelism %d must be ≥ 1", workers))
-	}
-	if n.fillPool != nil {
-		n.fillPool.Close()
-		n.fillPool = nil
-	}
-	if workers > 1 {
-		n.fillPool = sim.NewPool(workers)
-	}
-	n.fillScratch = make([]*fillScratch, workers)
-	for i := range n.fillScratch {
-		n.fillScratch[i] = &fillScratch{}
-	}
-	n.fillDomainFn = n.fillDomain
-}
-
-// FillParallel reports the configured fill worker-pool width.
-func (n *Network) FillParallel() int {
-	if len(n.fillScratch) == 0 {
-		return 1
-	}
-	return len(n.fillScratch)
-}
-
-// Close releases the fill worker pool's goroutines, if any. The
-// network remains usable (fills fall back to sequential).
-func (n *Network) Close() {
-	if n.fillPool != nil {
-		n.fillPool.Close()
-		n.fillPool = nil
-		n.fillScratch = []*fillScratch{{}}
-	}
-}
-
-// fillScratch is the per-worker reusable state of one domain fill, so
-// concurrent domain fills never share scratch and the steady state
-// performs no allocation.
+// fillScratch is the reusable state of a domain fill, so the steady
+// state performs no allocation.
 type fillScratch struct {
 	flows   []*Flow // the domain's flows, sorted by activation seq
 	comps   []*Link // exact-component roots, in first-flow order
 	touched []*Link // links touched by the current component fill
-}
-
-// domainFillResult carries one domain fill's counters back from a
-// (possibly parallel) worker, merged sequentially by job index.
-type domainFillResult struct {
-	components int
-	flows      int
 }
 
 // ---------------------------------------------------------------------
@@ -350,11 +298,9 @@ func compUnion(a, b *Link) *Link {
 // fillDomain refills one dirty domain: collect its flows in activation
 // order, rediscover exact connected components, waterfill each
 // component independently, and refresh the domain's per-link rate
-// sums. All writes are domain-local, so domains fill concurrently on
-// the worker pool with bit-identical results at any pool width.
-func (n *Network) fillDomain(worker, job int) {
-	root := n.procRoots[job]
-	sc := n.fillScratch[worker]
+// sums. All writes are domain-local, plus the engine's work counters.
+func (n *Network) fillDomain(root *Link) {
+	sc := &n.fillScratch
 	flows := sc.flows[:0]
 	sorted := true
 	var prev uint64
@@ -385,7 +331,6 @@ func (n *Network) fillDomain(worker, job int) {
 		for l := root.domLinkHead; l != nil; l = l.domNext {
 			n.rateSum[l.ID] = 0
 		}
-		n.procStats[job] = domainFillResult{}
 		return
 	}
 	epoch := n.fillEpoch
@@ -436,7 +381,8 @@ func (n *Network) fillDomain(worker, job int) {
 			n.rateSum[l.ID] += f.rate
 		}
 	}
-	n.procStats[job] = domainFillResult{components: len(comps), flows: filled}
+	n.stats.ComponentsFilled += uint64(len(comps))
+	n.stats.FlowsFilled += uint64(filled)
 }
 
 // fillComponent runs one progressive-filling pass over a single exact

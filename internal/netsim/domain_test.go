@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -11,8 +10,7 @@ import (
 
 // Differential and unit tests for the contention-domain-sharded rate
 // engine (domain.go): the sharded fill with per-domain dirty bits must
-// be bit-identical to the reference oracle — and to itself at every
-// fill pool width — over churn and fault scenarios that exercise
+// be bit-identical to the reference oracle over churn and fault scenarios that exercise
 // domain merges (bridge flows spanning groups), splits (the O(1)
 // partition reset after drains), Degrade/Restore dirtying, and link
 // failures mid-collective.
@@ -28,7 +26,7 @@ type shardRecord struct {
 	stall       []float64  // per-flow contention integrals (critpath)
 	bindLink    []string   // per-flow binding links (critpath blame)
 	endTime     sim.Time
-	stats       FillStats // compared across pool widths, not vs reference
+	stats       FillStats // the sharded engine's work, not vs reference
 }
 
 // shardScenario is a deterministic multi-group program derived from a
@@ -114,18 +112,13 @@ func makeShardScenario(seed int64) shardScenario {
 	return sc
 }
 
-// run replays the scenario and records all observables. pool sets the
-// fill worker-pool width (ignored by the reference engine, which never
-// fills in parallel).
-func (sc shardScenario) run(reference bool, pool int) shardRecord {
+// run replays the scenario, on the reference engine when reference is
+// set, and records all observables.
+func (sc shardScenario) run(reference bool) shardRecord {
 	s := sim.NewScheduler()
 	net := New(s)
-	defer net.Close()
 	if reference {
 		net.useReferenceEngine()
-	}
-	if pool > 1 {
-		net.SetFillParallel(pool)
 	}
 	net.EnableLinkTelemetry()
 	net.SetCritPath(critpath.NewRecorder())
@@ -274,22 +267,16 @@ func compareShardRecords(t *testing.T, seed int64, name string, got, want shardR
 // TestDifferentialShardedMultiDomain is the tentpole's property test:
 // 50 seeded multi-group churn+fault scenarios — domain merges via
 // bridge flows, partition resets, Degrade/Restore, failures — run on
-// the sharded engine at pool widths 1 and 4 and on the reference
-// oracle. Durations, orders, per-link bytes, telemetry and critpath
-// blame must match the oracle exactly, and the two pool widths must
-// additionally agree on the engine's FillStats work counters.
+// the sharded engine and on the reference oracle. Durations, orders,
+// per-link bytes, telemetry and critpath blame must match the oracle
+// exactly.
 func TestDifferentialShardedMultiDomain(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		sc := makeShardScenario(seed)
-		ref := sc.run(true, 1)
-		p1 := sc.run(false, 1)
-		p4 := sc.run(false, 4)
-		compareShardRecords(t, seed, "pool1 vs reference", p1, ref)
-		compareShardRecords(t, seed, "pool4 vs pool1", p4, p1)
-		if p4.stats != p1.stats {
-			t.Errorf("seed %d: fill stats diverge across pool widths: %+v != %+v", seed, p4.stats, p1.stats)
-		}
-		if p1.stats.FlowsFilled == 0 && len(sc.flowRoute) > 0 {
+		ref := sc.run(true)
+		opt := sc.run(false)
+		compareShardRecords(t, seed, "sharded vs reference", opt, ref)
+		if opt.stats.FlowsFilled == 0 && len(sc.flowRoute) > 0 {
 			t.Errorf("seed %d: engine filled no flows — scenario exercised nothing", seed)
 		}
 	}
@@ -493,67 +480,5 @@ func TestForceFullFillMatchesLazy(t *testing.T) {
 	_ = fired
 	if r1+r2 != 70 || r1 != 35 {
 		t.Errorf("max-min rates (%v,%v), want (35,35)", r1, r2)
-	}
-}
-
-// TestSetFillParallelValidation: width must be ≥ 1, and Close leaves
-// the network usable sequentially.
-func TestSetFillParallelValidation(t *testing.T) {
-	s := sim.NewScheduler()
-	net := New(s)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SetFillParallel(0) did not panic")
-			}
-		}()
-		net.SetFillParallel(0)
-	}()
-	net.SetFillParallel(4)
-	if got := net.FillParallel(); got != 4 {
-		t.Errorf("FillParallel() = %d, want 4", got)
-	}
-	net.Close()
-	if got := net.FillParallel(); got != 1 {
-		t.Errorf("FillParallel() after Close = %d, want 1", got)
-	}
-	a, b := net.AddNode("a"), net.AddNode("b")
-	l := net.AddLink(a, b, 100, 0, "l")
-	f := net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 100})
-	s.Run()
-	if f.State() != FlowDone || f.Finished() != 1 {
-		t.Errorf("flow after Close: state %v at %v, want done at 1", f.State(), f.Finished())
-	}
-	if math.IsNaN(f.Rate()) {
-		t.Error("rate is NaN")
-	}
-}
-
-// TestChurnDifferentialParallelPool replays the original churn
-// scenarios (differential_test.go) with a width-4 pool, pinning pool
-// independence on the pause/resume/cancel/chain paths too.
-func TestChurnDifferentialParallelPool(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		sc := makeScenario(seed)
-		p1 := sc.run(false)
-		p4 := sc.runParallel(4)
-		if p1.endTime != p4.endTime {
-			t.Errorf("seed %d: end time %v != %v at pool 4", seed, p1.endTime, p4.endTime)
-		}
-		for i := range p1.finishOrder {
-			if i >= len(p4.finishOrder) || p1.finishOrder[i] != p4.finishOrder[i] {
-				t.Fatalf("seed %d: finish order %v != %v at pool 4", seed, p1.finishOrder, p4.finishOrder)
-			}
-		}
-		for i := range p1.rateSamples {
-			if p1.rateSamples[i] != p4.rateSamples[i] {
-				t.Errorf("seed %d: rate sample %d: %v != %v at pool 4", seed, i, p1.rateSamples[i], p4.rateSamples[i])
-			}
-		}
-		for i := range p1.linkBytes {
-			if p1.linkBytes[i] != p4.linkBytes[i] {
-				t.Errorf("seed %d: link %d bytes %v != %v at pool 4", seed, i, p1.linkBytes[i], p4.linkBytes[i])
-			}
-		}
 	}
 }

@@ -19,9 +19,7 @@
 // see domain.go), flow churn dirties only its own domain, and a
 // recompute refills dirty domains alone — per exact connected
 // component, over epoch-stamped scratch state embedded in the links
-// (no per-recompute maps). Independent dirty domains fill in parallel
-// on a bounded worker pool (SetFillParallel) with byte-identical
-// output at every pool width. Completions sit on a calendar drained by
+// (no per-recompute maps). Completions sit on a calendar drained by
 // a single proxy scheduler event, re-armed only for flows whose rate
 // actually changed. See DESIGN.md ("Sharded rate engine") and
 // reference.go for the straightforward implementation the engine is
@@ -221,9 +219,9 @@ type Flow struct {
 	// calendar below instead); detach cancels it.
 	complete   *sim.Event
 	latEvent   *sim.Event
-	activeIdx  int      // index in net.active; -1 while not active
-	fillFrozen bool     // progressive-filling scratch
-	actSeq     uint64   // activation sequence (assigned per activate)
+	activeIdx  int    // index in net.active; -1 while not active
+	fillFrozen bool   // progressive-filling scratch
+	actSeq     uint64 // activation sequence (assigned per activate)
 	// Contention-domain membership (domain.go): doubly linked through
 	// the owning domain root's flow list while active with finite links.
 	domPrev *Flow
@@ -235,11 +233,11 @@ type Flow struct {
 	// Completion-calendar state: the armed ETA, the rate it was derived
 	// from (rates are compared bitwise; an unchanged rate keeps the
 	// armed ETA), the arming pass and the heap slot (-1 while absent).
-	eta      sim.Time
-	etaRate  float64
-	etaPass  uint64
-	etaValid bool
-	calIdx   int
+	eta        sim.Time
+	etaRate    float64
+	etaPass    uint64
+	etaValid   bool
+	calIdx     int
 	stageStart sim.Time // start of the current lifecycle stage (tracing)
 	lastRate   float64  // last rate sample emitted to the tracer
 	reroute    func(attempt int) ([]LinkID, bool)
@@ -338,9 +336,9 @@ type Network struct {
 	// the holes.
 	active      []*Flow
 	activeHoles int
-	lastSettle sim.Time
-	dirty      bool
-	dirtyEvent *sim.Event // single re-armed recompute trigger
+	lastSettle  sim.Time
+	dirty       bool
+	dirtyEvent  *sim.Event // single re-armed recompute trigger
 
 	// recomputeFn dispatches markDirty's recomputation: the incremental
 	// engine by default, referenceRecompute under the differential-test
@@ -365,15 +363,10 @@ type Network struct {
 	freePending []*Flow
 
 	// Dirty-domain work list of the in-flight recompute, and the
-	// per-worker fill scratch (SetFillParallel sizes it; width 1 — no
-	// pool — by default). fillDomainFn caches the method value so the
-	// pool dispatch allocates nothing.
-	procRoots    []*Link
-	procStats    []domainFillResult
-	fillPool     *sim.Pool
-	fillScratch  []*fillScratch
-	fillDomainFn func(worker, job int)
-	stats        FillStats
+	// reusable fill scratch.
+	procRoots   []*Link
+	fillScratch fillScratch
+	stats       FillStats
 
 	// Completion calendar (domain.go): active flows' armed completions
 	// in an indexed min-heap ordered by (eta, arming pass, activation
@@ -441,8 +434,6 @@ type Network struct {
 func New(s *sim.Scheduler) *Network {
 	n := &Network{sched: s, retry: DefaultRetryPolicy(), partVersion: 1}
 	n.recomputeFn = n.recompute
-	n.fillScratch = []*fillScratch{{}}
-	n.fillDomainFn = n.fillDomain
 	n.SetName("")
 	return n
 }
@@ -991,6 +982,13 @@ func (n *Network) compactActive() {
 func (n *Network) finish(f *Flow) {
 	if f.state == FlowActive {
 		n.settle()
+		if math.IsInf(f.rate, 1) {
+			// A contention-free flow completes in zero time, so settle
+			// moved none of its bytes: credit them to its route here.
+			for _, l := range f.links {
+				l.bytesDone += f.remaining
+			}
+		}
 		n.detach(f)
 		n.traceStage(f, "active")
 		n.markDirty()
@@ -1095,10 +1093,8 @@ func (n *Network) markDirty() {
 // wholesale, flows keeping their rates, armed ETAs and calendar keys.
 // Pure contention-free churn (flows whose every link has infinite
 // bandwidth) dirties no domain at all and just freezes the arrivals at
-// +Inf. Dirty domains fill independently — in parallel when a pool is
-// configured — and the merge back into shared state (stats, completion
-// arming in deterministic domain order, the proxy re-arm) is
-// sequential, so results are byte-identical at every pool width.
+// +Inf. Dirty domains fill one after another in collection order, then
+// their flows' completions are armed in that same domain order.
 func (n *Network) recompute() {
 	n.dirty = false
 	n.settle()
@@ -1111,26 +1107,13 @@ func (n *Network) recompute() {
 		n.stats.FillPasses++
 		n.fillEpoch++
 		n.ensureRateSum()
-		for len(n.procStats) < len(n.procRoots) {
-			n.procStats = append(n.procStats, domainFillResult{})
+		for _, root := range n.procRoots {
+			n.fillDomain(root)
 		}
-		if n.fillPool != nil && len(n.procRoots) > 1 {
-			n.fillPool.Run(len(n.procRoots), n.fillDomainFn)
-		} else {
-			for j := range n.procRoots {
-				n.fillDomain(0, j)
-			}
-		}
-		// Sequential merge, in deterministic (collection-order) domain
-		// order: work counters, then completion re-arming for the
-		// refilled flows. Flows whose rate came out bit-identical keep
-		// their armed ETA and calendar key (see armFlow).
-		for j := range n.procRoots {
-			r := n.procStats[j]
-			n.stats.DomainsFilled++
-			n.stats.ComponentsFilled += uint64(r.components)
-			n.stats.FlowsFilled += uint64(r.flows)
-		}
+		n.stats.DomainsFilled += uint64(len(n.procRoots))
+		// Completion re-arming for the refilled flows, in collection
+		// order. Flows whose rate came out bit-identical keep their
+		// armed ETA and calendar key (see armFlow).
 		for _, root := range n.procRoots {
 			for f := root.domFlowHead; f != nil; f = f.domNext {
 				n.armFlow(f, now)

@@ -159,6 +159,9 @@ func TestFlowOnOnlyInfiniteLinksCompletesImmediately(t *testing.T) {
 	if done != 0 {
 		t.Fatalf("completion = %g, want 0", done)
 	}
+	if got := net.Link(l).BytesCarried(); got != 1e12 {
+		t.Fatalf("BytesCarried = %g, want 1e12", got)
+	}
 }
 
 func TestZeroByteFlowCompletesAfterLatency(t *testing.T) {

@@ -109,14 +109,6 @@ type Config struct {
 	// already has a tracer attached, it is adopted when this field is
 	// nil; otherwise this tracer is attached to the network too.
 	Tracer trace.Tracer
-	// Schedules, when non-nil, shares compiled collective schedules
-	// across simulations of identically-constructed fabrics (see
-	// collective.SharedCache); FabricID must then fingerprint the wafer
-	// construction exactly — experiments.Session uses the System name.
-	// The per-Comm memo is always on regardless.
-	Schedules *collective.SharedCache
-	// FabricID fingerprints the wafer construction for Schedules.
-	FabricID string
 }
 
 // Minibatch returns the global minibatch size (DP × per-replica).
@@ -312,9 +304,6 @@ func newEngine(cfg *Config) *engine {
 		net:   net,
 		comm:  collective.NewComm(cfg.Wafer),
 		crit:  net.CritPath(),
-	}
-	if cfg.Schedules != nil && cfg.FabricID != "" {
-		e.comm.Share(cfg.Schedules, cfg.FabricID)
 	}
 	if f, ok := cfg.Wafer.(*topology.FredFabric); ok {
 		e.arb = newFredArbiter(net, f)
