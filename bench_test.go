@@ -1,7 +1,13 @@
 package fred
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/wafernet/fred/internal/experiments"
@@ -34,6 +40,30 @@ func benchSession() *experiments.Session {
 	s := experiments.NewSession()
 	s.SetParallel(*parallelFlag)
 	return s
+}
+
+// BenchmarkAll regenerates the whole evaluation as `fredsim all -csv`
+// does — every study of the registry as one sweep on a fresh session —
+// and checks the CSV against the hash the benchmark module pins.
+func BenchmarkAll(b *testing.B) {
+	pin, err := os.ReadFile(filepath.Join("bench", "fredbench", "testdata", "paper-all.sha256"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := strings.Fields(string(pin))[0]
+	for i := 0; i < b.N; i++ {
+		s := benchSession()
+		h := sha256.New()
+		for _, t := range s.All(false) {
+			io.WriteString(h, t.CSV()+"\n")
+		}
+		if err := s.Err(); err != nil {
+			b.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want {
+			b.Fatalf("CSV hashes to %s, want %s", got, want)
+		}
+	}
 }
 
 // BenchmarkFigure2 regenerates Figure 2: normalized compute vs comm of

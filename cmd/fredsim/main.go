@@ -6,27 +6,32 @@
 //	fredsim <experiment> [-ab] [-csv] [-parallel N] [-trace out.json]
 //	        [-linkstats] [-cpuprofile out.pprof]
 //
-// Experiments:
+// Experiments, in paper order (the usage text prints the same list
+// from experiments.Studies):
 //
+//	hw         Tables 3-5: physical parameters and FRED overhead
+//	fig1       Figure 1: 3D-parallelism groups of MP(4)-DP(3)-PP(2)
+//	meshio     Section 3.2.1: mesh I/O hotspot law
+//	placement  Figure 5: device placement trade-off
+//	nonaligned Figure 6: non-aligned strategy congestion
 //	fig2       Figure 2: Transformer-17B strategies on the baseline mesh
 //	fig9       Figure 9: communication microbenchmarks per fabric
 //	fig10      Figure 10: end-to-end training, all workloads (-ab adds Fred-A/B)
 //	fig11a     Figure 11(a): Transformer-17B strategy sweep, baseline vs Fred-D
 //	fig11b     Figure 11(b): Transformer-1T strategy sweep
-//	meshio     Section 3.2.1: mesh I/O hotspot law
-//	placement  Figure 5: device placement trade-off
-//	nonaligned Figure 6: non-aligned strategy congestion + heatmap
 //	scaling    extension: wafer-size scaling, mesh vs FRED tree
-//	scaleout   extension: hierarchical multi-wafer scale-out — global
-//	           all-reduce and sharded rate-engine work vs NPU count
+//	scaleout   extension: hierarchical multi-wafer scale-out vs NPU count
 //	inference  future work: auto-regressive decode latency
-//	hw         Tables 3-5: physical parameters and FRED overhead
-//	ablations  design-choice ablations (m, rings, buckets, bisection,
-//	           placement search, multi-wafer)
+//	crossover  Section 2.2: endpoint all-reduce algorithm crossover
+//	batch      extension: minibatch sensitivity
+//	profile    per-class communication profile, baseline and Fred-D
+//	packets    validation: flow-level vs flit-level mesh
+//	heat       per-link traffic heatmap of MP(3)-DP(3)-PP(2) on the mesh
+//	ablations  seven design-choice ablations, from middle stages to pipeline schedule
 //	ep         extension: beyond-3D parallelism (Expert Parallelism)
-//	faults     robustness: FRED-vs-mesh graceful degradation under
-//	           injected µswitch/link failures
-//	all        everything above
+//	faults     robustness: FRED vs mesh under injected µswitch/link failures
+//	summary    headline numbers, paper vs this reproduction
+//	all        every experiment above, in this order, as one sweep
 //
 // The experiment may also be named with -study (fredsim -study faults).
 // A failing experiment cell no longer aborts the whole run: the other
@@ -40,9 +45,11 @@
 //	                  workers (default 0 = GOMAXPROCS; 1 = sequential).
 //	                  Each cell is a self-contained simulation, and rows
 //	                  and tables merge back in paper order, so the
-//	                  output is byte-identical at every N. A -trace run
-//	                  is forced sequential: the trace file needs one
-//	                  continuous build sequence.
+//	                  output is byte-identical at every N. `all` runs
+//	                  each experiment as a cell of one sweep, and the
+//	                  experiments' own cells share the same N workers.
+//	                  A -trace run is forced sequential: the trace file
+//	                  needs one continuous build sequence.
 //
 // Observability:
 //
@@ -94,21 +101,10 @@ import (
 	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/metrics"
 	"github.com/wafernet/fred/internal/obs"
-	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/report"
 	"github.com/wafernet/fred/internal/timeseries"
 	"github.com/wafernet/fred/internal/trace"
 )
-
-// studyNames lists every experiment fredsim accepts, in usage order.
-// The unknown-study error prints this list, so a typo tells the user
-// what would have worked.
-var studyNames = []string{
-	"fig1", "fig2", "fig9", "fig10", "fig11a", "fig11b", "meshio",
-	"placement", "nonaligned", "scaling", "scaleout", "inference",
-	"crossover", "batch", "profile", "packets", "heat", "hw",
-	"ablations", "ep", "faults", "summary", "all",
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -231,95 +227,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	runStudy := func(name string) bool {
-		switch name {
-		case "fig1":
-			emit(experiments.Figure1(parallelism.Strategy{MP: 4, DP: 3, PP: 2}))
-		case "fig2":
-			_, tbl := session.Figure2()
-			emit(tbl)
-		case "fig9":
-			_, tbl := session.Figure9()
-			emit(tbl)
-		case "fig10":
-			_, tbl := session.Figure10(includeAB)
-			emit(tbl)
-		case "fig11a":
-			_, tbl := session.Figure11a()
-			emit(tbl)
-		case "fig11b":
-			_, tbl := session.Figure11b()
-			emit(tbl)
-		case "meshio":
-			_, tbl := session.MeshIOStudy()
-			emit(tbl)
-		case "placement":
-			_, tbl := session.PlacementStudy()
-			emit(tbl)
-		case "nonaligned":
-			_, tbl := session.NonAlignedStudy()
-			emit(tbl)
-		case "scaling":
-			_, tbl := session.ScalabilityStudy()
-			emit(tbl)
-		case "scaleout":
-			_, tbl := session.ScaleOutStudy()
-			emit(tbl)
-		case "inference":
-			_, tbl := session.InferenceStudy()
-			emit(tbl)
-		case "summary":
-			_, tbl := session.Summary()
-			emit(tbl)
-		case "heat":
-			_, tbl := session.TrainingHeatmap(parallelism.Strategy{MP: 3, DP: 3, PP: 2})
-			emit(tbl)
-		case "packets":
-			_, tbl := session.PacketValidation()
-			emit(tbl)
-		case "batch":
-			_, tbl := session.BatchSensitivity()
-			emit(tbl)
-		case "profile":
-			emit(session.CommProfile(experiments.Baseline), session.CommProfile(experiments.FredD))
-		case "crossover":
-			_, tbl := session.CrossoverStudy()
-			emit(tbl)
-		case "ep":
-			_, tbl := session.EPStudy()
-			emit(tbl)
-		case "faults":
-			_, tbl := session.FaultSweep()
-			emit(tbl)
-		case "hw":
-			emit(experiments.HWTables()...)
-		case "ablations":
-			_, t1 := session.MiddleStageAblation()
-			_, t2 := session.RingDirectionAblation()
-			_, t3 := session.GradBucketAblation()
-			_, t4 := session.BisectionSweep()
-			_, t5 := session.MultiWaferStudy()
-			_, t6 := session.PlacementSearchAblation()
-			_, t7 := session.ScheduleAblation()
-			emit(t1, t2, t3, t4, t5, t6, t7)
-		default:
-			return false
-		}
-		return true
-	}
-
 	if cmd == "all" {
-		for _, name := range []string{
-			"hw", "fig1", "meshio", "placement", "nonaligned", "fig2", "fig9",
-			"fig10", "fig11a", "fig11b", "scaling", "scaleout", "inference", "crossover", "batch", "profile", "packets", "heat", "ablations", "ep", "faults", "summary",
-		} {
-			if !runStudy(name) {
-				panic("internal: unknown experiment " + name)
-			}
+		emit(session.All(includeAB)...)
+	} else if st, ok := experiments.LookupStudy(cmd); ok {
+		emit(st.Run(session, includeAB)...)
+	} else {
+		var names []string
+		for _, st := range experiments.Studies {
+			names = append(names, st.Name)
 		}
-	} else if !runStudy(cmd) {
-		fmt.Fprintf(stderr, "fredsim: unknown experiment %q (valid: %s)\n\n",
-			cmd, strings.Join(studyNames, " "))
+		fmt.Fprintf(stderr, "fredsim: unknown experiment %q (valid: %s all)\n\n",
+			cmd, strings.Join(names, " "))
 		usage(stderr)
 		return 2
 	}
@@ -394,12 +312,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintln(w, `usage: fredsim <experiment> [-ab] [-csv] [-parallel N] [-trace out.json]
+	fmt.Fprint(w, `usage: fredsim <experiment> [-ab] [-csv] [-parallel N] [-trace out.json]
                [-linkstats] [-metrics out.json] [-critpath out.json]
                [-timeseries out.json] [-progress] [-debug-addr host:port]
                [-cpuprofile out.pprof] [-memprofile out.pprof]
                [-mutexprofile out.pprof]
        fredsim -study <experiment> [flags]
 
-experiments: `+strings.Join(studyNames, " "))
+experiments:
+`)
+	for _, st := range experiments.Studies {
+		fmt.Fprintf(w, "  %-11s%s\n", st.Name, st.Desc)
+	}
+	fmt.Fprintf(w, "  %-11s%s\n", "all", "every experiment above, in this order, as one sweep")
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/timeseries"
 )
 
@@ -41,6 +43,26 @@ func TestRunExitCodes(t *testing.T) {
 				t.Errorf("stderr %q missing %q", stderr.String(), tc.stderrHas)
 			}
 		})
+	}
+}
+
+// TestDocListsEveryStudy: the package doc lists every registry entry
+// with the description the usage text prints, so the two cannot drift.
+func TestDocListsEveryStudy(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text bytes.Buffer
+	usage(&text)
+	for _, st := range experiments.Studies {
+		line := fmt.Sprintf("  %-11s%s\n", st.Name, st.Desc)
+		if !strings.Contains(text.String(), line) {
+			t.Errorf("usage text lacks %q", line)
+		}
+		if !bytes.Contains(src, []byte("//\t"+line[2:])) {
+			t.Errorf("package doc lacks %q", line[2:])
+		}
 	}
 }
 
@@ -87,8 +109,9 @@ func TestRunProgressStatusLine(t *testing.T) {
 }
 
 // TestAllCSVPinned: `fredsim all -csv` hashes to the value the
-// benchmark pins, at -parallel 1 and 2 — the sweep memo and every
-// other speed-up must leave the paper tables byte-identical.
+// benchmark pins, at -parallel 1, 2 and 4 — the sweep memo, the shared
+// pool and every other speed-up must leave the paper tables
+// byte-identical.
 func TestAllCSVPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs fredsim all twice")
@@ -98,7 +121,7 @@ func TestAllCSVPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Fields(string(pin))[0]
-	for _, parallel := range []string{"1", "2"} {
+	for _, parallel := range []string{"1", "2", "4"} {
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"all", "-csv", "-parallel", parallel}, &stdout, &stderr); code != 0 {
 			t.Fatalf("-parallel %s: run = %d, stderr: %s", parallel, code, stderr.String())
@@ -110,21 +133,21 @@ func TestAllCSVPinned(t *testing.T) {
 	}
 }
 
-// TestFig2ArtifactsGolden: the three observer artifacts of
-// `fredsim fig2` hash to the SHA-256 sums in
-// testdata/fig2-artifacts.sha256, so a change to an artifact encoder
-// cannot move a byte unnoticed.
-func TestFig2ArtifactsGolden(t *testing.T) {
-	dir := t.TempDir()
+// observerFlags returns the flags that write the three observer
+// artifacts into dir, one file per artifact named after its flag.
+func observerFlags(dir string) []string {
 	var flags []string
 	for _, name := range []string{"metrics", "critpath", "timeseries"} {
 		flags = append(flags, "-"+name, filepath.Join(dir, name))
 	}
-	var stdout, stderr bytes.Buffer
-	if code := run(append([]string{"fig2"}, flags...), &stdout, &stderr); code != 0 {
-		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
-	}
-	pin, err := os.ReadFile(filepath.Join("testdata", "fig2-artifacts.sha256"))
+	return flags
+}
+
+// checkPins compares each file in dir against its SHA-256 sum in the
+// pin file (lines of "<sum>  <name>", the sha256sum format).
+func checkPins(t *testing.T, dir, pinFile, what string) {
+	t.Helper()
+	pin, err := os.ReadFile(filepath.Join("testdata", pinFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +159,42 @@ func TestFig2ArtifactsGolden(t *testing.T) {
 		}
 		sum := sha256.Sum256(data)
 		if got := hex.EncodeToString(sum[:]); got != want {
-			t.Errorf("fig2 %s artifact hashes to %s, want %s", name, got, want)
+			t.Errorf("%s: %s hashes to %s, want %s", what, name, got, want)
 		}
+	}
+}
+
+// TestFig2ArtifactsGolden: the three observer artifacts of
+// `fredsim fig2` hash to the SHA-256 sums in
+// testdata/fig2-artifacts.sha256, so a change to an artifact encoder
+// cannot move a byte unnoticed.
+func TestFig2ArtifactsGolden(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"fig2"}, observerFlags(dir)...), &stdout, &stderr); code != 0 {
+		t.Fatalf("run = %d, stderr: %s", code, stderr.String())
+	}
+	checkPins(t, dir, "fig2-artifacts.sha256", "fig2")
+}
+
+// TestAllArtifactsGolden: the observed sweep `fredsim all -csv
+// -linkstats` with every observer artifact — its stdout and the three
+// artifacts hash to testdata/all-artifacts.sha256 at -parallel 1 and
+// 4. It guards every study's observer output, not only Figure 2's.
+func TestAllArtifactsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the observed fredsim all twice")
+	}
+	for _, parallel := range []string{"1", "4"} {
+		dir := t.TempDir()
+		args := append([]string{"all", "-csv", "-linkstats", "-parallel", parallel}, observerFlags(dir)...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("-parallel %s: run = %d, stderr: %s", parallel, code, stderr.String())
+		}
+		if err := os.WriteFile(filepath.Join(dir, "stdout"), stdout.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkPins(t, dir, "all-artifacts.sha256", "all -parallel "+parallel)
 	}
 }

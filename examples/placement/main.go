@@ -12,12 +12,11 @@ import (
 )
 
 func main() {
-	_, tbl := fred.PlacementStudy()
+	rows, tbl := fred.NewExperimentSession().PlacementStudy()
 	fmt.Println(tbl)
 
 	// The takeaway, computed explicitly: on the mesh, the best
 	// placement for MP is the worst for DP and vice versa.
-	rows, _ := fred.PlacementStudy()
 	byKey := map[string]float64{}
 	for _, r := range rows {
 		byKey[r.Placement+"/"+r.Dim.String()] = r.Time

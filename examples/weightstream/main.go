@@ -15,7 +15,7 @@ import (
 
 func main() {
 	// 1. The hotspot law, analytic and simulated.
-	_, tbl := fred.MeshIOStudy()
+	_, tbl := fred.NewExperimentSession().MeshIOStudy()
 	fmt.Println(tbl)
 
 	// 2. End-to-end weight-streaming workloads.

@@ -18,8 +18,8 @@
 //   - training: SimulateTraining executes one training iteration of a
 //     workload (ResNet152, Transformer17B, GPT3, Transformer1T) under
 //     a Strategy and reports the exposed-communication breakdown.
-//   - experiments: the Figure*/Table* helpers regenerate the paper's
-//     evaluation.
+//   - experiments: NewExperimentSession returns a session whose
+//     Figure*/Table* methods regenerate the paper's evaluation.
 package fred
 
 import (
@@ -123,7 +123,7 @@ const (
 
 // NewPlatform builds a fresh instance of a Table 5 system.
 func NewPlatform(name SystemName) *Platform {
-	return &Platform{wafer: experiments.Build(name)}
+	return &Platform{wafer: experiments.NewSession().Build(name)}
 }
 
 // NewBaselineMesh builds the baseline 5×4 wafer-scale mesh.
@@ -246,33 +246,16 @@ var (
 // experiment run: drivers called on a session fan their independent
 // figure/table cells across the pool (SetParallel; default GOMAXPROCS)
 // and merge rows and tables back in deterministic paper order, so the
-// output is byte-identical at every pool size. The package-level
-// driver functions below are conveniences over a fresh default
-// session.
+// output is byte-identical at every pool size. Every driver of the
+// paper's evaluation is a method on it; experiments.Studies lists them
+// in paper order.
 type ExperimentSession = experiments.Session
 
 // NewExperimentSession returns a session with observability off and
 // the worker pool sized to GOMAXPROCS.
 var NewExperimentSession = experiments.NewSession
 
-// Experiment drivers regenerating the paper's evaluation artifacts on
-// a fresh default session each call.
-var (
-	Figure2        = experiments.Figure2
-	Figure9        = experiments.Figure9
-	Figure10       = experiments.Figure10
-	Figure11a      = experiments.Figure11a
-	Figure11b      = experiments.Figure11b
-	MeshIOStudy    = experiments.MeshIOStudy
-	PlacementStudy = experiments.PlacementStudy
-	HWTables       = experiments.HWTables
-
-	// Ablations and extensions.
-	MiddleStageAblation   = experiments.MiddleStageAblation
-	RingDirectionAblation = experiments.RingDirectionAblation
-	GradBucketAblation    = experiments.GradBucketAblation
-	BisectionSweep        = experiments.BisectionSweep
-	MultiWaferStudy       = experiments.MultiWaferStudy
-	NonAlignedStudy       = experiments.NonAlignedStudy
-	EPStudy               = experiments.EPStudy
-)
+// HWTables renders Tables 3-5: physical parameters, FRED overhead and
+// the evaluated configurations. It needs no session: nothing is
+// simulated.
+var HWTables = experiments.HWTables

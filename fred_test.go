@@ -112,7 +112,7 @@ func TestWorkloadsFacade(t *testing.T) {
 }
 
 func TestExperimentFacades(t *testing.T) {
-	if _, tbl := MeshIOStudy(); tbl == nil {
+	if _, tbl := NewExperimentSession().MeshIOStudy(); tbl == nil {
 		t.Fatal("nil table")
 	}
 	if tbls := HWTables(); len(tbls) != 3 {

@@ -112,11 +112,6 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 	return rows, tbl
 }
 
-// MiddleStageAblation runs the ablation on a fresh default session.
-func MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
-	return NewSession().MiddleStageAblation()
-}
-
 // RingDirectionRow compares uni- and bidirectional rings.
 type RingDirectionRow struct {
 	Group                         int
@@ -158,11 +153,6 @@ func (s *Session) RingDirectionAblation() ([]RingDirectionRow, *report.Table) {
 	return rows, tbl
 }
 
-// RingDirectionAblation runs the ablation on a fresh default session.
-func RingDirectionAblation() ([]RingDirectionRow, *report.Table) {
-	return NewSession().RingDirectionAblation()
-}
-
 // GradBucketRow is one point of the DP-overlap ablation.
 type GradBucketRow struct {
 	Buckets   int
@@ -197,11 +187,6 @@ func (s *Session) GradBucketAblation() ([]GradBucketRow, *report.Table) {
 		tbl.AddRow(r.Buckets, r.ExposedDP, r.Total)
 	}
 	return rows, tbl
-}
-
-// GradBucketAblation runs the ablation on a fresh default session.
-func GradBucketAblation() ([]GradBucketRow, *report.Table) {
-	return NewSession().GradBucketAblation()
 }
 
 // BisectionRow is one point of the L1-L2 bandwidth sweep.
@@ -242,9 +227,6 @@ func (s *Session) BisectionSweep() ([]BisectionRow, *report.Table) {
 	return rows, tbl
 }
 
-// BisectionSweep runs the sweep on a fresh default session.
-func BisectionSweep() ([]BisectionRow, *report.Table) { return NewSession().BisectionSweep() }
-
 // MultiWaferRow compares global all-reduce designs.
 type MultiWaferRow struct {
 	Wafers       int
@@ -278,9 +260,6 @@ func (s *Session) MultiWaferStudy() ([]MultiWaferRow, *report.Table) {
 	tbl.AddNote("the hierarchical form spreads the inter-wafer exchange over all boundary NPUs (Section 8.3)")
 	return rows, tbl
 }
-
-// MultiWaferStudy runs the study on a fresh default session.
-func MultiWaferStudy() ([]MultiWaferRow, *report.Table) { return NewSession().MultiWaferStudy() }
 
 // netOf builds a fresh network on its own scheduler.
 func netOf() *netsim.Network { return netsim.New(sim.NewScheduler()) }
@@ -342,11 +321,6 @@ func (s *Session) PlacementSearchAblation() ([]PlacementSearchRow, *report.Table
 	return rows, tbl
 }
 
-// PlacementSearchAblation runs the ablation on a fresh default session.
-func PlacementSearchAblation() ([]PlacementSearchRow, *report.Table) {
-	return NewSession().PlacementSearchAblation()
-}
-
 // ScheduleRow compares pipeline schedules.
 type ScheduleRow struct {
 	Strategy  parallelism.Strategy
@@ -390,6 +364,3 @@ func (s *Session) ScheduleAblation() ([]ScheduleRow, *report.Table) {
 	tbl.AddNote("1F1B keeps at most PP-stage microbatches resident, avoiding GPipe's recompute at deep PP")
 	return rows, tbl
 }
-
-// ScheduleAblation runs the ablation on a fresh default session.
-func ScheduleAblation() ([]ScheduleRow, *report.Table) { return NewSession().ScheduleAblation() }

@@ -80,9 +80,6 @@ func (s *Session) CrossoverStudy() ([]CrossoverRow, *report.Table) {
 	return rows, tbl
 }
 
-// CrossoverStudy runs the study on a fresh default session.
-func CrossoverStudy() ([]CrossoverRow, *report.Table) { return NewSession().CrossoverStudy() }
-
 // NewCommFor is a tiny alias keeping the study readable.
 func NewCommFor(w topology.Wafer) *collective.Comm { return collective.NewComm(w) }
 

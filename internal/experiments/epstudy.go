@@ -110,6 +110,3 @@ func (s *Session) EPStudy() ([]EPRow, *report.Table) {
 	tbl.AddNote("Section 8.3: more parallelism dimensions raise mesh congestion; FRED's gain grows with dimension count")
 	return rows, tbl
 }
-
-// EPStudy runs the study on a fresh default session.
-func EPStudy() ([]EPRow, *report.Table) { return NewSession().EPStudy() }

@@ -1,15 +1,15 @@
 // Package experiments contains one driver per table and figure of the
 // FRED paper's evaluation (Section 8), regenerating the same rows and
-// series on fresh simulator instances. cmd/fredsim exposes them on the
-// command line and bench_test.go wraps them as benchmarks.
+// series on fresh simulator instances. Studies lists them in paper
+// order; cmd/fredsim exposes that registry on the command line and
+// bench_test.go wraps the drivers as benchmarks.
 //
 // Drivers are methods on a Session, which owns the observability hooks
 // and a worker pool: independent figure/table cells (each a fully
 // self-contained scheduler+network+training simulation) fan out across
 // the pool and merge back in deterministic paper order, so the emitted
-// tables are byte-identical at every pool size. The package-level
-// driver functions are conveniences over a fresh default session
-// (observability off, GOMAXPROCS workers).
+// tables are byte-identical at every pool size. Session.All runs every
+// study as one sweep on that pool.
 package experiments
 
 import (
@@ -19,7 +19,6 @@ import (
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/sim"
 	"github.com/wafernet/fred/internal/topology"
-	"github.com/wafernet/fred/internal/training"
 	"github.com/wafernet/fred/internal/workload"
 )
 
@@ -51,16 +50,6 @@ func (s *Session) Build(sys System) topology.Wafer {
 		return topology.NewFredVariant(net, topology.FredVariant(sys))
 	}
 	panic(fmt.Sprintf("experiments: unknown system %q", sys))
-}
-
-// Build instantiates a fresh unobserved wafer for a system — the
-// package-level convenience over a throwaway session.
-func Build(s System) topology.Wafer { return NewSession().Build(s) }
-
-// RunTraining simulates one iteration of the model under the strategy
-// on a fresh unobserved instance of the system.
-func RunTraining(s System, m *workload.Model, strat parallelism.Strategy, perReplica int) (*training.Report, error) {
-	return NewSession().RunTraining(s, m, strat, perReplica)
 }
 
 // defaultStrategy returns the Table 6 strategy of a model.

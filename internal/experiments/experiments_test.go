@@ -10,7 +10,7 @@ import (
 
 func TestBuildSystems(t *testing.T) {
 	for _, sys := range Systems() {
-		w := Build(sys)
+		w := NewSession().Build(sys)
 		if w.NPUCount() != 20 || w.IOCCount() != 18 {
 			t.Fatalf("%s: %d NPUs, %d IOCs", sys, w.NPUCount(), w.IOCCount())
 		}
@@ -23,11 +23,11 @@ func TestBuildUnknownPanics(t *testing.T) {
 			t.Fatal("unknown system did not panic")
 		}
 	}()
-	Build("Fred-X")
+	NewSession().Build("Fred-X")
 }
 
 func TestFigure2ShapeClaims(t *testing.T) {
-	rows, tbl := Figure2()
+	rows, tbl := NewSession().Figure2()
 	if len(rows) != 14 {
 		t.Fatalf("Figure 2 has %d strategies", len(rows))
 	}
@@ -52,7 +52,7 @@ func TestFigure2ShapeClaims(t *testing.T) {
 }
 
 func TestFigure9Claims(t *testing.T) {
-	cells, _ := Figure9()
+	cells, _ := NewSession().Figure9()
 	get := func(phase string, sys System) float64 {
 		for _, c := range cells {
 			if c.Phase == phase && c.System == sys {
@@ -82,7 +82,7 @@ func TestFigure9Claims(t *testing.T) {
 }
 
 func TestFigure10SpeedupBands(t *testing.T) {
-	rows, _ := Figure10(false)
+	rows, _ := NewSession().Figure10(false)
 	want := map[string][2]float64{ // Fred-D bands around paper values
 		"ResNet-152":      {1.55, 1.95},
 		"Transformer-17B": {1.7, 2.3},
@@ -101,7 +101,7 @@ func TestFigure10SpeedupBands(t *testing.T) {
 }
 
 func TestFigure11aAggregates(t *testing.T) {
-	sum, _ := Figure11a()
+	sum, _ := NewSession().Figure11a()
 	// Paper: 1.63× average speedup, 4.22× exposed-comm improvement.
 	if sum.AvgSpeedup < 1.45 || sum.AvgSpeedup > 1.85 {
 		t.Errorf("Figure 11(a) avg speedup = %.2f, paper 1.63", sum.AvgSpeedup)
@@ -120,7 +120,7 @@ func TestFigure11aAggregates(t *testing.T) {
 }
 
 func TestFigure11bAllStrategiesImprove(t *testing.T) {
-	sum, _ := Figure11b()
+	sum, _ := NewSession().Figure11b()
 	if sum.AvgSpeedup < 1.3 {
 		t.Errorf("Figure 11(b) avg speedup = %.2f", sum.AvgSpeedup)
 	}
@@ -132,7 +132,7 @@ func TestFigure11bAllStrategiesImprove(t *testing.T) {
 }
 
 func TestMeshIOStudyLaw(t *testing.T) {
-	rows, _ := MeshIOStudy()
+	rows, _ := NewSession().MeshIOStudy()
 	for _, r := range rows {
 		if r.W == r.H {
 			if r.Overlap != 2*r.W-1 {
@@ -147,7 +147,7 @@ func TestMeshIOStudyLaw(t *testing.T) {
 }
 
 func TestPlacementStudyTradeoff(t *testing.T) {
-	rows, _ := PlacementStudy()
+	rows, _ := NewSession().PlacementStudy()
 	times := map[string]float64{}
 	for _, r := range rows {
 		times[r.Placement+"/"+r.Dim.String()] = r.Time
@@ -181,7 +181,7 @@ func TestHWTablesRender(t *testing.T) {
 }
 
 func TestMiddleStageAblationClaims(t *testing.T) {
-	rows, _ := MiddleStageAblation()
+	rows, _ := NewSession().MiddleStageAblation()
 	get := func(m int, placement string) float64 {
 		for _, r := range rows {
 			if r.M == m && r.Placement == placement {
@@ -207,7 +207,7 @@ func TestMiddleStageAblationClaims(t *testing.T) {
 }
 
 func TestRingDirectionAblation2x(t *testing.T) {
-	rows, _ := RingDirectionAblation()
+	rows, _ := NewSession().RingDirectionAblation()
 	for _, r := range rows {
 		if r.Group < 10 {
 			continue
@@ -220,7 +220,7 @@ func TestRingDirectionAblation2x(t *testing.T) {
 }
 
 func TestGradBucketAblationMonotone(t *testing.T) {
-	rows, _ := GradBucketAblation()
+	rows, _ := NewSession().GradBucketAblation()
 	for i := 1; i < len(rows); i++ {
 		if rows[i].ExposedDP > rows[i-1].ExposedDP {
 			t.Errorf("exposed DP rose from %g to %g at %d buckets",
@@ -230,7 +230,7 @@ func TestGradBucketAblationMonotone(t *testing.T) {
 }
 
 func TestBisectionSweepSaturates(t *testing.T) {
-	rows, _ := BisectionSweep()
+	rows, _ := NewSession().BisectionSweep()
 	if rows[0].Total <= rows[len(rows)-1].Total {
 		t.Error("more bisection must not hurt")
 	}
@@ -242,7 +242,7 @@ func TestBisectionSweepSaturates(t *testing.T) {
 }
 
 func TestMultiWaferStudyGain(t *testing.T) {
-	rows, _ := MultiWaferStudy()
+	rows, _ := NewSession().MultiWaferStudy()
 	for _, r := range rows {
 		if r.Hierarchical >= r.Naive {
 			t.Errorf("%d wafers: hierarchical (%g) not faster than naive (%g)",
@@ -253,7 +253,7 @@ func TestMultiWaferStudyGain(t *testing.T) {
 
 func TestRunTrainingMatchesDefaultStrategy(t *testing.T) {
 	m := workload.ResNet152()
-	r, err := RunTraining(Baseline, m, defaultStrategy(m), 16)
+	r, err := NewSession().RunTraining(Baseline, m, defaultStrategy(m), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestRunTrainingMatchesDefaultStrategy(t *testing.T) {
 }
 
 func TestEPStudyMeshCongestion(t *testing.T) {
-	rows, _ := EPStudy()
+	rows, _ := NewSession().EPStudy()
 	if len(rows) < 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -291,7 +291,7 @@ func TestEPStudyMeshCongestion(t *testing.T) {
 }
 
 func TestNonAlignedStudyClaims(t *testing.T) {
-	res, _ := NonAlignedStudy()
+	res, _ := NewSession().NonAlignedStudy()
 	// Figure 6(a): the rigid mesh forces multi-hop logical-ring edges.
 	if res.MaxRingHop < 2 {
 		t.Errorf("max ring hop = %d, want ≥ 2", res.MaxRingHop)
@@ -311,7 +311,7 @@ func TestNonAlignedStudyClaims(t *testing.T) {
 }
 
 func TestScalabilityStudyGapGrows(t *testing.T) {
-	rows, _ := ScalabilityStudy()
+	rows, _ := NewSession().ScalabilityStudy()
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -333,7 +333,7 @@ func TestScalabilityStudyGapGrows(t *testing.T) {
 }
 
 func TestInferenceStudyFredWins(t *testing.T) {
-	rows, _ := InferenceStudy()
+	rows, _ := NewSession().InferenceStudy()
 	byMP := map[int]map[System]float64{}
 	for _, r := range rows {
 		if byMP[r.MP] == nil {
@@ -356,7 +356,7 @@ func TestInferenceStudyFredWins(t *testing.T) {
 }
 
 func TestPlacementSearchAblation(t *testing.T) {
-	rows, _ := PlacementSearchAblation()
+	rows, _ := NewSession().PlacementSearchAblation()
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -373,24 +373,24 @@ func TestValidateFabricRoutingAllStrategies(t *testing.T) {
 	// consecutive placement, every strategy in the evaluation sweeps
 	// generates communication phases the switches can route.
 	for _, s := range transformerStrategies() {
-		if err := ValidateFabricRouting(s); err != nil {
+		if err := NewSession().ValidateFabricRouting(s); err != nil {
 			t.Errorf("%v: %v", s, err)
 		}
 	}
 	for _, s := range t1tStrategies() {
-		if err := ValidateFabricRouting(s); err != nil {
+		if err := NewSession().ValidateFabricRouting(s); err != nil {
 			t.Errorf("%v: %v", s, err)
 		}
 	}
 	for _, s := range parallelism.EnumerateExact(20) {
-		if err := ValidateFabricRouting(s); err != nil {
+		if err := NewSession().ValidateFabricRouting(s); err != nil {
 			t.Errorf("%v: %v", s, err)
 		}
 	}
 }
 
 func TestCrossoverStudy(t *testing.T) {
-	rows, _ := CrossoverStudy()
+	rows, _ := NewSession().CrossoverStudy()
 	var treeWins64, ringWinsLarge bool
 	for _, r := range rows {
 		if r.FredTime >= r.RingTime && r.Bytes > 8192 {
@@ -412,7 +412,7 @@ func TestCrossoverStudy(t *testing.T) {
 }
 
 func TestScheduleAblation(t *testing.T) {
-	rows, _ := ScheduleAblation()
+	rows, _ := NewSession().ScheduleAblation()
 	if len(rows) != 6 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -430,7 +430,7 @@ func TestScheduleAblation(t *testing.T) {
 }
 
 func TestBatchSensitivityDecline(t *testing.T) {
-	rows, _ := BatchSensitivity()
+	rows, _ := NewSession().BatchSensitivity()
 	if len(rows) != 4 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -446,7 +446,7 @@ func TestBatchSensitivityDecline(t *testing.T) {
 }
 
 func TestCommProfileRenders(t *testing.T) {
-	tbl := CommProfile(FredD)
+	tbl := NewSession().CommProfile(FredD)
 	out := tbl.String()
 	for _, want := range []string{"ResNet-152", "Transformer-17B", "GPT-3", "MP", "DP"} {
 		if !strings.Contains(out, want) {
@@ -456,7 +456,7 @@ func TestCommProfileRenders(t *testing.T) {
 }
 
 func TestPacketValidationAgreement(t *testing.T) {
-	rows, _ := PacketValidation()
+	rows, _ := NewSession().PacketValidation()
 	for _, r := range rows {
 		diff := r.FlowRatio - r.FlitRatio
 		if diff < 0 {
@@ -481,7 +481,7 @@ func TestFigure1Rendering(t *testing.T) {
 }
 
 func TestTrainingHeatmap(t *testing.T) {
-	heat, tbl := TrainingHeatmap(parallelism.Strategy{MP: 3, DP: 3, PP: 2})
+	heat, tbl := NewSession().TrainingHeatmap(parallelism.Strategy{MP: 3, DP: 3, PP: 2})
 	if !strings.Contains(heat, "[ 0]") || !strings.Contains(heat, "[19]") {
 		t.Fatalf("heatmap malformed:\n%s", heat)
 	}
@@ -491,7 +491,7 @@ func TestTrainingHeatmap(t *testing.T) {
 }
 
 func TestSummaryHeadlines(t *testing.T) {
-	rows, tbl := Summary()
+	rows, tbl := NewSession().Summary()
 	if len(rows) < 10 {
 		t.Fatalf("%d rows", len(rows))
 	}

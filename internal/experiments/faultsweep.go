@@ -197,8 +197,3 @@ func ensureCritPath(net *netsim.Network) {
 		net.SetCritPath(critpath.NewRecorder())
 	}
 }
-
-// FaultSweep runs the study on a fresh default session.
-func FaultSweep() ([]FaultSweepRow, *report.Table) {
-	return NewSession().FaultSweep()
-}

@@ -56,9 +56,6 @@ func (s *Session) Figure2() ([]Fig2Row, *report.Table) {
 	return rows, tbl
 }
 
-// Figure2 regenerates Figure 2 on a fresh default session.
-func Figure2() ([]Fig2Row, *report.Table) { return NewSession().Figure2() }
-
 // Fig9Cell is one bar of Figure 9: the time of one communication phase
 // on one system.
 type Fig9Cell struct {
@@ -135,9 +132,6 @@ func (s *Session) Figure9() ([]Fig9Cell, *report.Table) {
 	return cells, tbl
 }
 
-// Figure9 regenerates Figure 9 on a fresh default session.
-func Figure9() ([]Fig9Cell, *report.Table) { return NewSession().Figure9() }
-
 // maxOf returns the maximum of a non-empty completion-time slice (zero
 // when empty).
 func maxOf(times []float64) float64 {
@@ -204,9 +198,6 @@ func (s *Session) Figure10(includeAB bool) ([]Fig10Row, *report.Table) {
 	tbl.AddNote("comm-ser/comm-cont: critical-path blame — FRED's gain comes from shrinking both (higher-bandwidth trees serialize less; unified fabric contends less)")
 	return rows, tbl
 }
-
-// Figure10 regenerates Figure 10 on a fresh default session.
-func Figure10(includeAB bool) ([]Fig10Row, *report.Table) { return NewSession().Figure10(includeAB) }
 
 // Fig11Row is one strategy of Figure 11: baseline vs Fred-D.
 type Fig11Row struct {
@@ -303,9 +294,6 @@ func (s *Session) Figure11a() (*Fig11Summary, *report.Table) {
 		"Figure 11(a): Transformer-17B, baseline vs Fred-D across strategies")
 }
 
-// Figure11a regenerates Figure 11(a) on a fresh default session.
-func Figure11a() (*Fig11Summary, *report.Table) { return NewSession().Figure11a() }
-
 // Figure11b regenerates Figure 11(b): Transformer-1T across
 // strategies. Paper: 3.92× exposed-comm improvement, 1.44× average
 // speedup.
@@ -313,9 +301,6 @@ func (s *Session) Figure11b() (*Fig11Summary, *report.Table) {
 	return s.figure11(workload.Transformer1T, t1tStrategies(), 16,
 		"Figure 11(b): Transformer-1T, baseline vs Fred-D across strategies")
 }
-
-// Figure11b regenerates Figure 11(b) on a fresh default session.
-func Figure11b() (*Fig11Summary, *report.Table) { return NewSession().Figure11b() }
 
 // MeshIORow is one row of the Section 3.2.1 hotspot study.
 type MeshIORow struct {
@@ -360,9 +345,6 @@ func (s *Session) MeshIOStudy() ([]MeshIORow, *report.Table) {
 	tbl.AddNote("paper: 5-wide mesh needs (2*5-1)*128 GB/s = 1152 GB/s > 750 GB/s links -> 0.65x line rate")
 	return rows, tbl
 }
-
-// MeshIOStudy regenerates the hotspot study on a fresh default session.
-func MeshIOStudy() ([]MeshIORow, *report.Table) { return NewSession().MeshIOStudy() }
 
 // simulateStreamUtil measures the slowest concurrent broadcast stream
 // through the flow simulator, as a fraction of channel line rate.
@@ -427,10 +409,6 @@ func (s *Session) BatchSensitivity() ([]BatchRow, *report.Table) {
 	return rows, tbl
 }
 
-// BatchSensitivity regenerates the minibatch sweep on a fresh default
-// session.
-func BatchSensitivity() ([]BatchRow, *report.Table) { return NewSession().BatchSensitivity() }
-
 // CommProfile runs one iteration of each Table 6 workload on a system
 // and reports the per-class communication statistics — operation
 // counts, injected traffic and busy time. One cell per workload.
@@ -459,10 +437,6 @@ func (s *Session) CommProfile(sys System) *report.Table {
 	}
 	return tbl
 }
-
-// CommProfile profiles a system's communication on a fresh default
-// session.
-func CommProfile(sys System) *report.Table { return NewSession().CommProfile(sys) }
 
 // Figure1 renders the 3D-parallelism worker/group structure of the
 // paper's running example (Figure 1): an MP(4)-DP(3)-PP(2) strategy's

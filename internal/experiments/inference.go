@@ -70,6 +70,3 @@ func (s *Session) InferenceStudy() ([]InferenceRow, *report.Table) {
 	tbl.AddNote("decode all-reduces are tiny (%.0f KB): hop latency and ring step count dominate, so FRED's single in-switch pass wins most at large MP", actBytes/1024)
 	return rows, tbl
 }
-
-// InferenceStudy runs the study on a fresh default session.
-func InferenceStudy() ([]InferenceRow, *report.Table) { return NewSession().InferenceStudy() }

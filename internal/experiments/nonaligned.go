@@ -100,9 +100,6 @@ func (s *Session) NonAlignedStudy() (*NonAlignedResult, *report.Table) {
 	return res, tbl
 }
 
-// NonAlignedStudy runs the study on a fresh default session.
-func NonAlignedStudy() (*NonAlignedResult, *report.Table) { return NewSession().NonAlignedStudy() }
-
 // meshLoadHeatmap renders per-directed-link traffic of a set of
 // schedules as an ASCII mesh: horizontal loads between columns,
 // vertical loads between rows (sum of both directions, in GB).
@@ -181,9 +178,4 @@ func (s *Session) TrainingHeatmap(strat parallelism.Strategy) (string, *report.T
 	tbl.AddRow(r.Total, report.FormatSeconds(r.Breakdown.TotalExposed()))
 	tbl.AddNote("heatmap:\n%s", b.String())
 	return b.String(), tbl
-}
-
-// TrainingHeatmap runs the heatmap study on a fresh default session.
-func TrainingHeatmap(strat parallelism.Strategy) (string, *report.Table) {
-	return NewSession().TrainingHeatmap(strat)
 }

@@ -90,7 +90,7 @@ func TestFigure10TraceDeterministic(t *testing.T) {
 // Tracing and telemetry must be observability-only: the reported
 // iteration times are unchanged from an untraced run.
 func TestTracingDoesNotPerturbResults(t *testing.T) {
-	base, _ := Figure2()
+	base, _ := NewSession().Figure2()
 
 	rec := trace.NewRecorder()
 	s := NewSession()

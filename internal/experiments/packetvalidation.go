@@ -88,8 +88,3 @@ func (s *Session) PacketValidation() ([]PacketValidationRow, *report.Table) {
 	tbl.AddNote("the wormhole NoC reproduces the flow model's contention ratios, grounding the abstraction")
 	return rows, tbl
 }
-
-// PacketValidation runs the validation on a fresh default session.
-func PacketValidation() ([]PacketValidationRow, *report.Table) {
-	return NewSession().PacketValidation()
-}

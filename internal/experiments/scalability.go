@@ -98,6 +98,3 @@ func (s *Session) ScalabilityStudy() ([]ScalabilityRow, *report.Table) {
 	tbl.AddNote("mesh I/O needs (2N-1)x128 GB/s hotspot links (O(N)); FRED leaves scale by replication")
 	return rows, tbl
 }
-
-// ScalabilityStudy runs the study on a fresh default session.
-func ScalabilityStudy() ([]ScalabilityRow, *report.Table) { return NewSession().ScalabilityStudy() }

@@ -94,6 +94,3 @@ func (s *Session) ScaleOutStudy() ([]ScaleOutRow, *report.Table) {
 	tbl.AddNote("per-wafer fabrics and per-dimension rings are disjoint contention domains; fill work tracks dirty domains, not system size")
 	return rows, tbl
 }
-
-// ScaleOutStudy runs the study on a fresh default session.
-func ScaleOutStudy() ([]ScaleOutRow, *report.Table) { return NewSession().ScaleOutStudy() }

@@ -11,7 +11,7 @@ func TestScaleOutStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-wafer sweep is slow")
 	}
-	rows, tbl := ScaleOutStudy()
+	rows, tbl := NewSession().ScaleOutStudy()
 	if len(rows) != 6 {
 		t.Fatalf("%d rows", len(rows))
 	}

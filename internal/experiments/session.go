@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"github.com/wafernet/fred/internal/critpath"
 	"github.com/wafernet/fred/internal/metrics"
@@ -44,16 +45,19 @@ type Session struct {
 	collectMetrics bool
 	collectCrit    bool
 	collectTS      bool
-	parallel       int
 
 	// progress is the wall-clock flight-recorder plane: when set, every
 	// forEach reports study/cell lifecycle events to it. Child sessions
-	// do not inherit the engine — the parent's forEach wraps each cell —
-	// but they do carry the in-flight cell's token (cellTok), so the
-	// networks a cell builds can push their simulated clock into the
-	// live /progress view.
+	// carry the engine, so nested fan-outs count too, and the in-flight
+	// cell's token (cellTok), so the networks a cell builds can push
+	// their simulated clock into the live /progress view.
 	progress *obs.Engine
 	cellTok  *obs.Cell
+
+	// tokens are the pool's free helper slots (see fanOut): one fewer
+	// than the pool width, since the caller is the first worker. Child
+	// sessions share the channel, so nested fan-outs draw on one pool.
+	tokens chan struct{}
 
 	// ctx, when non-nil, is threaded into every subsequently built
 	// simulation: each fresh scheduler polls it between events
@@ -131,13 +135,15 @@ func (s *Session) Err() error {
 // NewSession returns a session with observability off and the worker
 // pool sized to GOMAXPROCS.
 func NewSession() *Session {
-	return &Session{
+	s := &Session{
 		linkTables:  report.NewCollector(),
 		metricsColl: metrics.NewCollector(),
 		critColl:    critpath.NewCollector(),
 		tsColl:      timeseries.NewCollector(),
 		memo:        newTrainMemo(),
 	}
+	s.SetParallel(0)
+	return s
 }
 
 // ShareSchedules does nothing: every cell compiles its own collective
@@ -151,7 +157,12 @@ func (s *Session) ShareSchedules(on bool) {}
 // n ≤ 0 means GOMAXPROCS, 1 means sequential. Merged rows and tables
 // are byte-identical for every pool size — cells are isolated
 // simulations and results merge in deterministic paper order.
-func (s *Session) SetParallel(n int) { s.parallel = n }
+func (s *Session) SetParallel(n int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	s.tokens = make(chan struct{}, n-1)
+}
 
 // SetTracer attaches a tracer to every subsequently built system: its
 // network (flow spans, link counters), its scheduler (event-count
@@ -255,41 +266,56 @@ func (s *Session) SetContext(ctx context.Context) { s.ctx = ctx }
 // detach.
 func (s *Session) ObserveCell(tok *obs.Cell) { s.cellTok = tok }
 
-// workers resolves the effective pool size.
+// workers resolves the effective pool width.
 func (s *Session) workers() int {
 	if s.tracer != nil {
 		return 1
 	}
-	n := s.parallel
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	return n
+	return cap(s.tokens) + 1
 }
 
 // forEach executes fn(cell, cs) for every cell in [0, n), the session's
-// unit of fan-out. With one worker the cells run in order on the
-// session itself, exactly as the sequential drivers always have. With
-// more, each cell gets an isolated child session (inheriting link-stats
-// collection but running its nested drivers sequentially) and a
-// reserved slot in the parent's table collector, so the hotspot tables
-// merge back in cell order no matter which worker finishes first.
-// Callers index result arrays by cell, which keeps row order
-// deterministic by construction.
-//
-// A cell that panics does not kill the run (or, in the parallel path,
-// the process): the panic is recovered, tagged with the study name and
-// cell index, and recorded on the session — the remaining cells run to
-// completion, the pool drains normally, and Err reports the aggregate.
-// A failed cell's row stays zero-valued in the caller's result array.
+// unit of fan-out, and reports the study and its cells to the progress
+// engine. See fanOut.
 func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
-	if s.progress != nil {
-		s.progress.StudyStarted(study, n)
+	s.fanOut(study, n, s.progress, fn)
+}
+
+// fanOut is forEach with the progress engine explicit: nil reports
+// nothing, which All uses so that only the studies' own cells count.
+//
+// With one worker the cells run in order on the session itself,
+// exactly as the sequential drivers always have. With more, each cell
+// gets a child session — the parent's observers, memo, context,
+// progress engine and pool, with collectors of its own — and a
+// reserved slot in each of the parent's collectors, so hotspot tables
+// and artifacts merge back in cell order no matter which worker
+// finishes first. Callers index
+// result arrays by cell, which keeps row order deterministic by
+// construction.
+//
+// The pool is shared by every nested fan-out of a session. The caller
+// always works its own cells; before each cell it claims, a worker
+// spawns a helper for the remaining cells only if a token is free, and
+// no goroutine ever waits for a token. So nested fan-outs use whatever
+// workers the outer ones leave idle, and neither they nor the sweep
+// memo's single-flight can deadlock: every wait is on a cell some
+// running goroutine is working.
+//
+// A cell that panics does not kill the run (or the process): the panic
+// is recovered, tagged with the study name and cell index, and
+// recorded on the session — the remaining cells run to completion and
+// Err reports the aggregate. A failed cell's row stays zero-valued in
+// the caller's result array.
+func (s *Session) fanOut(study string, n int, progress *obs.Engine, fn func(cell int, cs *Session)) {
+	if progress != nil {
+		progress.StudyStarted(study, n)
 	}
 	runCell := func(i int, cs *Session) {
 		var tok *obs.Cell
-		if s.progress != nil {
-			tok = s.progress.CellStarted(study, i)
+		prev := cs.cellTok
+		if progress != nil {
+			tok = progress.CellStarted(study, i)
 			cs.cellTok = tok
 		}
 		defer func() {
@@ -298,18 +324,15 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 				s.addErr(&CellError{Study: study, Cell: i, Value: r, Stack: string(debug.Stack())})
 				failed = true
 			}
-			cs.cellTok = nil
-			if s.progress != nil {
-				s.progress.CellFinished(tok, failed)
+			if progress != nil {
+				cs.cellTok = prev
+				progress.CellFinished(tok, failed)
 			}
 		}()
 		fn(i, cs)
 	}
 	w := s.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
+	if w <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			runCell(i, s)
 		}
@@ -321,31 +344,51 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 	cslots := make([]int, n)
 	tslots := make([]int, n)
 	for i := range children {
-		c := NewSession()
-		c.linkStats = s.linkStats
-		c.collectMetrics = s.collectMetrics
-		c.collectCrit = s.collectCrit
-		c.collectTS = s.collectTS
-		c.parallel = 1
-		c.memo = s.memo
-		c.ctx = s.ctx
-		children[i] = c
+		children[i] = &Session{
+			linkStats:      s.linkStats,
+			collectMetrics: s.collectMetrics,
+			collectCrit:    s.collectCrit,
+			collectTS:      s.collectTS,
+			progress:       s.progress,
+			cellTok:        s.cellTok,
+			ctx:            s.ctx,
+			memo:           s.memo,
+			tokens:         s.tokens,
+			linkTables:     report.NewCollector(),
+			metricsColl:    metrics.NewCollector(),
+			critColl:       critpath.NewCollector(),
+			tsColl:         timeseries.NewCollector(),
+		}
 		slots[i] = s.linkTables.Reserve()
 		mslots[i] = s.metricsColl.Reserve()
 		cslots[i] = s.critColl.Reserve()
 		tslots[i] = s.tsColl.Reserve()
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, w)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+	var work func()
+	work = func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if i+1 < n {
+				select {
+				case s.tokens <- struct{}{}:
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						defer func() { <-s.tokens }()
+						work()
+					}()
+				default:
+				}
+			}
 			runCell(i, children[i])
-		}(i)
+		}
 	}
+	work()
 	wg.Wait()
 	for i, c := range children {
 		s.linkTables.Fill(slots[i], c.LinkStatsTables()...)

@@ -105,10 +105,6 @@ func (s *Session) PlacementStudy() ([]PlacementRow, *report.Table) {
 	return rows, tbl
 }
 
-// PlacementStudy regenerates the Figure 5 trade-off on a fresh default
-// session.
-func PlacementStudy() ([]PlacementRow, *report.Table) { return NewSession().PlacementStudy() }
-
 // HWTables renders Tables 3-5: physical parameters, FRED overhead, and
 // the evaluated configurations.
 func HWTables() []*report.Table {

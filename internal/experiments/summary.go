@@ -75,6 +75,3 @@ func (s *Session) Summary() ([]SummaryRow, *report.Table) {
 	}
 	return rows, tbl
 }
-
-// Summary runs the headline comparison on a fresh default session.
-func Summary() ([]SummaryRow, *report.Table) { return NewSession().Summary() }

@@ -110,8 +110,3 @@ func (s *Session) ValidateFabricRouting(strat parallelism.Strategy) error {
 	}
 	return nil
 }
-
-// ValidateFabricRouting runs the check on a fresh default session.
-func ValidateFabricRouting(strat parallelism.Strategy) error {
-	return NewSession().ValidateFabricRouting(strat)
-}
