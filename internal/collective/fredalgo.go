@@ -24,6 +24,28 @@ func groupByL1(f *topology.FredFabric, group []int) (map[int][]int, []int) {
 	return byL1, l1s
 }
 
+// appendLeaves appends the distinct leaf switches of a group to dst in
+// ascending order — groupByL1's leaf list without the per-leaf member
+// map, for the callers that need only the leaf set. Callers pass a
+// stack buffer, so the common small groups allocate nothing.
+func appendLeaves(dst []int, f *topology.FredFabric, group []int) []int {
+	base := len(dst)
+	for _, npu := range group {
+		l1 := f.L1Of(npu)
+		i := len(dst)
+		for i > base && dst[i-1] > l1 {
+			i--
+		}
+		if i > base && dst[i-1] == l1 {
+			continue
+		}
+		dst = append(dst, 0)
+		copy(dst[i+1:], dst[i:])
+		dst[i] = l1
+	}
+	return dst
+}
+
 // FredEndpointAllReduce compiles the hierarchical 2D ring algorithm
 // used by Fred-A and Fred-C (Section 7.2, after BlueConnect): a
 // reduce-scatter ring among the NPUs under each leaf switch, an
@@ -117,8 +139,8 @@ func appendConcurrent(phases []Phase, parts []Schedule) []Phase {
 // inNetworkDepth returns the pipelined tree's cut-through latency: 2
 // hops for a leaf-local group, 4 through the root.
 func inNetworkDepth(f *topology.FredFabric, group []int) float64 {
-	_, l1s := groupByL1(f, group)
-	if len(l1s) <= 1 {
+	var buf [16]int
+	if len(appendLeaves(buf[:0], f, group)) <= 1 {
 		return 2 * f.Config().LinkLatency
 	}
 	return 4 * f.Config().LinkLatency
@@ -129,8 +151,9 @@ func inNetworkDepth(f *topology.FredFabric, group []int) float64 {
 // more than one leaf is involved): per-NPU up and down links plus the
 // L1↔L2 links of every involved leaf.
 func inNetworkTreeLinks(f *topology.FredFabric, group []int) []netsim.LinkID {
-	_, l1s := groupByL1(f, group)
-	var links []netsim.LinkID
+	var buf [16]int
+	l1s := appendLeaves(buf[:0], f, group)
+	links := make([]netsim.LinkID, 0, 2*len(group)+2*len(l1s))
 	for _, npu := range group {
 		links = append(links, f.UpLink(npu), f.DownLink(npu))
 	}
@@ -175,7 +198,8 @@ func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes fl
 			links = append(links, f.UpLink(npu))
 		}
 	}
-	_, l1s := groupByL1(f, group)
+	var buf [16]int
+	l1s := appendLeaves(buf[:0], f, group)
 	for _, l1 := range l1s {
 		if l1 != rootL1 {
 			links = append(links, f.L1UpLink(l1))

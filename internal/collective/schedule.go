@@ -124,8 +124,18 @@ type Op struct {
 	onDone   func(*Op)
 	onFail   func(*Op)
 	phase    int
-	active   []*netsim.Flow
+	// active holds the current phase's flows with the IDs they were
+	// started under. A flow's handle is only valid until its Done
+	// returns — the network then recycles the Flow object, possibly
+	// into another op — so Pause, Resume and fail skip entries whose
+	// flow ID moved on. The slice is reused phase after phase; one
+	// backs it while phases hold a single transfer.
+	active   []flowHandle
+	one      [1]flowHandle
 	pendingN int
+	// flowFn is every flow's Done and OnFail callback (flowEnded),
+	// bound once per op rather than twice per flow.
+	flowFn   func(*netsim.Flow)
 	state    OpState
 	started  sim.Time
 	finished sim.Time
@@ -141,6 +151,22 @@ type Op struct {
 	blame      critpath.Blame
 	bindLink   string
 	bindDur    float64
+}
+
+// flowHandle is a flow started by an op, with the ID it was started
+// under (its generation stamp).
+type flowHandle struct {
+	f  *netsim.Flow
+	id uint64
+}
+
+// live returns the flow while the handle still names it, nil once the
+// network recycled it for another transfer.
+func (h flowHandle) live() *netsim.Flow {
+	if h.f.ID() != h.id {
+		return nil
+	}
+	return h.f
 }
 
 // Start begins executing a schedule on the network. onDone fires when
@@ -209,7 +235,17 @@ func (op *Op) startPhase() {
 		return
 	}
 	phase := op.schedule.Phases[op.phase]
-	op.active = op.active[:0]
+	if op.flowFn == nil {
+		op.flowFn = op.flowEnded
+	}
+	switch {
+	case cap(op.active) >= len(phase):
+		op.active = op.active[:0]
+	case len(phase) == 1:
+		op.active = op.one[:0]
+	default:
+		op.active = make([]flowHandle, 0, len(phase))
+	}
 	op.pendingN = len(phase)
 	for _, t := range phase {
 		if len(t.Links) == 0 {
@@ -225,17 +261,28 @@ func (op *Op) startPhase() {
 			// Cut-through: pay the route latency once per transfer.
 			lat = -1
 		}
-		op.active = append(op.active, op.net.StartFlow(netsim.FlowSpec{
+		f := op.net.StartFlow(netsim.FlowSpec{
 			Links:      t.Links,
 			Bytes:      t.Bytes,
 			Latency:    lat,
 			Prepared:   t.prepared,
 			Label:      op.schedule.Name,
-			Done:       func(f *netsim.Flow) { op.flowDone(f) },
-			OnFail:     func(f *netsim.Flow) { op.flowAborted(f) },
+			Done:       op.flowFn,
+			OnFail:     op.flowFn,
 			CritParent: op.node,
-		}))
+		})
+		op.active = append(op.active, flowHandle{f, f.ID()})
 	}
+}
+
+// flowEnded is the Done and OnFail callback of the op's flows: the
+// flow's state tells a delivered flow from one a link failure aborted.
+func (op *Op) flowEnded(f *netsim.Flow) {
+	if f.State() == netsim.FlowFailed {
+		op.flowAborted(f)
+		return
+	}
+	op.flowDone(f)
 }
 
 func (op *Op) flowDone(f *netsim.Flow) {
@@ -305,8 +352,10 @@ func (op *Op) fail(err error) {
 	op.state = OpFailed
 	op.err = err
 	op.finished = op.sched.Now()
-	for _, f := range op.active {
-		f.Cancel()
+	for _, h := range op.active {
+		if f := h.live(); f != nil {
+			f.Cancel()
+		}
 	}
 	op.active = nil
 	if op.rec != nil {
@@ -344,8 +393,10 @@ func (op *Op) Pause() {
 		return
 	}
 	op.state = OpPaused
-	for _, f := range op.active {
-		f.Pause()
+	for _, h := range op.active {
+		if f := h.live(); f != nil {
+			f.Pause()
+		}
 	}
 }
 
@@ -355,8 +406,10 @@ func (op *Op) Resume() {
 		return
 	}
 	op.state = OpRunning
-	for _, f := range op.active {
-		f.Resume()
+	for _, h := range op.active {
+		if f := h.live(); f != nil {
+			f.Resume()
+		}
 	}
 }
 

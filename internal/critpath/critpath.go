@@ -185,13 +185,21 @@ type Edge struct {
 	From, To NodeID
 }
 
+// nodeChunk is the number of nodes per arena chunk.
+const nodeChunk = 256
+
 // Recorder accumulates one simulation's causal DAG. The zero value is
 // ready to use; a nil *Recorder disables recording (hook points
 // nil-check, like trace.Tracer). Recorders are single-goroutine, like
 // the simulators that feed them.
+//
+// Nodes live in a chunked value arena: fixed-size chunks that are
+// never copied once allocated, so recording a node costs no append
+// growth, and edges refer to nodes by NodeID index.
 type Recorder struct {
-	nodes []Node
-	edges []Edge
+	chunks []*[nodeChunk]Node
+	count  int
+	edges  []Edge
 	// closed accumulates the blame of every completed (Closed, Failed
 	// or Added) node — the cumulative decomposition the time-series
 	// flight recorder samples mid-run.
@@ -207,11 +215,24 @@ func (r *Recorder) ClosedBlame() Blame { return r.closed }
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// node returns the arena slot of a valid ID.
+func (r *Recorder) node(id NodeID) *Node {
+	i := int(id - 1)
+	return &r.chunks[i/nodeChunk][i%nodeChunk]
+}
+
+// valid reports whether id names a recorded node.
+func (r *Recorder) valid(id NodeID) bool { return id > 0 && int(id) <= r.count }
+
 // Add appends a completed node (ID assigned by the recorder) and
 // returns its ID.
 func (r *Recorder) Add(n Node) NodeID {
-	n.ID = NodeID(len(r.nodes) + 1)
-	r.nodes = append(r.nodes, n)
+	if r.count%nodeChunk == 0 {
+		r.chunks = append(r.chunks, new([nodeChunk]Node))
+	}
+	r.count++
+	n.ID = NodeID(r.count)
+	*r.node(n.ID) = n
 	r.closed.Add(n.Blame)
 	return n.ID
 }
@@ -223,10 +244,10 @@ func (r *Recorder) Open(n Node) NodeID { return r.Add(n) }
 // Close completes an open node with its end time, blame and binding
 // link. A zero id is ignored.
 func (r *Recorder) Close(id NodeID, end sim.Time, b Blame, bindLink string) {
-	if id <= 0 || int(id) > len(r.nodes) {
+	if !r.valid(id) {
 		return
 	}
-	n := &r.nodes[id-1]
+	n := r.node(id)
 	r.closed.Add(Blame{Serial: b.Serial - n.Blame.Serial,
 		Contention: b.Contention - n.Blame.Contention, Fault: b.Fault - n.Blame.Fault})
 	n.End = end
@@ -236,10 +257,10 @@ func (r *Recorder) Close(id NodeID, end sim.Time, b Blame, bindLink string) {
 
 // Fail completes an open node as fault-cancelled.
 func (r *Recorder) Fail(id NodeID, end sim.Time, b Blame) {
-	if id <= 0 || int(id) > len(r.nodes) {
+	if !r.valid(id) {
 		return
 	}
-	n := &r.nodes[id-1]
+	n := r.node(id)
 	r.closed.Add(Blame{Serial: b.Serial - n.Blame.Serial,
 		Contention: b.Contention - n.Blame.Contention, Fault: b.Fault - n.Blame.Fault})
 	n.End = end
@@ -258,20 +279,26 @@ func (r *Recorder) Edge(k EdgeKind, from, to NodeID) {
 
 // Node returns a node by ID (zero Node for an unknown ID).
 func (r *Recorder) Node(id NodeID) Node {
-	if id <= 0 || int(id) > len(r.nodes) {
+	if !r.valid(id) {
 		return Node{}
 	}
-	return r.nodes[id-1]
+	return *r.node(id)
 }
 
-// Nodes returns the recorded nodes in creation order.
-func (r *Recorder) Nodes() []Node { return r.nodes }
+// Nodes returns a copy of the recorded nodes in creation order.
+func (r *Recorder) Nodes() []Node {
+	out := make([]Node, 0, r.count)
+	for _, c := range r.chunks {
+		out = append(out, c[:min(nodeChunk, r.count-len(out))]...)
+	}
+	return out
+}
 
 // Edges returns the recorded edges in creation order.
 func (r *Recorder) Edges() []Edge { return r.edges }
 
 // NodeCount returns the number of recorded nodes.
-func (r *Recorder) NodeCount() int { return len(r.nodes) }
+func (r *Recorder) NodeCount() int { return r.count }
 
 // EdgeCount returns the number of recorded edges.
 func (r *Recorder) EdgeCount() int { return len(r.edges) }
@@ -283,12 +310,12 @@ func (r *Recorder) EdgeCount() int { return len(r.edges) }
 // earlier node to a later one are skipped (creation order is the
 // topological order by construction).
 func (r *Recorder) LongestChain() float64 {
-	if len(r.nodes) == 0 {
+	if r.count == 0 {
 		return 0
 	}
-	best := make([]float64, len(r.nodes)+1)
-	for i := range r.nodes {
-		best[i+1] = r.nodes[i].Duration()
+	best := make([]float64, r.count+1)
+	for id := NodeID(1); int(id) <= r.count; id++ {
+		best[id] = r.node(id).Duration()
 	}
 	seq := make([]Edge, 0, len(r.edges))
 	for _, e := range r.edges {
@@ -298,7 +325,7 @@ func (r *Recorder) LongestChain() float64 {
 	}
 	sort.SliceStable(seq, func(i, j int) bool { return seq[i].To < seq[j].To })
 	for _, e := range seq {
-		if c := best[e.From] + r.nodes[e.To-1].Duration(); c > best[e.To] {
+		if c := best[e.From] + r.node(e.To).Duration(); c > best[e.To] {
 			best[e.To] = c
 		}
 	}

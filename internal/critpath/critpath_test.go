@@ -265,3 +265,40 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderArenaAcrossChunks: nodes recorded past several arena
+// chunks keep their IDs, contents and creation order, and Close and
+// Fail reach nodes in any chunk.
+func TestRecorderArenaAcrossChunks(t *testing.T) {
+	r := NewRecorder()
+	const n = 2*nodeChunk + 7
+	for i := 1; i <= n; i++ {
+		id := r.Add(Node{Kind: KindFlow, Label: "f", Start: float64(i), End: float64(i) + 0.5})
+		if int(id) != i {
+			t.Fatalf("node %d got ID %d", i, id)
+		}
+	}
+	r.Close(nodeChunk+1, nodeChunk+3, Blame{Serial: 2}, "l")
+	r.Fail(n, float64(n)+1, Blame{Fault: 1})
+	if r.NodeCount() != n {
+		t.Fatalf("NodeCount = %d, want %d", r.NodeCount(), n)
+	}
+	nodes := r.Nodes()
+	if len(nodes) != n {
+		t.Fatalf("Nodes() has %d nodes, want %d", len(nodes), n)
+	}
+	for i, nd := range nodes {
+		if nd.ID != NodeID(i+1) || nd.Start != float64(i+1) || nd != r.Node(nd.ID) {
+			t.Fatalf("node %d out of order or differs from Node(): %+v", i+1, nd)
+		}
+	}
+	if nd := r.Node(nodeChunk + 1); nd.End != nodeChunk+3 || nd.BindLink != "l" || nd.Blame.Serial != 2 {
+		t.Fatalf("Close in the second chunk lost: %+v", nd)
+	}
+	if nd := r.Node(n); !nd.Failed || nd.Blame.Fault != 1 {
+		t.Fatalf("Fail in the last chunk lost: %+v", nd)
+	}
+	if r.Node(n+1) != (Node{}) || r.Node(0) != (Node{}) {
+		t.Fatal("unknown IDs must read as the zero Node")
+	}
+}

@@ -41,6 +41,11 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 	const trials = 300
 	rng := rand.New(rand.NewSource(42))
 	strategies := parallelism.EnumerateExact(ports)
+	// Each strategy's MP groups, built once rather than per trial.
+	mpGroups := make([][][]int, len(strategies))
+	for i, strat := range strategies {
+		mpGroups[i] = strat.MPGroups()
+	}
 
 	type cell struct {
 		m      int
@@ -50,7 +55,7 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 	draw := func(random bool) [][]fred.Flow {
 		out := make([][]fred.Flow, trials)
 		for trial := range out {
-			strat := strategies[rng.Intn(len(strategies))]
+			groups := mpGroups[rng.Intn(len(strategies))]
 			perm := make([]int, ports)
 			for i := range perm {
 				perm[i] = i
@@ -60,7 +65,7 @@ func (s *Session) MiddleStageAblation() ([]MiddleStageRow, *report.Table) {
 			}
 			// Concurrent flows: one all-reduce per MP group (the
 			// simultaneous phase FRED must route).
-			for _, g := range strat.MPGroups() {
+			for _, g := range groups {
 				if len(g) < 2 {
 					continue
 				}
@@ -287,17 +292,18 @@ func (s *Session) PlacementSearchAblation() ([]PlacementSearchRow, *report.Table
 	rows := make([]PlacementSearchRow, 2*len(strategies))
 	s.forEach("PlacementSearchAblation", len(strategies), func(i int, cs *Session) {
 		strat := strategies[i]
+		mp, dp := strat.MPGroups(), strat.DPGroups()
 		measure := func(name string, p placement.Placement) PlacementSearchRow {
 			w := cs.Build(Baseline)
 			cost := placement.Cost(w, strat, p)
 			comm := collective.NewComm(w)
 			var scheds []collective.Schedule
-			for _, g := range strat.MPGroups() {
+			for _, g := range mp {
 				if len(g) > 1 {
 					scheds = append(scheds, comm.AllReduce(p.NPUs(g), 1e9))
 				}
 			}
-			for _, g := range strat.DPGroups() {
+			for _, g := range dp {
 				if len(g) > 1 {
 					scheds = append(scheds, comm.AllReduce(p.NPUs(g), 1e9))
 				}

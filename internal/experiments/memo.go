@@ -2,7 +2,8 @@ package experiments
 
 import (
 	"crypto/sha256"
-	"fmt"
+	"encoding/binary"
+	"math"
 	"sync"
 
 	"github.com/wafernet/fred/internal/parallelism"
@@ -28,16 +29,45 @@ type trainKey struct {
 	perReplica int
 }
 
-// modelKey fingerprints a model by content. %#v prints every field,
-// floats in their shortest exact form, so two models hash alike only
-// if they are field-for-field equal. The rendering streams straight
-// into the hash instead of being built as a string first.
+// modelKey fingerprints a model by content: every field of the model
+// and of each layer is written into the hash in binary — strings and
+// the layer list length-prefixed, floats as their IEEE-754 bits — so
+// two models hash alike only if they are field-for-field equal.
+// TestModelKeyCoversEveryField pins that every field is covered.
 func modelKey(m *workload.Model) [sha256.Size]byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "%#v", *m)
-	var key [sha256.Size]byte
-	h.Sum(key[:0])
-	return key
+	buf := make([]byte, 0, 64+len(m.Layers)*(48+16))
+	buf = appendKeyString(buf, m.Name)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(m.Layers)))
+	for i := range m.Layers {
+		l := &m.Layers[i]
+		buf = appendKeyString(buf, l.Name)
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.Params))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.FwdFLOPs))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.ActivationBytes))
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(l.ActMemoryBytes))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(l.MPAllReducesPerPass))
+	}
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Mode))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.DefaultMP))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.DefaultDP))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.DefaultPP))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.SampleBytes))
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.EffectiveTFLOPs))
+	buf = appendKeyBool(buf, m.ZeRO2)
+	buf = appendKeyBool(buf, m.InputPrefetchable)
+	return sha256.Sum256(buf)
+}
+
+func appendKeyString(buf []byte, s string) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s)))
+	return append(buf, s...)
+}
+
+func appendKeyBool(buf []byte, b bool) []byte {
+	if b {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
 }
 
 // memoEntry is one cell's result. report is nil while the cell is in

@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -310,14 +309,70 @@ func reachesType(v reflect.Value, banned map[reflect.Type]bool, seen map[uintptr
 	return ""
 }
 
-// TestModelKeyHashesRendering: modelKey streams the %#v rendering into
-// the hash, so its key must equal the SHA-256 of the rendered string.
-func TestModelKeyHashesRendering(t *testing.T) {
+// TestModelKeyCoversEveryField walks Model and Layer by reflection,
+// perturbs each field in turn and asserts the key changes, so a field
+// added later cannot silently alias two models. A field of a kind the
+// walk does not know fails the test until the walk (and modelKey)
+// learn it.
+func TestModelKeyCoversEveryField(t *testing.T) {
 	models := append(workload.Models(), workload.Transformer17B(), workload.Transformer1T())
+	perturb := func(t *testing.T, v reflect.Value, path string) {
+		t.Helper()
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		case reflect.Float64:
+			v.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
+		case reflect.Int:
+			v.SetInt(v.Int() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		default:
+			t.Fatalf("%s: field kind %s not covered by modelKey", path, v.Kind())
+		}
+	}
 	for _, m := range models {
-		want := sha256.Sum256([]byte(fmt.Sprintf("%#v", *m)))
-		if got := modelKey(m); got != want {
-			t.Errorf("%s: modelKey %x, want %x", m.Name, got, want)
+		base := modelKey(m)
+		if modelKey(m) != base {
+			t.Fatalf("%s: modelKey is not deterministic", m.Name)
+		}
+		mt := reflect.TypeOf(*m)
+		for i := 0; i < mt.NumField(); i++ {
+			name := mt.Field(i).Name
+			if name == "Layers" {
+				continue
+			}
+			c := *m
+			perturb(t, reflect.ValueOf(&c).Elem().Field(i), "Model."+name)
+			if modelKey(&c) == base {
+				t.Errorf("%s: perturbing Model.%s leaves the key unchanged", m.Name, name)
+			}
+		}
+		lt := reflect.TypeOf(workload.Layer{})
+		for _, li := range []int{0, len(m.Layers) - 1} {
+			for i := 0; i < lt.NumField(); i++ {
+				c := *m
+				c.Layers = append([]workload.Layer(nil), m.Layers...)
+				perturb(t, reflect.ValueOf(&c.Layers[li]).Elem().Field(i), "Layer."+lt.Field(i).Name)
+				if modelKey(&c) == base {
+					t.Errorf("%s: perturbing layer %d's %s leaves the key unchanged", m.Name, li, lt.Field(i).Name)
+				}
+			}
+		}
+		// The layer list is length-prefixed: dropping a layer, or moving
+		// bytes between the model's name and its first layer's, changes
+		// the key.
+		c := *m
+		c.Layers = m.Layers[:len(m.Layers)-1]
+		if modelKey(&c) == base {
+			t.Errorf("%s: dropping the last layer leaves the key unchanged", m.Name)
+		}
+		c = *m
+		c.Layers = append([]workload.Layer(nil), m.Layers...)
+		c.Name += c.Layers[0].Name[:1]
+		c.Layers[0].Name = c.Layers[0].Name[1:]
+		if modelKey(&c) == base {
+			t.Errorf("%s: shifting a byte from layer 0's name into the model's leaves the key unchanged", m.Name)
 		}
 	}
 }

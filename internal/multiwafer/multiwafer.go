@@ -32,6 +32,7 @@ package multiwafer
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/netsim"
@@ -173,6 +174,18 @@ func NewErr(cfg Config) (*System, error) {
 	// serves; with one dimension this is the original model verbatim
 	// (same links, names and bandwidths in the same creation order).
 	bw := cfg.PortBW / float64(len(dims))
+	var name []byte // reused link-name buffer
+	linkName := func(w, d, k int, dir string) string {
+		name = append(name[:0], "xw"...)
+		name = strconv.AppendInt(name, int64(w), 10)
+		if len(dims) > 1 {
+			name = append(name, ".d"...)
+			name = strconv.AppendInt(name, int64(d), 10)
+		}
+		name = append(name, '.')
+		name = strconv.AppendInt(name, int64(k), 10)
+		return string(append(name, dir...))
+	}
 	s.fwd = make([][][]netsim.LinkID, len(dims))
 	s.rev = make([][][]netsim.LinkID, len(dims))
 	for d := range dims {
@@ -185,14 +198,8 @@ func NewErr(cfg Config) (*System, error) {
 				// ports; we model it NPU-to-NPU through dedicated links.
 				a := s.npuNode(w, k)
 				b := s.npuNode(next, k)
-				fwdName := fmt.Sprintf("xw%d.%d->", w, k)
-				revName := fmt.Sprintf("xw%d.%d<-", w, k)
-				if len(dims) > 1 {
-					fwdName = fmt.Sprintf("xw%d.d%d.%d->", w, d, k)
-					revName = fmt.Sprintf("xw%d.d%d.%d<-", w, d, k)
-				}
-				s.fwd[d][w] = append(s.fwd[d][w], s.net.AddLink(a, b, bw, cfg.PortLatency, fwdName))
-				s.rev[d][w] = append(s.rev[d][w], s.net.AddLink(b, a, bw, cfg.PortLatency, revName))
+				s.fwd[d][w] = append(s.fwd[d][w], s.net.AddLink(a, b, bw, cfg.PortLatency, linkName(w, d, k, "->")))
+				s.rev[d][w] = append(s.rev[d][w], s.net.AddLink(b, a, bw, cfg.PortLatency, linkName(w, d, k, "<-")))
 			}
 		}
 	}

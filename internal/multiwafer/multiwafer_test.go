@@ -2,9 +2,11 @@ package multiwafer
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
 )
 
@@ -234,5 +236,58 @@ func TestFasterInterconnectHelps(t *testing.T) {
 	tFast := fast.Run(fast.GlobalAllReduce(4e9))
 	if tFast >= tSlow {
 		t.Fatalf("4x inter-wafer BW did not help: %g vs %g", tFast, tSlow)
+	}
+}
+
+// TestLinkNamesMatchFormat: link names are built in a reused byte
+// buffer, not with fmt.Sprintf. Every link of an 8×8 system — each
+// wafer's fabric links and every inter-wafer port link — must equal
+// the name the old format strings produced.
+func TestLinkNamesMatchFormat(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Wafers, cfg.Dims = 64, []int{8, 8}
+	s := New(cfg)
+	net := s.Network()
+	var want []string
+	fc := topology.FredVariantConfig(cfg.Variant)
+	numL1 := (fc.NPUs + fc.NPUsPerL1 - 1) / fc.NPUsPerL1
+	for w := 0; w < cfg.Wafers; w++ {
+		for i := 0; i < numL1; i++ {
+			want = append(want, fmt.Sprintf("l1.%d->l2", i), fmt.Sprintf("l2->l1.%d", i))
+		}
+		for i := 0; i < fc.NPUs; i++ {
+			want = append(want, fmt.Sprintf("npu%d->l1", i), fmt.Sprintf("l1->npu%d", i))
+		}
+		for i := 0; i < fc.IOCs; i++ {
+			l1 := i % numL1
+			want = append(want, fmt.Sprintf("ioc%d->l1.%d", i, l1), fmt.Sprintf("l1.%d->ioc%d", l1, i))
+		}
+	}
+	for d := range cfg.Dims {
+		for w := 0; w < cfg.Wafers; w++ {
+			for k := 0; k < cfg.BoundaryPorts; k++ {
+				want = append(want, fmt.Sprintf("xw%d.d%d.%d->", w, d, k), fmt.Sprintf("xw%d.d%d.%d<-", w, d, k))
+			}
+		}
+	}
+	if net.NumLinks() != len(want) {
+		t.Fatalf("%d links, want %d", net.NumLinks(), len(want))
+	}
+	for i, name := range want {
+		if got := net.Link(netsim.LinkID(i)).Name; got != name {
+			t.Fatalf("link %d named %q, want %q", i, got, name)
+		}
+	}
+	// A one-dimensional ring keeps the short port names.
+	ring := New(DefaultConfig())
+	for w, ports := range ring.fwd[0] {
+		for k, id := range ports {
+			if got, name := ring.Network().Link(id).Name, fmt.Sprintf("xw%d.%d->", w, k); got != name {
+				t.Fatalf("ring link named %q, want %q", got, name)
+			}
+			if got, name := ring.Network().Link(ring.rev[0][w][k]).Name, fmt.Sprintf("xw%d.%d<-", w, k); got != name {
+				t.Fatalf("ring link named %q, want %q", got, name)
+			}
+		}
 	}
 }

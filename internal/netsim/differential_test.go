@@ -150,13 +150,31 @@ func (sc churnScenario) run(reference bool) churnRecord {
 	for i := range rec.finishTimes {
 		rec.finishTimes[i] = -1
 	}
+	rec.flowBytes = make([]float64, len(links))
+	// A handle is valid until its Done returns (the network then
+	// recycles the Flow object), so every handle is kept with the ID it
+	// was started under: a handle whose ID moved on belongs to a
+	// completed flow, which the original handle would have read as
+	// done, at rate 0, with everything it moved already credited in
+	// its Done.
+	credit := func(f *Flow) {
+		moved := f.total - f.Remaining()
+		for _, l := range f.links {
+			rec.flowBytes[l.ID] += moved
+		}
+	}
 	flows := make([]*Flow, len(sc.flowRoute))
+	flowIDs := make([]uint64, len(sc.flowRoute))
 	var allFlows []*Flow
+	var allIDs []uint64
+	credited := make(map[uint64]bool)
 	chained := 0
 	var onDone func(f *Flow)
 	onDone = func(f *Flow) {
 		rec.finishTimes[f.ID()] = s.Now()
 		rec.finishOrder = append(rec.finishOrder, f.ID())
+		credit(f)
+		credited[f.ID()] = true
 		if chained < len(sc.chainRoute) {
 			c := chained
 			chained++
@@ -165,6 +183,7 @@ func (sc churnScenario) run(reference bool) churnRecord {
 				Latency: -1, Done: onDone, Label: "chain",
 			})
 			allFlows = append(allFlows, nf)
+			allIDs = append(allIDs, nf.ID())
 		}
 	}
 	for i := range sc.flowRoute {
@@ -174,7 +193,9 @@ func (sc churnScenario) run(reference bool) churnRecord {
 				Links: ids(sc.flowRoute[i]), Bytes: sc.flowBytes[i],
 				Latency: sc.flowLat[i], Done: onDone, Label: "init",
 			})
+			flowIDs[i] = flows[i].ID()
 			allFlows = append(allFlows, flows[i])
+			allIDs = append(allIDs, flows[i].ID())
 		})
 	}
 	for _, op := range sc.ops {
@@ -183,6 +204,9 @@ func (sc churnScenario) run(reference bool) churnRecord {
 			f := flows[op.flow]
 			if f == nil {
 				return // not started yet at this op's time
+			}
+			if f.ID() != flowIDs[op.flow] {
+				return // completed: pause, resume and cancel are no-ops
 			}
 			switch op.kind {
 			case 0:
@@ -197,8 +221,12 @@ func (sc churnScenario) run(reference bool) churnRecord {
 	}
 	for _, at := range sc.probes {
 		s.At(at, func() {
-			for _, f := range allFlows {
-				rec.rateSamples = append(rec.rateSamples, f.Rate())
+			for i, f := range allFlows {
+				rate := 0.0
+				if f.ID() == allIDs[i] {
+					rate = f.Rate()
+				}
+				rec.rateSamples = append(rec.rateSamples, rate)
 			}
 		})
 	}
@@ -210,11 +238,9 @@ func (sc churnScenario) run(reference bool) churnRecord {
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
 	}
-	rec.flowBytes = make([]float64, len(links))
-	for _, f := range allFlows {
-		moved := f.total - f.Remaining()
-		for _, l := range f.links {
-			rec.flowBytes[l.ID] += moved
+	for i, f := range allFlows {
+		if f.ID() == allIDs[i] && !credited[allIDs[i]] {
+			credit(f)
 		}
 	}
 	return rec
@@ -397,7 +423,10 @@ func TestDifferentialActiveSetCompaction(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(9))
 		rec := record{finishTimes: map[uint64]sim.Time{}}
+		// Handles with the IDs they were started under: a handle whose
+		// ID moved on was recycled after its flow completed.
 		var flows []*Flow
+		var flowIDs []uint64
 		chain := 40
 		var onDone func(f *Flow)
 		start := func(bytes float64) {
@@ -405,7 +434,9 @@ func TestDifferentialActiveSetCompaction(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				route = append(route, links[rng.Intn(2)])
 			}
-			flows = append(flows, net.StartFlow(FlowSpec{Links: route, Bytes: bytes, Latency: 0, Done: onDone}))
+			f := net.StartFlow(FlowSpec{Links: route, Bytes: bytes, Latency: 0, Done: onDone})
+			flows = append(flows, f)
+			flowIDs = append(flowIDs, f.ID())
 		}
 		onDone = func(f *Flow) {
 			rec.finishTimes[f.ID()] = s.Now()
@@ -436,8 +467,8 @@ func TestDifferentialActiveSetCompaction(t *testing.T) {
 					ids = append(ids, f.ID())
 				}
 				active := 0
-				for _, f := range flows {
-					if f.State() == FlowActive {
+				for i, f := range flows {
+					if f.ID() == flowIDs[i] && f.State() == FlowActive {
 						active++
 					}
 				}

@@ -107,7 +107,7 @@ func (n *Network) domEnsure(l *Link) {
 		return
 	}
 	l.domVersion = n.partVersion
-	l.domParent = l
+	l.domParent = int32(l.ID)
 	l.domSize = 1
 	l.domDirty = false
 	l.domSeen = 0
@@ -117,13 +117,13 @@ func (n *Network) domEnsure(l *Link) {
 }
 
 // domFind returns the root of l's domain, with path halving. l must be
-// current-version. Not safe to call concurrently (path compression
-// mutates parents), so workers never call it: they only walk the
-// link/flow lists hanging off roots resolved beforehand.
-func domFind(l *Link) *Link {
-	for l.domParent != l {
-		l.domParent = l.domParent.domParent
-		l = l.domParent
+// current-version. Parents are link indices, not pointers, so path
+// compression writes no pointer (and pays no GC write barrier).
+func (n *Network) domFind(l *Link) *Link {
+	links := n.links
+	for l.domParent != int32(l.ID) {
+		l.domParent = links[l.domParent].domParent
+		l = links[l.domParent]
 	}
 	return l
 }
@@ -137,7 +137,7 @@ func domUnion(a, b *Link) *Link {
 	if a.domSize < b.domSize {
 		a, b = b, a
 	}
-	b.domParent = a
+	b.domParent = int32(a.ID)
 	a.domSize += b.domSize
 	a.domLinkTail.domNext = b.domLinkHead
 	a.domLinkTail = b.domLinkTail
@@ -165,10 +165,10 @@ func domUnion(a, b *Link) *Link {
 func (n *Network) domAttach(f *Flow) {
 	ls := f.finiteLinks
 	n.domEnsure(ls[0])
-	root := domFind(ls[0])
+	root := n.domFind(ls[0])
 	for _, l := range ls[1:] {
 		n.domEnsure(l)
-		root = domUnion(root, domFind(l))
+		root = domUnion(root, n.domFind(l))
 	}
 	f.domPrev = root.domFlowTail
 	f.domNext = nil
@@ -191,7 +191,7 @@ func (n *Network) domDetach(f *Flow) {
 	if !f.inDom {
 		return
 	}
-	root := domFind(f.finiteLinks[0])
+	root := n.domFind(f.finiteLinks[0])
 	if f.domPrev != nil {
 		f.domPrev.domNext = f.domNext
 	} else {
@@ -225,7 +225,7 @@ func (n *Network) domRootOf(l *Link) *Link {
 	if l.domVersion != n.partVersion {
 		return nil
 	}
-	return domFind(l)
+	return n.domFind(l)
 }
 
 // collectDirtyDomains resolves the queued dirty roots (and, under
@@ -242,7 +242,7 @@ func (n *Network) collectDirtyDomains() {
 			if f == nil || len(f.finiteLinks) == 0 {
 				continue
 			}
-			r := domFind(f.finiteLinks[0])
+			r := n.domFind(f.finiteLinks[0])
 			if r.domSeen != seen {
 				r.domSeen = seen
 				n.procRoots = append(n.procRoots, r)
@@ -253,7 +253,7 @@ func (n *Network) collectDirtyDomains() {
 		if l.domVersion != n.partVersion {
 			continue // queued before a partition reset
 		}
-		r := domFind(l)
+		r := n.domFind(l)
 		if r.domSeen != seen {
 			r.domSeen = seen
 			n.procRoots = append(n.procRoots, r)
@@ -271,12 +271,13 @@ func (n *Network) collectDirtyDomains() {
 // ---------------------------------------------------------------------
 
 // compFind / compUnion are the per-pass exact-component union-find,
-// epoch-stamped into the links like the fill scratch. Confined to one
-// domain, so concurrent domain fills never touch the same links.
-func compFind(l *Link) *Link {
-	for l.compParent != l {
-		l.compParent = l.compParent.compParent
-		l = l.compParent
+// epoch-stamped into the links like the fill scratch, with link-index
+// parents like the coarse partition's.
+func (n *Network) compFind(l *Link) *Link {
+	links := n.links
+	for l.compParent != int32(l.ID) {
+		l.compParent = links[l.compParent].compParent
+		l = links[l.compParent]
 	}
 	return l
 }
@@ -288,7 +289,7 @@ func compUnion(a, b *Link) *Link {
 	if a.compRank < b.compRank {
 		a, b = b, a
 	}
-	b.compParent = a
+	b.compParent = int32(a.ID)
 	if a.compRank == b.compRank {
 		a.compRank++
 	}
@@ -338,22 +339,22 @@ func (n *Network) fillDomain(root *Link) {
 		first := f.finiteLinks[0]
 		if first.compEpoch != epoch {
 			first.compEpoch = epoch
-			first.compParent = first
+			first.compParent = int32(first.ID)
 			first.compRank = 0
 		}
-		r := compFind(first)
+		r := n.compFind(first)
 		for _, l := range f.finiteLinks[1:] {
 			if l.compEpoch != epoch {
 				l.compEpoch = epoch
-				l.compParent = l
+				l.compParent = int32(l.ID)
 				l.compRank = 0
 			}
-			r = compUnion(r, compFind(l))
+			r = compUnion(r, n.compFind(l))
 		}
 	}
 	comps := sc.comps[:0]
 	for _, f := range flows {
-		r := compFind(f.finiteLinks[0])
+		r := n.compFind(f.finiteLinks[0])
 		if r.compSeen != epoch {
 			r.compSeen = epoch
 			r.compHead, r.compTail = f, f

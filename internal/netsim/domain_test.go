@@ -136,7 +136,18 @@ func (sc shardScenario) run(reference bool) shardRecord {
 	for i := range rec.finishTimes {
 		rec.finishTimes[i] = -1
 	}
+	// Handles are kept with the IDs they were started under: once a
+	// flow's Done returns its Flow object may be recycled, so its blame
+	// is read inside Done, and a handle whose ID moved on is a completed
+	// flow (ops on it are no-ops, its rate is 0).
 	flows := make([]*Flow, len(sc.flowRoute))
+	ids := make([]uint64, len(sc.flowRoute))
+	live := func(i int) *Flow {
+		if f := flows[i]; f != nil && f.ID() == ids[i] {
+			return f
+		}
+		return nil
+	}
 	for i := range sc.flowRoute {
 		i := i
 		route := make([]LinkID, len(sc.flowRoute[i]))
@@ -149,11 +160,14 @@ func (sc shardScenario) run(reference bool) shardRecord {
 				Done: func(f *Flow) {
 					rec.finishTimes[f.ID()] = s.Now()
 					rec.finishOrder = append(rec.finishOrder, f.ID())
+					rec.stall[i] = f.ContentionStall()
+					rec.bindLink[i] = f.BindLinkName()
 				},
 				OnFail: func(f *Flow) {
 					rec.failOrder = append(rec.failOrder, f.ID())
 				},
 			})
+			ids[i] = flows[i].ID()
 		})
 	}
 	for _, op := range sc.ops {
@@ -161,7 +175,7 @@ func (sc shardScenario) run(reference bool) shardRecord {
 		s.At(op.at, func() {
 			switch op.kind {
 			case 0, 1, 2:
-				f := flows[op.flow]
+				f := live(op.flow)
 				if f == nil {
 					return
 				}
@@ -191,11 +205,14 @@ func (sc shardScenario) run(reference bool) shardRecord {
 	}
 	for _, at := range sc.probes {
 		s.At(at, func() {
-			for _, f := range flows {
-				if f != nil {
-					rec.rateSamples = append(rec.rateSamples, f.Rate())
-				} else {
+			for i, f := range flows {
+				switch {
+				case f == nil:
 					rec.rateSamples = append(rec.rateSamples, -1)
+				case live(i) == nil:
+					rec.rateSamples = append(rec.rateSamples, 0)
+				default:
+					rec.rateSamples = append(rec.rateSamples, f.Rate())
 				}
 			}
 		})
@@ -205,8 +222,8 @@ func (sc shardScenario) run(reference bool) shardRecord {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
 		rec.peakUtil = append(rec.peakUtil, net.Link(id).PeakUtil())
 	}
-	for i, f := range flows {
-		if f != nil {
+	for i := range flows {
+		if f := live(i); f != nil {
 			rec.stall[i] = f.ContentionStall()
 			rec.bindLink[i] = f.BindLinkName()
 		}

@@ -195,10 +195,7 @@ func (n *Network) flowRouteFailed(f *Flow) {
 		n.traceStage(f, "active")
 		n.markDirty()
 	case FlowLatency:
-		if f.latEvent != nil {
-			n.sched.Cancel(f.latEvent)
-			f.latEvent = nil
-		}
+		n.sched.Cancel(&f.latEvent)
 		n.traceStage(f, "latency")
 	default:
 		return
@@ -220,32 +217,33 @@ func (n *Network) flowRouteFailed(f *Flow) {
 	// retry-fire time, so it sees the fault state of that moment, not
 	// of the teardown.
 	backoff := n.retry.Backoff * float64(int64(1)<<uint(f.retries-1))
-	attempt := f.retries
 	f.state = FlowLatency
 	f.stageStart = n.sched.Now()
-	f.latEvent = n.sched.After(backoff, func() {
-		f.latEvent = nil
-		route, ok := f.reroute(attempt)
-		if !ok {
-			n.traceStage(f, "backoff")
-			n.abortFlow(f)
-			return
-		}
-		if n.mFlowsRerouted != nil {
-			n.mFlowsRerouted.Add(1)
-		}
+	f.retrying = true
+	n.sched.Reschedule(&f.latEvent, n.sched.Now()+backoff)
+}
+
+// retryFlow ends a retry backoff (fireLatency): it asks Reroute for a
+// fresh route and re-enters the latency stage on it, or aborts the
+// flow when no route exists.
+func (n *Network) retryFlow(f *Flow) {
+	route, ok := f.reroute(f.retries)
+	if !ok {
 		n.traceStage(f, "backoff")
-		n.buildRoute(f, route)
-		lat := 0.0
-		for _, l := range f.links {
-			lat += l.Latency
-		}
-		f.latency = lat
-		f.latEvent = n.sched.After(lat, func() {
-			f.latEvent = nil
-			n.activate(f)
-		})
-	})
+		n.abortFlow(f)
+		return
+	}
+	if n.mFlowsRerouted != nil {
+		n.mFlowsRerouted.Add(1)
+	}
+	n.traceStage(f, "backoff")
+	n.buildRoute(f, route)
+	lat := 0.0
+	for _, l := range f.links {
+		lat += l.Latency
+	}
+	f.latency = lat
+	n.sched.Reschedule(&f.latEvent, n.sched.Now()+lat)
 }
 
 // abortFlow marks the flow failed and notifies its OnFail callback. The

@@ -80,6 +80,18 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 		slot++
 	}
 	flows = make([]*Flow, 0, slot)
+	// A flow's handle is valid until its Done returns; the Flow object
+	// may then be recycled. So each handle keeps its start ID, a
+	// completed flow's final observables are taken inside Done, and
+	// ops on a handle whose ID moved on are skipped (they were no-ops
+	// on the completed flow).
+	ids := make([]uint64, 0, slot)
+	type doneSnap struct {
+		ok                  bool
+		remaining, finished float64
+		retries             int
+	}
+	snaps := make([]doneSnap, 0, slot)
 	at := sim.Time(0)
 	for i := 0; i+3 <= len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
@@ -88,12 +100,17 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 		case 0, 1:
 			idx := len(flows)
 			flows = append(flows, nil) // slot reserved in program order
+			ids = append(ids, 0)
+			snaps = append(snaps, doneSnap{})
 			primary := route(a, b)
 			spare := route(a+3, b+5)
 			s.At(t, func() {
 				spec := FlowSpec{
 					Links: primary, Bytes: 25 * float64(1+int(b)%32), Latency: -1,
-					Done:   func(g *Flow) { rec.finishOrder = append(rec.finishOrder, g.ID()) },
+					Done: func(g *Flow) {
+						rec.finishOrder = append(rec.finishOrder, g.ID())
+						snaps[idx] = doneSnap{true, g.remaining, g.finished, g.Retries()}
+					},
 					OnFail: func(g *Flow) { rec.failOrder = append(rec.failOrder, g.ID()) },
 				}
 				if kind == 1 {
@@ -105,6 +122,7 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 					}
 				}
 				flows[idx] = net.StartFlow(spec)
+				ids[idx] = flows[idx].ID()
 			})
 		case 2:
 			s.At(t, func() { net.Link(links[int(a)%nLinks]).Fail() })
@@ -125,8 +143,9 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 				if len(flows) == 0 {
 					return
 				}
-				g := flows[int(a)%len(flows)]
-				if g == nil {
+				i := int(a) % len(flows)
+				g := flows[i]
+				if g == nil || g.ID() != ids[i] {
 					return
 				}
 				switch kind {
@@ -141,12 +160,19 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 		}
 	}
 	rec.endTime = s.RunUntil(1e6)
-	for _, g := range flows {
+	for i, g := range flows {
 		if g == nil {
 			rec.states = append(rec.states, FlowLatency)
 			rec.remaining = append(rec.remaining, -1)
 			rec.finished = append(rec.finished, -1)
 			rec.retries = append(rec.retries, -1)
+			continue
+		}
+		if sn := snaps[i]; sn.ok {
+			rec.states = append(rec.states, FlowDone)
+			rec.remaining = append(rec.remaining, sn.remaining)
+			rec.finished = append(rec.finished, sn.finished)
+			rec.retries = append(rec.retries, sn.retries)
 			continue
 		}
 		rec.states = append(rec.states, g.State())

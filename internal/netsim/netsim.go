@@ -24,6 +24,19 @@
 // actually changed. See DESIGN.md ("Sharded rate engine") and
 // reference.go for the straightforward implementation the engine is
 // differentially tested against.
+//
+// The per-flow path reuses storage the network owns. A *Flow handle
+// is valid from StartFlow until its Done callback returns; the network
+// may then recycle the Flow object, with its route capacity and its
+// embedded latency event, for a later StartFlow. Read what a flow
+// reports (Finished, ContentionStall, BindLinkName) inside Done.
+// Canceled and failed flows are never recycled. Every StartFlow
+// assigns a fresh ID, so the ID doubles as the handle's generation
+// stamp: a holder that keeps (handle, ID) pairs — as collective.Op
+// does — skips handles whose ID moved on (see Flow). The partition
+// union-finds link their parents by link index, not pointer, and the
+// scheduler's queue holds pointer-free entries, so the hot loops carry
+// no GC write barrier (DESIGN.md, "Allocation discipline").
 package netsim
 
 import (
@@ -85,7 +98,7 @@ type Link struct {
 	// additionally carry the domain's dirty flag, dedupe stamp, link
 	// list tail and flow membership list.
 	domVersion  uint64
-	domParent   *Link
+	domParent   int32 // parent's link index (the link's own ID at a root)
 	domSize     int32
 	domDirty    bool
 	domSeen     uint64
@@ -101,7 +114,7 @@ type Link struct {
 	// this link's domain, so parallel domain fills never race on it.
 	compEpoch  uint64
 	compSeen   uint64
-	compParent *Link
+	compParent int32 // parent's link index, like domParent
 	compRank   int32
 	compHead   *Flow
 	compTail   *Flow
@@ -196,6 +209,17 @@ type FlowSpec struct {
 }
 
 // Flow is an in-flight transfer.
+//
+// A *Flow handle is valid from StartFlow until its Done callback
+// returns. After that the network may recycle the Flow object for a
+// later StartFlow, which gives it a fresh ID: the ID is the handle's
+// generation stamp. A holder that keeps a handle past Done records the
+// ID at start and compares it: while ID() still returns it, the handle
+// names the same finished flow (its accessors report that flow, and
+// Pause, Resume and Cancel are no-ops); once it differs, the object
+// belongs to another transfer. Read what is needed (Finished,
+// ContentionStall, ...) inside Done. Canceled and failed flows are
+// never recycled.
 type Flow struct {
 	net   *Network
 	id    uint64
@@ -205,20 +229,29 @@ type Flow struct {
 	// filling only ever visits finite links, so the subset is filtered
 	// once at StartFlow instead of per pass.
 	finiteLinks []*Link
-	label       string
-	latency     float64
-	state       FlowState
-	total       float64
-	remaining   float64
-	rate        float64
-	started     sim.Time
-	finished    sim.Time
-	done        func(*Flow)
+	// ownLinks and ownFinite keep the capacity of the slices this Flow
+	// object resolved routes into (never a PreparedRoute's), so a
+	// recycled flow resolves its next route without allocating.
+	ownLinks  []*Link
+	ownFinite []*Link
+	label     string
+	latency   float64
+	state     FlowState
+	total     float64
+	remaining float64
+	rate      float64
+	started   sim.Time
+	finished  sim.Time
+	done      func(*Flow)
 	// complete is the flow's per-event completion handle, used only by
 	// the reference engine (the sharded engine times completions on the
 	// calendar below instead); detach cancels it.
-	complete   *sim.Event
-	latEvent   *sim.Event
+	complete *sim.Event
+	// latEvent times the latency stage (and a fault retry's backoff).
+	// It is embedded and bound once per Flow object to fireLatency;
+	// retrying selects the backoff branch.
+	latEvent   sim.Event
+	retrying   bool
 	activeIdx  int    // index in net.active; -1 while not active
 	fillFrozen bool   // progressive-filling scratch
 	actSeq     uint64 // activation sequence (assigned per activate)
@@ -258,7 +291,8 @@ type Flow struct {
 }
 
 // ID returns the flow's network-unique sequence number (assigned in
-// StartFlow order).
+// StartFlow order). It doubles as the handle's generation stamp: a
+// recycled Flow object carries a new ID.
 func (f *Flow) ID() uint64 { return f.id }
 
 // State returns the flow's lifecycle state.
@@ -324,6 +358,9 @@ type Network struct {
 	sched *sim.Scheduler
 	nodes []string
 	links []*Link
+	// linkChunk is the unused tail of the chunk AddLink carves Links
+	// from: one allocation per chunk instead of one per link.
+	linkChunk []Link
 
 	// active is kept as an ordered slice (activation order) rather than
 	// a set: every settlement and rate-recomputation pass iterates it,
@@ -408,6 +445,10 @@ type Network struct {
 	retry       RetryPolicy
 	failScratch []*Flow
 	stateEpoch  uint64
+
+	// freeFlows holds finished Flow objects for StartFlow to reuse;
+	// bounded by the peak number of concurrently live flows.
+	freeFlows []*Flow
 
 	// crit, when non-nil (SetCritPath), records every flow's causal
 	// node, contention stall and binding link into the critpath DAG.
@@ -676,7 +717,13 @@ func (n *Network) AddLink(src, dst NodeID, bandwidth, latency float64, name stri
 	if latency < 0 {
 		panic(fmt.Sprintf("netsim: link %q latency %g must be non-negative", name, latency))
 	}
-	l := &Link{
+	if len(n.linkChunk) == 0 {
+		// Chunks grow with the network, from 16 links up to 256.
+		n.linkChunk = make([]Link, min(256, max(16, len(n.links))))
+	}
+	l := &n.linkChunk[0]
+	n.linkChunk = n.linkChunk[1:]
+	*l = Link{
 		ID:        LinkID(len(n.links)),
 		Src:       src,
 		Dst:       dst,
@@ -703,22 +750,18 @@ func (n *Network) StartFlow(spec FlowSpec) *Flow {
 	if spec.Bytes < 0 {
 		panic(fmt.Sprintf("netsim: flow %q negative bytes %g", spec.Label, spec.Bytes))
 	}
-	f := &Flow{
-		net:        n,
-		id:         n.flowSeq,
-		label:      spec.Label,
-		total:      spec.Bytes,
-		remaining:  spec.Bytes,
-		done:       spec.Done,
-		reroute:    spec.Reroute,
-		onFail:     spec.OnFail,
-		started:    n.sched.Now(),
-		stageStart: n.sched.Now(),
-		state:      FlowLatency,
-		activeIdx:  -1,
-		calIdx:     -1,
-		critParent: spec.CritParent,
-	}
+	f := n.newFlow()
+	f.id = n.flowSeq
+	f.label = spec.Label
+	f.total = spec.Bytes
+	f.remaining = spec.Bytes
+	f.done = spec.Done
+	f.reroute = spec.Reroute
+	f.onFail = spec.OnFail
+	f.started = n.sched.Now()
+	f.stageStart = f.started
+	f.state = FlowLatency
+	f.critParent = spec.CritParent
 	n.flowSeq++
 	if n.mFlowsStarted != nil {
 		n.mFlowsStarted.Add(1)
@@ -744,24 +787,76 @@ func (n *Network) StartFlow(spec FlowSpec) *Flow {
 		f.latency = lat
 		n.buildRoute(f, spec.Links)
 	}
-	f.latEvent = n.sched.After(lat, func() {
-		f.latEvent = nil
-		n.activate(f)
-	})
+	n.sched.Reschedule(&f.latEvent, n.sched.Now()+lat)
 	return f
 }
 
-// buildRoute resolves the route into the flow's link slices.
+// newFlow returns a recycled Flow object reset to zero, or a new one,
+// with its latency event bound. Only the retained route capacity and
+// the bound event survive a reset; activeIdx and calIdx start at -1.
+func (n *Network) newFlow() *Flow {
+	if k := len(n.freeFlows); k > 0 {
+		f := n.freeFlows[k-1]
+		n.freeFlows[k-1] = nil
+		n.freeFlows = n.freeFlows[:k-1]
+		ev, ownLinks, ownFinite := f.latEvent, f.ownLinks[:0], f.ownFinite[:0]
+		*f = Flow{net: n, activeIdx: -1, calIdx: -1,
+			latEvent: ev, ownLinks: ownLinks, ownFinite: ownFinite}
+		return f
+	}
+	f := &Flow{net: n, activeIdx: -1, calIdx: -1}
+	f.latEvent.Bind(f.fireLatency)
+	return f
+}
+
+// release queues a completed flow for reuse once its Done callback
+// returned. It drops the flow's callbacks, so a queued flow pins
+// nothing of its owner; newFlow resets the rest on reuse.
+func (n *Network) release(f *Flow) {
+	f.done, f.onFail, f.reroute = nil, nil, nil
+	n.freeFlows = append(n.freeFlows, f)
+}
+
+// fireLatency is the flow's latency-event callback: the end of a
+// latency stage activates the flow; the end of a retry backoff asks
+// for a fresh route.
+func (f *Flow) fireLatency() {
+	if f.retrying {
+		f.retrying = false
+		f.net.retryFlow(f)
+		return
+	}
+	f.net.activate(f)
+}
+
+// buildRoute resolves the route into the flow's link slices, reusing
+// the capacity the Flow object resolved into before.
 func (n *Network) buildRoute(f *Flow, route []LinkID) {
-	f.links, f.finiteLinks = n.resolveRoute(route)
+	f.links, f.finiteLinks = n.resolveRoute(route, f.ownLinks, f.ownFinite)
+	f.ownLinks = f.links[:0]
+	if len(f.finiteLinks) > 0 && len(f.finiteLinks) < len(f.links) {
+		// A separate finite subset (it aliases links when every link is
+		// finite, and is nil when none is).
+		f.ownFinite = f.finiteLinks[:0]
+	}
+}
+
+// reuseLinks returns buf emptied when it can hold k links, else a new
+// slice of capacity exactly k.
+func reuseLinks(buf []*Link, k int) []*Link {
+	if cap(buf) >= k {
+		return buf[:0]
+	}
+	return make([]*Link, 0, k)
 }
 
 // resolveRoute deduplicates a route (a flow occupies each link once no
 // matter how often a route or tree mentions it) into an exactly-sized
 // link slice, and filters the finite-bandwidth subset the filling
 // engine iterates. Routes are short, so duplicates are found by linear
-// scan; only pathologically long routes pay for a map.
-func (n *Network) resolveRoute(route []LinkID) (links, finiteLinks []*Link) {
+// scan; only pathologically long routes pay for a map. The slices are
+// built in buf and finiteBuf when their capacity suffices.
+func (n *Network) resolveRoute(route []LinkID, buf, finiteBuf []*Link) (links, finiteLinks []*Link) {
 	if len(route) <= dedupThreshold {
 		uniq := 0
 		for i, id := range route {
@@ -776,7 +871,7 @@ func (n *Network) resolveRoute(route []LinkID) (links, finiteLinks []*Link) {
 				uniq++
 			}
 		}
-		links = make([]*Link, 0, uniq)
+		links = reuseLinks(buf, uniq)
 		for _, id := range route {
 			l := n.links[id]
 			dup := false
@@ -791,7 +886,7 @@ func (n *Network) resolveRoute(route []LinkID) (links, finiteLinks []*Link) {
 			}
 		}
 	} else {
-		links = make([]*Link, 0, len(route))
+		links = reuseLinks(buf, len(route))
 		seen := make(map[LinkID]bool, len(route))
 		for _, id := range route {
 			if !seen[id] {
@@ -812,7 +907,7 @@ func (n *Network) resolveRoute(route []LinkID) (links, finiteLinks []*Link) {
 	case 0:
 		finiteLinks = nil
 	default:
-		finiteLinks = make([]*Link, 0, finite)
+		finiteLinks = reuseLinks(finiteBuf, finite)
 		for _, l := range links {
 			if !math.IsInf(l.Bandwidth, 1) {
 				finiteLinks = append(finiteLinks, l)
@@ -887,10 +982,7 @@ func (f *Flow) Pause() {
 		f.state = FlowPaused
 		n.markDirty()
 	case FlowLatency:
-		if f.latEvent != nil {
-			n.sched.Cancel(f.latEvent)
-			f.latEvent = nil
-		}
+		n.sched.Cancel(&f.latEvent)
 		n.traceStage(f, "latency")
 		f.state = FlowPaused
 	}
@@ -905,10 +997,8 @@ func (f *Flow) Resume() {
 	n := f.net
 	n.traceStage(f, "paused")
 	f.state = FlowLatency
-	f.latEvent = n.sched.After(f.latency, func() {
-		f.latEvent = nil
-		n.activate(f)
-	})
+	f.retrying = false
+	n.sched.Reschedule(&f.latEvent, n.sched.Now()+f.latency)
 }
 
 // Cancel abandons the flow without invoking its Done callback.
@@ -921,10 +1011,7 @@ func (f *Flow) Cancel() {
 		n.traceStage(f, "active")
 		n.markDirty()
 	case FlowLatency:
-		if f.latEvent != nil {
-			n.sched.Cancel(f.latEvent)
-			f.latEvent = nil
-		}
+		n.sched.Cancel(&f.latEvent)
 		n.traceStage(f, "latency")
 	case FlowPaused:
 		n.traceStage(f, "paused")
@@ -1020,6 +1107,7 @@ func (n *Network) finish(f *Flow) {
 	if f.done != nil {
 		f.done(f)
 	}
+	n.release(f)
 }
 
 // settle advances all active flows' byte counters to the current time

@@ -30,7 +30,7 @@ type PreparedRoute struct {
 // the deduplication, finite-subset filtering and latency summation are
 // the very code StartFlow runs.
 func (n *Network) PrepareRoute(route []LinkID) *PreparedRoute {
-	links, finite := n.resolveRoute(route)
+	links, finite := n.resolveRoute(route, nil, nil)
 	lat := 0.0
 	for _, id := range route {
 		lat += n.links[id].Latency

@@ -133,26 +133,33 @@ func TestWaterfillInvariantsAfterChurn(t *testing.T) {
 			return r
 		}
 
+		// Contention-free flows complete at once and their Flow objects
+		// are recycled, so each handle is kept with the ID it was started
+		// under; a handle whose ID moved on is a completed flow.
 		flows := make([]*Flow, 8+rng.Intn(8))
+		ids := make([]uint64, len(flows))
 		for i := range flows {
 			flows[i] = net.StartFlow(FlowSpec{Links: route(), Bytes: 1e15, Latency: 0})
+			ids[i] = flows[i].ID()
 		}
 		s.RunUntil(0)
 		// Churn at t=1: cancel a third, start replacements.
 		s.At(1, func() {
 			for i, f := range flows {
-				if i%3 == 0 {
+				if i%3 == 0 && f.ID() == ids[i] {
 					f.Cancel()
 				}
 			}
 			for i := 0; i < 4; i++ {
-				flows = append(flows, net.StartFlow(FlowSpec{Links: route(), Bytes: 1e15, Latency: 0}))
+				f := net.StartFlow(FlowSpec{Links: route(), Bytes: 1e15, Latency: 0})
+				flows = append(flows, f)
+				ids = append(ids, f.ID())
 			}
 		})
 		s.At(2, func() {
 			live := make([]*Flow, 0, len(flows))
-			for _, f := range flows {
-				if f.State() == FlowActive {
+			for i, f := range flows {
+				if f.ID() == ids[i] && f.State() == FlowActive {
 					live = append(live, f)
 				}
 			}

@@ -12,7 +12,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -62,12 +61,15 @@ const DefaultCancelCheckEvery = 4096
 const Infinity Time = math.MaxFloat64
 
 // Event is a scheduled callback. It is returned by Scheduler.At so the
-// caller can cancel it before it fires.
+// caller can cancel it before it fires. A zero Event may also be
+// embedded in a longer-lived value, given its callback once with Bind,
+// and armed (and re-armed) in place with Reschedule — the allocation-
+// free form the network simulator uses for per-flow events.
 type Event struct {
 	when   Time
 	seq    uint64
 	fn     func()
-	index  int // heap index; -1 once removed
+	qslot  int32 // 1 + the event's slot in the scheduler's table while queued; 0 otherwise
 	cancel bool
 	// depth is the event's causal depth when causal tracking is on: one
 	// more than the depth of the event whose callback scheduled it, 0
@@ -84,39 +86,142 @@ func (e *Event) Canceled() bool { return e.cancel }
 // Pending reports whether the event is currently queued to fire. An
 // event that has fired, or been canceled, is not pending (it may be
 // re-armed with Reschedule).
-func (e *Event) Pending() bool { return e.index >= 0 }
+func (e *Event) Pending() bool { return e.qslot != 0 }
 
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+// Bind sets the callback of an event that is not pending — typically
+// a zero Event embedded in a longer-lived value — so Reschedule can
+// arm it. Binding once per owner and re-arming thereafter costs no
+// allocation per firing. Binding a pending event or a nil callback
+// panics.
+func (e *Event) Bind(fn func()) {
+	if fn == nil {
+		panic("sim: nil event callback")
 	}
-	return q[i].seq < q[j].seq
+	if e.qslot != 0 {
+		panic("sim: Bind of a pending event")
+	}
+	e.fn = fn
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// entry is one queued event as the heap sees it: its (time, seq) key
+// and its slot in the scheduler's event table. Entries hold no
+// pointers, so heap moves carry no GC write barrier; the table maps a
+// slot back to its *Event, and pos maps it to its heap index.
+type entry struct {
+	when Time
+	seq  uint64
+	slot int32
 }
 
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
+func (a entry) less(b entry) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
 }
 
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
+// eventQueue is a binary min-heap of entries ordered by (time, seq),
+// with an indexed slot table so a queued event can be moved or removed
+// in O(log n).
+type eventQueue struct {
+	heap  []entry
+	pos   []int32  // slot -> heap index
+	slots []*Event // slot -> event; nil while the slot is free
+	free  []int32  // free slots
+}
+
+func (q *eventQueue) set(i int, x entry) {
+	q.heap[i] = x
+	q.pos[x.slot] = int32(i)
+}
+
+func (q *eventQueue) up(i int) {
+	x := q.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !x.less(q.heap[p]) {
+			break
+		}
+		q.set(i, q.heap[p])
+		i = p
+	}
+	q.set(i, x)
+}
+
+func (q *eventQueue) down(i int) {
+	h := q.heap
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(x) {
+			break
+		}
+		q.set(i, h[c])
+		i = c
+	}
+	q.set(i, x)
+}
+
+// push queues e under its current (when, seq) key.
+func (q *eventQueue) push(e *Event) {
+	var slot int32
+	if n := len(q.free); n > 0 {
+		slot = q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slots[slot] = e
+	} else {
+		slot = int32(len(q.slots))
+		q.slots = append(q.slots, e)
+		q.pos = append(q.pos, 0)
+	}
+	e.qslot = slot + 1
+	q.heap = append(q.heap, entry{when: e.when, seq: e.seq, slot: slot})
+	q.up(len(q.heap) - 1)
+}
+
+// fix restores heap order after a queued event's key changed.
+func (q *eventQueue) fix(e *Event) {
+	slot := e.qslot - 1
+	i := int(q.pos[slot])
+	q.heap[i].when, q.heap[i].seq = e.when, e.seq
+	q.up(i)
+	q.down(int(q.pos[slot]))
+}
+
+// remove dequeues a queued event and releases its slot.
+func (q *eventQueue) remove(e *Event) {
+	slot := e.qslot - 1
+	i := int(q.pos[slot])
+	last := len(q.heap) - 1
+	if i != last {
+		q.set(i, q.heap[last])
+	}
+	q.heap = q.heap[:last]
+	if i != last {
+		q.down(i)
+		q.up(i)
+	}
+	q.release(e, slot)
+}
+
+// pop dequeues and returns the earliest event.
+func (q *eventQueue) pop() *Event {
+	slot := q.heap[0].slot
+	e := q.slots[slot]
+	q.remove(e)
 	return e
+}
+
+func (q *eventQueue) release(e *Event, slot int32) {
+	q.slots[slot] = nil
+	q.free = append(q.free, slot)
+	e.qslot = 0
 }
 
 // Scheduler is a discrete-event scheduler with a virtual clock.
@@ -229,7 +334,7 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events waiting in the queue.
-func (s *Scheduler) Pending() int { return len(s.queue) }
+func (s *Scheduler) Pending() int { return len(s.queue.heap) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a simulator bug rather than a recoverable
@@ -246,7 +351,7 @@ func (s *Scheduler) At(t Time, fn func()) *Event {
 	if s.causal {
 		s.stampDepth(e)
 	}
-	heap.Push(&s.queue, e)
+	s.queue.push(e)
 	return e
 }
 
@@ -263,7 +368,7 @@ func (s *Scheduler) After(d Time, fn func()) *Event {
 // new one created with At(t, fn) for the same callback — but without
 // allocating. Pending events are moved in place; fired or canceled
 // events are re-enqueued. The event must have been produced by At or
-// After. Hot paths that re-time one event per state change (the
+// After, or given its callback with Bind. Hot paths that re-time one event per state change (the
 // network simulator's flow-completion events) use this to stay
 // allocation-free while preserving the (time, seq) tie-break order a
 // cancel-and-recreate would produce.
@@ -281,30 +386,30 @@ func (s *Scheduler) Reschedule(e *Event, t Time) {
 	if s.causal {
 		s.stampDepth(e)
 	}
-	if e.index >= 0 {
-		heap.Fix(&s.queue, e.index)
+	if e.qslot != 0 {
+		s.queue.fix(e)
 	} else {
-		heap.Push(&s.queue, e)
+		s.queue.push(e)
 	}
 }
 
 // Cancel removes a pending event. Canceling an already-fired or
 // already-canceled event is a no-op.
 func (s *Scheduler) Cancel(e *Event) {
-	if e == nil || e.cancel || e.index < 0 {
+	if e == nil || e.cancel || e.qslot == 0 {
 		if e != nil {
 			e.cancel = true
 		}
 		return
 	}
 	e.cancel = true
-	heap.Remove(&s.queue, e.index)
+	s.queue.remove(e)
 }
 
 // Step executes the single earliest pending event, advancing the clock
 // to its timestamp. It reports false when the queue is empty.
 func (s *Scheduler) Step() bool {
-	if len(s.queue) == 0 {
+	if len(s.queue.heap) == 0 {
 		return false
 	}
 	if s.ctx != nil {
@@ -320,7 +425,7 @@ func (s *Scheduler) Step() bool {
 			}
 		}
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue.pop()
 	s.now = e.when
 	s.fired++
 	if s.causal {
@@ -353,7 +458,7 @@ func (s *Scheduler) Run() Time {
 // halting event.
 func (s *Scheduler) RunUntil(deadline Time) Time {
 	s.halted = false
-	for !s.halted && len(s.queue) > 0 && s.queue[0].when <= deadline {
+	for !s.halted && len(s.queue.heap) > 0 && s.queue.heap[0].when <= deadline {
 		s.Step()
 	}
 	if !s.halted && s.now < deadline {

@@ -535,3 +535,57 @@ func TestSetEventHook(t *testing.T) {
 		t.Fatalf("hook fired after detach: %v", got)
 	}
 }
+
+// TestBoundEmbeddedEvent: a zero Event embedded in a longer-lived
+// value, given its callback once with Bind, is armed and re-armed in
+// place by Reschedule and behaves like an event made by At — same
+// ordering, cancellation and pending state — with no allocation per
+// arming.
+func TestBoundEmbeddedEvent(t *testing.T) {
+	type owner struct{ ev Event }
+	s := NewScheduler()
+	o := &owner{}
+	if o.ev.Pending() {
+		t.Fatal("zero Event reports pending")
+	}
+	var order []string
+	o.ev.Bind(func() { order = append(order, "bound") })
+	s.At(1, func() { order = append(order, "at") })
+	s.Reschedule(&o.ev, 1) // same time, later sequence: fires second
+	if !o.ev.Pending() || o.ev.When() != 1 {
+		t.Fatalf("armed event pending %v at %v, want pending at 1", o.ev.Pending(), o.ev.When())
+	}
+	s.Run()
+	if len(order) != 2 || order[0] != "at" || order[1] != "bound" {
+		t.Fatalf("fire order %v, want [at bound]", order)
+	}
+	if o.ev.Pending() {
+		t.Fatal("fired event still pending")
+	}
+	s.Reschedule(&o.ev, 3)
+	s.Cancel(&o.ev)
+	if o.ev.Pending() || !o.ev.Canceled() || s.Pending() != 0 {
+		t.Fatal("Cancel left the bound event queued")
+	}
+	s.Reschedule(&o.ev, 4)
+	s.Run()
+	if len(order) != 3 || s.Now() != 4 {
+		t.Fatalf("bound event fired %d times, clock %v; want a third firing at 4", len(order)-2, s.Now())
+	}
+	o.ev.Bind(func() {})
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.Reschedule(&o.ev, s.Now()+1)
+		s.Step()
+	}); allocs != 0 {
+		t.Fatalf("re-arming a bound event allocates %v per firing", allocs)
+	}
+	s.Reschedule(&o.ev, s.Now()+1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Bind of a pending event did not panic")
+			}
+		}()
+		o.ev.Bind(func() {})
+	}()
+}

@@ -93,27 +93,28 @@ func NewFredFabric(net *netsim.Network, cfg FredConfig) *FredFabric {
 	f := &FredFabric{cfg: cfg, net: net, variant: "custom"}
 	numL1 := (cfg.NPUs + cfg.NPUsPerL1 - 1) / cfg.NPUsPerL1
 	f.l2 = net.AddNode("fred-l2")
+	var nm namer
 	for i := 0; i < numL1; i++ {
-		l1 := net.AddNode(fmt.Sprintf("fred-l1.%d", i))
+		l1 := net.AddNode(nm.s("fred-l1.").i(i).done())
 		f.l1s = append(f.l1s, l1)
-		f.l1Up = append(f.l1Up, net.AddLink(l1, f.l2, cfg.L1L2BW, cfg.LinkLatency, fmt.Sprintf("l1.%d->l2", i)))
-		f.l1Down = append(f.l1Down, net.AddLink(f.l2, l1, cfg.L1L2BW, cfg.LinkLatency, fmt.Sprintf("l2->l1.%d", i)))
+		f.l1Up = append(f.l1Up, net.AddLink(l1, f.l2, cfg.L1L2BW, cfg.LinkLatency, nm.s("l1.").i(i).s("->l2").done()))
+		f.l1Down = append(f.l1Down, net.AddLink(f.l2, l1, cfg.L1L2BW, cfg.LinkLatency, nm.s("l2->l1.").i(i).done()))
 	}
 	for i := 0; i < cfg.NPUs; i++ {
-		npu := net.AddNode(fmt.Sprintf("npu%d", i))
+		npu := net.AddNode(nm.s("npu").i(i).done())
 		f.npus = append(f.npus, npu)
 		l1 := f.l1s[i/cfg.NPUsPerL1]
-		f.npuUp = append(f.npuUp, net.AddLink(npu, l1, cfg.NPULinkBW, cfg.LinkLatency, fmt.Sprintf("npu%d->l1", i)))
-		f.npuDown = append(f.npuDown, net.AddLink(l1, npu, cfg.NPULinkBW, cfg.LinkLatency, fmt.Sprintf("l1->npu%d", i)))
+		f.npuUp = append(f.npuUp, net.AddLink(npu, l1, cfg.NPULinkBW, cfg.LinkLatency, nm.s("npu").i(i).s("->l1").done()))
+		f.npuDown = append(f.npuDown, net.AddLink(l1, npu, cfg.NPULinkBW, cfg.LinkLatency, nm.s("l1->npu").i(i).done()))
 	}
 	for i := 0; i < cfg.IOCs; i++ {
 		l1 := i % numL1
-		node := net.AddNode(fmt.Sprintf("ioc%d", i))
+		node := net.AddNode(nm.s("ioc").i(i).done())
 		f.iocs = append(f.iocs, fredIOC{
 			l1:   l1,
 			node: node,
-			up:   net.AddLink(node, f.l1s[l1], cfg.IOCBW, cfg.LinkLatency, fmt.Sprintf("ioc%d->l1.%d", i, l1)),
-			down: net.AddLink(f.l1s[l1], node, cfg.IOCBW, cfg.LinkLatency, fmt.Sprintf("l1.%d->ioc%d", l1, i)),
+			up:   net.AddLink(node, f.l1s[l1], cfg.IOCBW, cfg.LinkLatency, nm.s("ioc").i(i).s("->l1.").i(l1).done()),
+			down: net.AddLink(f.l1s[l1], node, cfg.IOCBW, cfg.LinkLatency, nm.s("l1.").i(l1).s("->ioc").i(i).done()),
 		})
 	}
 	return f

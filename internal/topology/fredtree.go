@@ -94,10 +94,11 @@ func NewFredTree(net *netsim.Network, cfg TreeConfig) *FredTree {
 	counts[len(counts)-1] = 1
 
 	t.levels = make([][]*treeNode, len(counts))
+	var nm namer
 	for k := len(counts) - 1; k >= 0; k-- {
 		t.levels[k] = make([]*treeNode, counts[k])
 		for i := range t.levels[k] {
-			n := &treeNode{node: net.AddNode(fmt.Sprintf("fredtree-l%d.%d", k+1, i)), parent: -1}
+			n := &treeNode{node: net.AddNode(nm.s("fredtree-l").i(k + 1).s(".").i(i).done()), parent: -1}
 			t.levels[k][i] = n
 			if k < len(counts)-1 {
 				pIdx := i / cfg.FanIn[k+1]
@@ -107,8 +108,8 @@ func NewFredTree(net *netsim.Network, cfg TreeConfig) *FredTree {
 				p := t.levels[k+1][pIdx]
 				n.parent = pIdx
 				bw := cfg.LevelBW[k+1]
-				n.up = net.AddLink(n.node, p.node, bw, cfg.LinkLatency, fmt.Sprintf("l%d.%d->l%d.%d", k+1, i, k+2, pIdx))
-				n.down = net.AddLink(p.node, n.node, bw, cfg.LinkLatency, fmt.Sprintf("l%d.%d->l%d.%d", k+2, pIdx, k+1, i))
+				n.up = net.AddLink(n.node, p.node, bw, cfg.LinkLatency, nm.s("l").i(k+1).s(".").i(i).s("->l").i(k+2).s(".").i(pIdx).done())
+				n.down = net.AddLink(p.node, n.node, bw, cfg.LinkLatency, nm.s("l").i(k+2).s(".").i(pIdx).s("->l").i(k+1).s(".").i(i).done())
 			}
 		}
 	}
@@ -117,21 +118,21 @@ func NewFredTree(net *netsim.Network, cfg TreeConfig) *FredTree {
 		if leaf >= counts[0] {
 			leaf = counts[0] - 1
 		}
-		node := net.AddNode(fmt.Sprintf("npu%d", i))
+		node := net.AddNode(nm.s("npu").i(i).done())
 		t.npus = append(t.npus, node)
 		t.npuPar = append(t.npuPar, leaf)
 		l := t.levels[0][leaf]
-		t.npuUp = append(t.npuUp, net.AddLink(node, l.node, cfg.LevelBW[0], cfg.LinkLatency, fmt.Sprintf("npu%d->leaf", i)))
-		t.npuDwn = append(t.npuDwn, net.AddLink(l.node, node, cfg.LevelBW[0], cfg.LinkLatency, fmt.Sprintf("leaf->npu%d", i)))
+		t.npuUp = append(t.npuUp, net.AddLink(node, l.node, cfg.LevelBW[0], cfg.LinkLatency, nm.s("npu").i(i).s("->leaf").done()))
+		t.npuDwn = append(t.npuDwn, net.AddLink(l.node, node, cfg.LevelBW[0], cfg.LinkLatency, nm.s("leaf->npu").i(i).done()))
 	}
 	for i := 0; i < cfg.IOCs; i++ {
 		leaf := i % counts[0]
-		node := net.AddNode(fmt.Sprintf("ioc%d", i))
+		node := net.AddNode(nm.s("ioc").i(i).done())
 		t.iocs = append(t.iocs, fredIOC{
 			l1:   leaf,
 			node: node,
-			up:   net.AddLink(node, t.levels[0][leaf].node, cfg.IOCBW, cfg.LinkLatency, fmt.Sprintf("ioc%d->leaf", i)),
-			down: net.AddLink(t.levels[0][leaf].node, node, cfg.IOCBW, cfg.LinkLatency, fmt.Sprintf("leaf->ioc%d", i)),
+			up:   net.AddLink(node, t.levels[0][leaf].node, cfg.IOCBW, cfg.LinkLatency, nm.s("ioc").i(i).s("->leaf").done()),
+			down: net.AddLink(t.levels[0][leaf].node, node, cfg.IOCBW, cfg.LinkLatency, nm.s("leaf->ioc").i(i).done()),
 		})
 	}
 	return t

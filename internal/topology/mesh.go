@@ -65,16 +65,17 @@ func NewMesh(net *netsim.Network, cfg MeshConfig) *Mesh {
 		panic(fmt.Sprintf("topology: mesh %dx%d too small", cfg.W, cfg.H))
 	}
 	m := &Mesh{cfg: cfg, net: net, links: make(map[[2]int]netsim.LinkID)}
+	var nm namer
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
-			m.npus = append(m.npus, net.AddNode(fmt.Sprintf("npu(%d,%d)", x, y)))
+			m.npus = append(m.npus, net.AddNode(nm.s("npu(").i(x).s(",").i(y).s(")").done()))
 		}
 	}
 	addPair := func(a, b int) {
 		m.links[[2]int{a, b}] = net.AddLink(m.npus[a], m.npus[b], cfg.LinkBW, cfg.LinkLatency,
-			fmt.Sprintf("mesh %d->%d", a, b))
+			nm.s("mesh ").i(a).s("->").i(b).done())
 		m.links[[2]int{b, a}] = net.AddLink(m.npus[b], m.npus[a], cfg.LinkBW, cfg.LinkLatency,
-			fmt.Sprintf("mesh %d->%d", b, a))
+			nm.s("mesh ").i(b).s("->").i(a).done())
 	}
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
@@ -89,11 +90,11 @@ func NewMesh(net *netsim.Network, cfg MeshConfig) *Mesh {
 	// I/O controllers: left and right edges get row-type channels, top
 	// and bottom edges column-type channels; corners host one of each.
 	add := func(kind iocKind, x, y int, east, south bool) {
-		node := net.AddNode(fmt.Sprintf("ioc%d", len(m.iocs)))
+		node := net.AddNode(nm.s("ioc").i(len(m.iocs)).done())
 		npu := m.npus[m.Index(x, y)]
 		ioc := meshIOC{kind: kind, x: x, y: y, east: east, south: south, node: node}
-		ioc.toNPU = net.AddLink(node, npu, cfg.IOCBW, cfg.LinkLatency, fmt.Sprintf("ioc%d->npu", len(m.iocs)))
-		ioc.fromNPU = net.AddLink(npu, node, cfg.IOCBW, cfg.LinkLatency, fmt.Sprintf("npu->ioc%d", len(m.iocs)))
+		ioc.toNPU = net.AddLink(node, npu, cfg.IOCBW, cfg.LinkLatency, nm.s("ioc").i(len(m.iocs)).s("->npu").done())
+		ioc.fromNPU = net.AddLink(npu, node, cfg.IOCBW, cfg.LinkLatency, nm.s("npu->ioc").i(len(m.iocs)).done())
 		m.iocs = append(m.iocs, ioc)
 	}
 	for y := 0; y < cfg.H; y++ {

@@ -6,7 +6,36 @@
 // trees for weight streaming, and capacity summaries.
 package topology
 
-import "github.com/wafernet/fred/internal/netsim"
+import (
+	"strconv"
+
+	"github.com/wafernet/fred/internal/netsim"
+)
+
+// namer builds node and link names from literal parts and integers in
+// one reused buffer, so each finished name is a single allocation
+// (fmt.Sprintf would box every argument and render through
+// reflection):
+//
+//	nm.s("l1.").i(i).s("->l2").done() == fmt.Sprintf("l1.%d->l2", i)
+type namer []byte
+
+func (b *namer) s(lit string) *namer {
+	*b = append(*b, lit...)
+	return b
+}
+
+func (b *namer) i(v int) *namer {
+	*b = strconv.AppendInt(*b, int64(v), 10)
+	return b
+}
+
+// done returns the built name and empties the buffer for the next.
+func (b *namer) done() string {
+	name := string(*b)
+	*b = (*b)[:0]
+	return name
+}
 
 // Wafer is a wafer-scale interconnect instance: a set of NPUs and I/O
 // controllers embedded in a netsim.Network.

@@ -19,7 +19,10 @@
 // calibrated.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // FP16Bytes is the size of one FP16 element.
 const FP16Bytes = 2.0
@@ -151,7 +154,7 @@ type TransformerConfig struct {
 func transformerLayer(c TransformerConfig, i int) Layer {
 	h, s := c.Hidden, c.SeqLen
 	return Layer{
-		Name:                fmt.Sprintf("%s.layer%d", c.Name, i),
+		Name:                c.Name + ".layer" + strconv.Itoa(i),
 		Params:              12 * h * h,
 		FwdFLOPs:            s * (24*h*h + 4*s*h),
 		ActivationBytes:     s * h * FP16Bytes,
@@ -264,7 +267,7 @@ func MoETransformer(c MoEConfig) []Layer {
 	layers := make([]Layer, c.NumLayers)
 	for i := range layers {
 		layers[i] = Layer{
-			Name:                fmt.Sprintf("%s.layer%d", c.Name, i),
+			Name:                c.Name + ".layer" + strconv.Itoa(i),
 			Params:              (4 + 8*float64(c.Experts)) * h * h,
 			FwdFLOPs:            s * (24*h*h + 4*s*h),
 			ActivationBytes:     s * h * FP16Bytes,

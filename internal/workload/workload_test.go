@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -178,5 +180,19 @@ func TestActivationMemoryScale(t *testing.T) {
 	}
 	if total != 200e6 {
 		t.Fatalf("ResNet activations = %g, want 200 MB", total)
+	}
+}
+
+// TestLayerNamesMatchFormat: transformer and MoE layer names are built
+// by concatenation, not fmt.Sprintf; they must equal the old
+// "%s.layer%d" rendering byte for byte.
+func TestLayerNamesMatchFormat(t *testing.T) {
+	for _, m := range []*Model{Transformer17B(), GPT3(), Transformer1T()} {
+		prefix := m.Layers[0].Name[:strings.Index(m.Layers[0].Name, ".layer")]
+		for i, l := range m.Layers {
+			if want := fmt.Sprintf("%s.layer%d", prefix, i); l.Name != want {
+				t.Fatalf("%s: layer %d named %q, want %q", m.Name, i, l.Name, want)
+			}
+		}
 	}
 }
