@@ -12,6 +12,7 @@ import (
 	fredapi "github.com/wafernet/fred"
 	"github.com/wafernet/fred/internal/experiments"
 	"github.com/wafernet/fred/internal/metrics"
+	"github.com/wafernet/fred/internal/netobs"
 	"github.com/wafernet/fred/internal/training"
 	"github.com/wafernet/fred/internal/workload"
 )
@@ -40,7 +41,7 @@ func TestLookupSchedule(t *testing.T) {
 }
 
 // trainArtifact runs the fredtrain metrics path (build under a
-// metrics-collecting session, simulate, flush, record, export) for a
+// metrics-collecting session, simulate, end the run, record, export) for a
 // given worker-pool size and returns the encoded artifact.
 func trainArtifact(t *testing.T, parallel int) []byte {
 	t.Helper()
@@ -59,8 +60,8 @@ func trainArtifact(t *testing.T, parallel int) []byte {
 		t.Fatal(err)
 	}
 	net := wafer.Network()
-	net.FlushMetrics()
-	r.RecordMetrics(net.Metrics())
+	net.EndRun()
+	r.RecordMetrics(netobs.Registry(net))
 	data, err := session.Metrics().Export(metrics.Manifest{
 		Tool:            "fredtrain",
 		Workload:        m.Name,

@@ -3,7 +3,6 @@ package critpath
 import (
 	"math"
 	"path/filepath"
-	"sync"
 	"testing"
 
 	"github.com/wafernet/fred/internal/metrics"
@@ -236,23 +235,6 @@ func TestArtifactRoundTripAndDeterminism(t *testing.T) {
 	}
 	if _, err := Decode([]byte("nope")); err == nil {
 		t.Fatal("Decode accepted garbage")
-	}
-}
-
-func TestCollectorSlotOrder(t *testing.T) {
-	c := NewCollector()
-	s0 := c.Reserve()
-	s1 := c.Reserve()
-	// Fill out of order, concurrently.
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); c.Fill(s1, Iteration{Label: "b"}) }()
-	go func() { defer wg.Done(); c.Fill(s0, Iteration{Label: "a"}) }()
-	wg.Wait()
-	c.Append(Iteration{Label: "c"})
-	got := c.Cells()
-	if len(got) != 3 || got[0].Label != "a" || got[1].Label != "b" || got[2].Label != "c" {
-		t.Fatalf("slot order wrong: %+v", got)
 	}
 }
 

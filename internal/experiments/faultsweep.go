@@ -7,6 +7,7 @@ import (
 	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/critpath"
 	"github.com/wafernet/fred/internal/faults"
+	"github.com/wafernet/fred/internal/netobs"
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/report"
 	"github.com/wafernet/fred/internal/sim"
@@ -94,7 +95,7 @@ func (s *Session) fredDegradedBW(k int) (float64, critpath.Blame) {
 	s.observeNetwork(net, FredA)
 	ensureCritPath(net)
 
-	inj := faults.NewInjector(net).SetMetrics(net.Metrics())
+	inj := faults.NewInjector(net).SetMetrics(netobs.Registry(net))
 	inj.OnSwitchFail(func(l1 int) {
 		// One µswitch down inside this trunk's Fred_m interconnect: the
 		// failed middle's color is banned, the trunk keeps (m−1)/m.
@@ -153,7 +154,7 @@ func (s *Session) meshDegradedBW(k int) (float64, critpath.Blame) {
 			faults.Event{Kind: faults.LinkFail, Target: int(m.NeighborLink(p.a, p.b))},
 			faults.Event{Kind: faults.LinkFail, Target: int(m.NeighborLink(p.b, p.a))})
 	}
-	inj := faults.NewInjector(net).SetMetrics(net.Metrics())
+	inj := faults.NewInjector(net).SetMetrics(netobs.Registry(net))
 	if err := inj.Schedule(plan); err != nil {
 		panic(err)
 	}

@@ -157,7 +157,15 @@ func TestObservedSessionSkipsMemo(t *testing.T) {
 		"linkstats": {func(s *Session) { s.CollectLinkStats(true) },
 			func(s *Session) int { return len(s.LinkStatsTables()) }},
 		"metrics": {func(s *Session) { s.CollectMetrics(true) },
-			func(s *Session) int { return len(s.metricsColl.Registries()) }},
+			func(s *Session) int {
+				n := 0
+				for _, r := range s.records {
+					if r.reg != nil {
+						n++
+					}
+				}
+				return n
+			}},
 		"critpath": {func(s *Session) { s.CollectCritPath(true) },
 			func(s *Session) int { return len(s.CritPathCells()) }},
 		"timeseries": {func(s *Session) { s.CollectTimeseries(true) },

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -161,40 +160,6 @@ func TestMerge(t *testing.T) {
 	last := a.Series()[len(a.Series())-1]
 	if last.Name() != "extra" {
 		t.Fatalf("merge order: last series %q, want extra", last.Name())
-	}
-}
-
-// The collector contract: slots merge in reservation order no matter
-// which goroutine fills them first.
-func TestCollectorSlotOrder(t *testing.T) {
-	c := NewCollector()
-	slots := make([]int, 4)
-	for i := range slots {
-		slots[i] = c.Reserve()
-	}
-	var wg sync.WaitGroup
-	for i := 3; i >= 0; i-- {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r := NewRegistry()
-			r.Counter("order", "").Add(float64(i + 1))
-			r.Counter("only/"+string(rune('a'+i)), "").Add(1)
-			c.Fill(slots[i], r)
-		}(i)
-	}
-	wg.Wait()
-	m := c.Merged()
-	if got := m.Lookup("order").Value(); got != 10 {
-		t.Fatalf("merged counter = %g, want 10", got)
-	}
-	// Registration order of the per-slot-unique series follows slot
-	// order: only/a, only/b, only/c, only/d.
-	want := []string{"order", "only/a", "only/b", "only/c", "only/d"}
-	for i, s := range m.Series() {
-		if s.Name() != want[i] {
-			t.Fatalf("merged order %d = %q, want %q", i, s.Name(), want[i])
-		}
 	}
 }
 

@@ -22,7 +22,7 @@ type shardRecord struct {
 	failOrder   []uint64   // flow ids in OnFail order
 	rateSamples []float64  // all flows' rates at each probe
 	linkBytes   []float64  // final per-link byte counters (telemetry)
-	peakUtil    []float64  // final per-link peak utilization (telemetry)
+	peakUtil    []float64  // final per-link peak utilization (pass vectors)
 	stall       []float64  // per-flow contention integrals (critpath)
 	bindLink    []string   // per-flow binding links (critpath blame)
 	endTime     sim.Time
@@ -120,7 +120,7 @@ func (sc shardScenario) run(reference bool) shardRecord {
 	if reference {
 		net.useReferenceEngine()
 	}
-	net.EnableLinkTelemetry()
+	log := attachLog(nil, net)
 	net.SetCritPath(critpath.NewRecorder())
 	a, b := net.AddNode("a"), net.AddNode("b")
 	links := make([]LinkID, len(sc.linkBW))
@@ -220,7 +220,11 @@ func (sc shardScenario) run(reference bool) shardRecord {
 	rec.endTime = s.RunUntil(1e6)
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
-		rec.peakUtil = append(rec.peakUtil, net.Link(id).PeakUtil())
+		peak := 0.0
+		if int(id) < len(log.peak) {
+			peak = log.peak[id]
+		}
+		rec.peakUtil = append(rec.peakUtil, peak)
 	}
 	for i := range flows {
 		if f := live(i); f != nil {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/wafernet/fred/internal/metrics"
 	"github.com/wafernet/fred/internal/sim"
 )
 
@@ -23,8 +22,7 @@ func twoPath(bw1, bw2 float64) (*sim.Scheduler, *Network, LinkID, LinkID) {
 
 func TestLinkFailAbortsFlowWithoutReroute(t *testing.T) {
 	s, net, l1, _ := twoPath(100, 100)
-	reg := metrics.NewRegistry()
-	net.SetMetrics(reg)
+	log := attachLog(t, net)
 	var failed *Flow
 	doneRan := false
 	f := net.StartFlow(FlowSpec{
@@ -54,15 +52,14 @@ func TestLinkFailAbortsFlowWithoutReroute(t *testing.T) {
 	if f.Retries() != 1 {
 		t.Fatalf("retries = %d, want 1", f.Retries())
 	}
-	if got := reg.Lookup("net/flows_aborted").Value(); got != 1 {
-		t.Fatalf("flows_aborted = %v, want 1", got)
+	if got := log.counts[EvFlowAbort]; got != 1 {
+		t.Fatalf("abort events = %v, want 1", got)
 	}
 }
 
 func TestLinkFailRerouteCompletes(t *testing.T) {
 	s, net, l1, l2 := twoPath(100, 50)
-	reg := metrics.NewRegistry()
-	net.SetMetrics(reg)
+	log := attachLog(t, net)
 	var attempts []int
 	f := net.StartFlow(FlowSpec{
 		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
@@ -87,8 +84,8 @@ func TestLinkFailRerouteCompletes(t *testing.T) {
 	if got := f.Finished(); got != want {
 		t.Fatalf("finished at %v, want %v", got, want)
 	}
-	if got := reg.Lookup("net/flows_rerouted").Value(); got != 1 {
-		t.Fatalf("flows_rerouted = %v, want 1", got)
+	if got := log.counts[EvFlowReroute]; got != 1 {
+		t.Fatalf("reroute events = %v, want 1", got)
 	}
 	if got := net.Link(l1).BytesCarried(); got != 50 {
 		t.Fatalf("failed link carried %v bytes, want 50", got)

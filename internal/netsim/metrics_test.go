@@ -1,26 +1,27 @@
-package netsim
+package netsim_test
 
 import (
 	"strings"
 	"testing"
 
 	"github.com/wafernet/fred/internal/metrics"
+	"github.com/wafernet/fred/internal/netobs"
+	. "github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/sim"
 )
 
 // A single 1000-byte flow on a 100 B/s link is busy (util 1.0) over
 // [0,10) and idle over the trailing [10,15); the time-weighted
-// histogram must carry both intervals once FlushMetrics closes the
-// tail.
+// histogram must carry both intervals once EndRun closes the tail.
 func TestLinkUtilHistogram(t *testing.T) {
 	s := sim.NewScheduler()
 	net, links := line(s, 2, 100)
 	reg := metrics.NewRegistry()
-	net.SetMetrics(reg)
+	netobs.AttachMetrics(net, reg)
 	net.StartFlow(FlowSpec{Links: links, Bytes: 1000, Latency: 0})
 	s.At(15, func() {}) // extend the horizon past completion
 	s.Run()
-	net.FlushMetrics()
+	net.EndRun()
 
 	h := reg.Lookup("link/l/util")
 	if h == nil {
@@ -52,10 +53,10 @@ func TestLinkUtilHistogram(t *testing.T) {
 		}
 	}
 
-	// A second flush with no elapsed time must not re-charge the tail.
-	net.FlushMetrics()
+	// A second run end with no elapsed time must not re-charge the tail.
+	net.EndRun()
 	if got := h.Count(); !approx(got, 15) {
-		t.Fatalf("idempotent flush changed total weight to %g", got)
+		t.Fatalf("repeated EndRun changed total weight to %g", got)
 	}
 }
 
@@ -69,14 +70,14 @@ func TestLinkUtilDistributionFractional(t *testing.T) {
 	l0 := net.AddLink(a, b, 100, 0, "shared")
 	l1 := net.AddLink(b, c, 100, 0, "down")
 	reg := metrics.NewRegistry()
-	net.SetMetrics(reg)
+	netobs.AttachMetrics(net, reg)
 	// Long flow across both links; short flow contends on the shared
 	// link. Fair share: both get 50 B/s until the short one finishes
 	// at t=10, then the long one runs at 100 B/s.
 	net.StartFlow(FlowSpec{Links: []LinkID{l0, l1}, Bytes: 1000, Latency: 0})
 	net.StartFlow(FlowSpec{Links: []LinkID{l0}, Bytes: 500, Latency: 0})
 	s.Run()
-	net.FlushMetrics()
+	net.EndRun()
 
 	h := reg.Lookup("link/down/util")
 	if h == nil {
@@ -101,10 +102,10 @@ func TestLinkUtilDistributionFractional(t *testing.T) {
 	}
 
 	// TopLinks surfaces the distribution on its rows.
-	top := net.TopLinks(0)
+	top := netobs.TopLinks(net, 0)
 	for _, u := range top {
 		if !u.HasDist {
-			t.Fatalf("link %q has no distribution despite SetMetrics", u.Name)
+			t.Fatalf("link %q has no distribution despite a metrics observer", u.Name)
 		}
 	}
 	if top[0].Name != "shared" {
@@ -118,20 +119,20 @@ func TestLinkUtilDistributionFractional(t *testing.T) {
 	}
 }
 
-// Without SetMetrics the LinkUsage rows carry no distribution and no
-// series appear anywhere.
+// Without a metrics observer the LinkUsage rows carry no distribution
+// and no registry is found.
 func TestTopLinksWithoutMetrics(t *testing.T) {
 	s := sim.NewScheduler()
 	net, links := line(s, 2, 100)
 	net.StartFlow(FlowSpec{Links: links, Bytes: 100, Latency: 0})
 	s.Run()
-	for _, u := range net.TopLinks(0) {
+	for _, u := range netobs.TopLinks(net, 0) {
 		if u.HasDist || u.P50Util != 0 || u.P95Util != 0 {
 			t.Fatalf("distribution fields set without metrics: %+v", u)
 		}
 	}
-	if net.Metrics() != nil {
-		t.Fatal("Metrics() non-nil without SetMetrics")
+	if netobs.Registry(net) != nil {
+		t.Fatal("Registry non-nil without a metrics observer")
 	}
 }
 
@@ -140,7 +141,7 @@ func TestTopLinksWithoutMetrics(t *testing.T) {
 func TestHotspotTableZeroHorizonNote(t *testing.T) {
 	s := sim.NewScheduler()
 	net, _ := line(s, 2, 100)
-	tbl := net.HotspotTable("hotspots", 0)
+	tbl := netobs.HotspotTable(net, "hotspots", 0)
 	if !strings.Contains(tbl.String(), "zero simulated horizon") {
 		t.Fatalf("zero-horizon table missing explanatory note:\n%s", tbl.String())
 	}
@@ -150,24 +151,7 @@ func TestHotspotTableZeroHorizonNote(t *testing.T) {
 	net2, links2 := line(s2, 2, 100)
 	net2.StartFlow(FlowSpec{Links: links2, Bytes: 100, Latency: 0})
 	s2.Run()
-	if strings.Contains(net2.HotspotTable("hotspots", 0).String(), "zero simulated horizon") {
+	if strings.Contains(netobs.HotspotTable(net2, "hotspots", 0).String(), "zero simulated horizon") {
 		t.Fatal("note emitted despite nonzero horizon")
-	}
-}
-
-// Detaching metrics stops counter updates but leaves the registry's
-// accumulated state intact.
-func TestSetMetricsDetach(t *testing.T) {
-	s := sim.NewScheduler()
-	net, links := line(s, 2, 100)
-	reg := metrics.NewRegistry()
-	net.SetMetrics(reg)
-	net.StartFlow(FlowSpec{Links: links, Bytes: 100, Latency: 0})
-	s.Run()
-	net.SetMetrics(nil)
-	net.StartFlow(FlowSpec{Links: links, Bytes: 100, Latency: 0})
-	s.Run()
-	if got := reg.Lookup("net/flows_started").Value(); got != 1 {
-		t.Fatalf("flows_started = %g after detach, want 1", got)
 	}
 }

@@ -154,3 +154,50 @@ func TestVeryLargeTransferNoOverflow(t *testing.T) {
 		t.Fatalf("1 PB at 1 TB/s = %g s, want 1000", done)
 	}
 }
+
+func TestFlowStateString(t *testing.T) {
+	cases := map[FlowState]string{
+		FlowLatency: "latency",
+		FlowActive:  "active",
+		FlowPaused:  "paused",
+		FlowDone:    "done",
+	}
+	for state, want := range cases {
+		if got := state.String(); got != want {
+			t.Errorf("FlowState(%d).String() = %q, want %q", int(state), got, want)
+		}
+	}
+	if got := FlowState(99).String(); got != "FlowState(99)" {
+		t.Errorf("unknown state renders %q", got)
+	}
+}
+
+// BytesCarried must account for partial progress at pause time and
+// resume to the full total: 1000 bytes at 100 B/s, paused at t=5 with
+// half transferred, resumed at t=7, finishing the rest by t=12.
+func TestBytesCarriedUnderPauseResume(t *testing.T) {
+	s := sim.NewScheduler()
+	net, links := line(s, 2, 100)
+	link := net.Link(links[0])
+	var f *Flow
+	var done sim.Time = -1
+	f = net.StartFlow(FlowSpec{Links: links, Bytes: 1000, Latency: 0,
+		Done: func(*Flow) { done = s.Now() }})
+	s.At(5, func() { f.Pause() })
+	s.At(6, func() {
+		if got := link.BytesCarried(); !approx(got, 500) {
+			t.Errorf("BytesCarried mid-pause = %g, want 500", got)
+		}
+		if f.State() != FlowPaused {
+			t.Errorf("state mid-pause = %v, want paused", f.State())
+		}
+	})
+	s.At(7, func() { f.Resume() })
+	s.Run()
+	if !approx(done, 12) {
+		t.Fatalf("completion = %g, want 5 + 2 paused + 5 = 12", done)
+	}
+	if got := link.BytesCarried(); !approx(got, 1000) {
+		t.Fatalf("BytesCarried after completion = %g, want 1000", got)
+	}
+}

@@ -1,4 +1,4 @@
-package netsim
+package netsim_test
 
 import (
 	"bytes"
@@ -6,71 +6,23 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wafernet/fred/internal/netobs"
+	. "github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/sim"
 	"github.com/wafernet/fred/internal/trace"
 )
 
-func TestFlowStateString(t *testing.T) {
-	cases := map[FlowState]string{
-		FlowLatency: "latency",
-		FlowActive:  "active",
-		FlowPaused:  "paused",
-		FlowDone:    "done",
-	}
-	for state, want := range cases {
-		if got := state.String(); got != want {
-			t.Errorf("FlowState(%d).String() = %q, want %q", int(state), got, want)
-		}
-	}
-	if got := FlowState(99).String(); got != "FlowState(99)" {
-		t.Errorf("unknown state renders %q", got)
-	}
-}
-
-// BytesCarried must account for partial progress at pause time and
-// resume to the full total: 1000 bytes at 100 B/s, paused at t=5 with
-// half transferred, resumed at t=7, finishing the rest by t=12.
-func TestBytesCarriedUnderPauseResume(t *testing.T) {
-	s := sim.NewScheduler()
-	net, links := line(s, 2, 100)
-	link := net.Link(links[0])
-	var f *Flow
-	var done sim.Time = -1
-	f = net.StartFlow(FlowSpec{Links: links, Bytes: 1000, Latency: 0,
-		Done: func(*Flow) { done = s.Now() }})
-	s.At(5, func() { f.Pause() })
-	s.At(6, func() {
-		if got := link.BytesCarried(); !approx(got, 500) {
-			t.Errorf("BytesCarried mid-pause = %g, want 500", got)
-		}
-		if f.State() != FlowPaused {
-			t.Errorf("state mid-pause = %v, want paused", f.State())
-		}
-	})
-	s.At(7, func() { f.Resume() })
-	s.Run()
-	if !approx(done, 12) {
-		t.Fatalf("completion = %g, want 5 + 2 paused + 5 = 12", done)
-	}
-	if got := link.BytesCarried(); !approx(got, 1000) {
-		t.Fatalf("BytesCarried after completion = %g, want 1000", got)
-	}
-	if got := link.PeakUtil(); got != 0 {
-		t.Fatalf("PeakUtil = %g without telemetry, want 0", got)
-	}
-}
-
 func TestPeakUtilWithTelemetry(t *testing.T) {
 	s := sim.NewScheduler()
 	net, links := line(s, 2, 100)
-	net.EnableLinkTelemetry()
+	netobs.AttachLinkStats(net)
 	net.StartFlow(FlowSpec{Links: links, Bytes: 100, Latency: 0})
 	net.StartFlow(FlowSpec{Links: links, Bytes: 50, Latency: 0})
 	s.Run()
-	if got := net.Link(links[0]).PeakUtil(); !approx(got, 1) {
+	top := netobs.TopLinks(net, 1)
+	if got := top[0].PeakUtil; !approx(got, 1) {
 		t.Fatalf("PeakUtil = %g, want 1 (two flows saturating the link)", got)
 	}
-	top := net.TopLinks(1)
 	if len(top) != 1 || top[0].ID != links[0] {
 		t.Fatalf("TopLinks(1) = %+v, want the shared link", top)
 	}
@@ -91,7 +43,7 @@ func TestFlowLifecycleSpansTraced(t *testing.T) {
 	net, links := line(s, 2, 100)
 	net.SetName("testnet")
 	rec := trace.NewRecorder()
-	net.SetTracer(rec)
+	netobs.AttachTracer(net, rec)
 	var f *Flow
 	f = net.StartFlow(FlowSpec{Links: links, Bytes: 1000, Latency: 1, Label: "payload"})
 	s.At(6, func() { f.Pause() })  // 5 bytes/s progress: active 1..6
@@ -146,7 +98,7 @@ func TestCanceledFlowTraced(t *testing.T) {
 	s := sim.NewScheduler()
 	net, links := line(s, 2, 100)
 	rec := trace.NewRecorder()
-	net.SetTracer(rec)
+	netobs.AttachTracer(net, rec)
 	f := net.StartFlow(FlowSpec{Links: links, Bytes: 1000, Latency: 0, Label: "x"})
 	s.At(2, func() { f.Cancel() })
 	s.Run()
@@ -171,3 +123,9 @@ func TestCanceledFlowTraced(t *testing.T) {
 		t.Fatal("double Cancel emitted extra trace events")
 	}
 }
+
+// The helpers of the internal tests, for this package's tests.
+var (
+	line   = Line
+	approx = Approx
+)

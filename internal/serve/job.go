@@ -9,6 +9,7 @@ import (
 	"github.com/wafernet/fred/internal/faults"
 	"github.com/wafernet/fred/internal/jsonw"
 	"github.com/wafernet/fred/internal/metrics"
+	"github.com/wafernet/fred/internal/netobs"
 	"github.com/wafernet/fred/internal/obs"
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/sim"
@@ -389,7 +390,7 @@ func runAllReduce(sess *experiments.Session, sys experiments.System, req *StudyR
 			Degrades:  f.Degrades,
 			Horizon:   f.HorizonS,
 		})
-		inj := faults.NewInjector(net).SetMetrics(net.Metrics())
+		inj := faults.NewInjector(net).SetMetrics(netobs.Registry(net))
 		if err := inj.Schedule(plan); err != nil {
 			return fmt.Errorf("scheduling fault plan: %w", err)
 		}
@@ -415,7 +416,7 @@ func runAllReduce(sess *experiments.Session, sys experiments.System, req *StudyR
 		res.PerIterS = append(res.PerIterS, elapsed)
 		res.ElapsedSimS += elapsed
 	}
-	net.FlushMetrics()
+	net.EndRun()
 	return nil
 }
 

@@ -232,7 +232,7 @@ type Scheduler struct {
 	queue  eventQueue
 	fired  uint64
 	halted bool
-	hook   func(now Time, fired uint64)
+	hooks  []func(now Time, fired uint64)
 
 	// Causal tracking (EnableCausalTracking): which event scheduled
 	// which, as a per-event depth. Off by default — the hot paths pay
@@ -299,29 +299,17 @@ func (s *Scheduler) stampDepth(e *Event) {
 	}
 }
 
-// SetEventHook installs an optional observer invoked after each event
-// callback returns, with the clock and the cumulative fired count.
-// Observability layers use it to sample scheduler load; a nil hook
-// (the default) disables it. The hook must not mutate the scheduler.
-func (s *Scheduler) SetEventHook(h func(now Time, fired uint64)) { s.hook = h }
-
-// AddEventHook chains an additional observer onto the event hook:
-// after each event the existing hook (if any) runs first, then h.
-// Several observability layers — the trace scheduler counter and the
-// time-series flight recorder — can therefore watch one scheduler
-// without knowing about each other. A nil h is ignored.
+// AddEventHook appends an observer to the scheduler's hook list:
+// after each event callback returns, every hook runs in the order it
+// was added, with the clock and the cumulative fired count. Several
+// observability layers — the trace scheduler counter, the time-series
+// flight recorder, the progress plane — can therefore watch one
+// scheduler without knowing about each other, and none can displace
+// another. Hooks must not mutate the scheduler. A nil h is ignored.
 func (s *Scheduler) AddEventHook(h func(now Time, fired uint64)) {
-	if h == nil {
-		return
+	if h != nil {
+		s.hooks = append(s.hooks, h)
 	}
-	if prev := s.hook; prev != nil {
-		s.hook = func(now Time, fired uint64) {
-			prev(now, fired)
-			h(now, fired)
-		}
-		return
-	}
-	s.hook = h
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -435,8 +423,8 @@ func (s *Scheduler) Step() bool {
 	} else {
 		e.fn()
 	}
-	if s.hook != nil {
-		s.hook(s.now, s.fired)
+	for _, h := range s.hooks {
+		h(s.now, s.fired)
 	}
 	return true
 }

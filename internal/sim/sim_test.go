@@ -507,18 +507,25 @@ func TestPropertyRescheduleMatchesCancelRecreate(t *testing.T) {
 	}
 }
 
-func TestSetEventHook(t *testing.T) {
+// TestEventHooks: every added hook runs after each event, in the
+// order it was added, with the clock and the cumulative fired count.
+func TestEventHooks(t *testing.T) {
 	s := NewScheduler()
 	type sample struct {
+		hook  int
 		now   Time
 		fired uint64
 	}
 	var got []sample
-	s.SetEventHook(func(now Time, fired uint64) { got = append(got, sample{now, fired}) })
+	for h := 0; h < 2; h++ {
+		h := h
+		s.AddEventHook(func(now Time, fired uint64) { got = append(got, sample{h, now, fired}) })
+	}
+	s.AddEventHook(nil) // ignored
 	s.At(1, func() {})
 	s.At(4, func() {})
 	s.Run()
-	want := []sample{{1, 1}, {4, 2}}
+	want := []sample{{0, 1, 1}, {1, 1, 1}, {0, 4, 2}, {1, 4, 2}}
 	if len(got) != len(want) {
 		t.Fatalf("hook calls = %v, want %v", got, want)
 	}
@@ -526,13 +533,6 @@ func TestSetEventHook(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("hook calls = %v, want %v", got, want)
 		}
-	}
-	// Detaching stops the callbacks.
-	s.SetEventHook(nil)
-	s.At(5, func() {})
-	s.Run()
-	if len(got) != 2 {
-		t.Fatalf("hook fired after detach: %v", got)
 	}
 }
 

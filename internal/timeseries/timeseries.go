@@ -22,13 +22,14 @@
 //     simulated event times.
 //   - Probes are registered in a deterministic order and evaluated in
 //     registration order at each boundary; export iterates ordered
-//     slices, never maps. Per-cell recorders merge through a
-//     slot-reserving Collector, so the merged artifact is
+//     slices, never maps. The experiment session exports per-cell
+//     recorders in cell order, so the merged artifact is
 //     byte-identical at every worker-pool size.
 //
 // The package depends only on sim (and metrics, for the shared run
-// manifest); netsim and the experiment session depend on it, the same
-// layering as trace.Tracer and critpath.Recorder.
+// manifest); the network probes (netobs) and the experiment session
+// depend on it, the same layering as trace.Tracer and
+// critpath.Recorder.
 package timeseries
 
 import (

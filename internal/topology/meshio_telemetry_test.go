@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wafernet/fred/internal/netobs"
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/sim"
 )
@@ -18,7 +19,7 @@ import (
 func TestMeshHotspotMatchesIOChannelOverlap(t *testing.T) {
 	s := sim.NewScheduler()
 	net := netsim.New(s)
-	net.EnableLinkTelemetry()
+	netobs.AttachLinkStats(net)
 	cfg := DefaultMeshConfig()
 	m := NewMesh(net, cfg)
 
@@ -42,7 +43,7 @@ func TestMeshHotspotMatchesIOChannelOverlap(t *testing.T) {
 	// stream is pinned to its fair share of the hottest mesh link.
 	wantRate := cfg.LinkBW / float64(overlap)
 	s.At(1e-9, func() {
-		net.TopLinks(0) // forces a settle so Rate() is current
+		netobs.TopLinks(net, 0) // forces a settle so Rate() is current
 		minRate := math.Inf(1)
 		for _, f := range flows {
 			if r := f.Rate(); r < minRate {
@@ -58,7 +59,7 @@ func TestMeshHotspotMatchesIOChannelOverlap(t *testing.T) {
 	})
 	s.Run()
 
-	top := net.TopLinks(3)
+	top := netobs.TopLinks(net, 3)
 	if len(top) != 3 {
 		t.Fatalf("TopLinks(3) returned %d rows", len(top))
 	}

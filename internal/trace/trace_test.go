@@ -184,11 +184,12 @@ func TestAttachSchedulerCounter(t *testing.T) {
 	if events[0].Args["events"] != float64(2) || events[1].Args["events"] != float64(4) {
 		t.Fatalf("cumulative counts = %+v", events)
 	}
-	// Detach: no further samples.
+	// A nil tracer adds nothing and removes nothing: the counter above
+	// keeps sampling (event 6 is the third multiple of 2).
 	AttachSchedulerCounter(s, nil, "scheduler", 2)
 	s.At(6, func() {})
 	s.Run()
-	if got := find(export(t, r), "C"); len(got) != 2 {
-		t.Fatalf("samples after detach = %d, want 2", len(got))
+	if got := find(export(t, r), "C"); len(got) != 3 {
+		t.Fatalf("samples after a nil attach = %d, want 3", len(got))
 	}
 }

@@ -3,7 +3,6 @@ package training
 import (
 	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/netsim"
-	"github.com/wafernet/fred/internal/topology"
 )
 
 // arbiter starts collective schedules on the fabric, applying the
@@ -40,7 +39,6 @@ func (a meshArbiter) submit(_ Class, s collective.Schedule, done func(*collectiv
 // arbiter: it rides dedicated virtual circuits alongside collectives.
 type fredArbiter struct {
 	net     *netsim.Network
-	fabric  *topology.FredFabric
 	running map[Class][]*collective.Op
 	paused  map[Class][]*collective.Op
 	pending map[Class][]pendingOp
@@ -53,10 +51,9 @@ type pendingOp struct {
 	done func(*collective.Op)
 }
 
-func newFredArbiter(net *netsim.Network, f *topology.FredFabric) *fredArbiter {
+func newFredArbiter(net *netsim.Network) *fredArbiter {
 	return &fredArbiter{
 		net:     net,
-		fabric:  f,
 		running: make(map[Class][]*collective.Op),
 		paused:  make(map[Class][]*collective.Op),
 		pending: make(map[Class][]pendingOp),

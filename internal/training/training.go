@@ -102,12 +102,12 @@ type Config struct {
 	// PP−stage microbatches instead of all of them — a schedule
 	// ablation interacting with the HBM/recompute model.
 	Schedule PipelineSchedule
-	// Tracer, when non-nil, records the iteration: one span per
-	// collective operation (category "comm", tagged with class,
-	// strategy and injected bytes) plus the flow-level spans and link
-	// counters of the underlying network. If the wafer's network
-	// already has a tracer attached, it is adopted when this field is
-	// nil; otherwise this tracer is attached to the network too.
+	// Tracer, when non-nil, records one span per collective operation
+	// (category "comm", tagged with class, strategy and injected
+	// bytes). The network's flow-level spans and link counters come
+	// from a tracer observer on the network itself
+	// (netobs.AttachTracer), which the experiment session attaches to
+	// every network it builds.
 	Tracer trace.Tracer
 }
 
@@ -293,11 +293,6 @@ type engine struct {
 
 func newEngine(cfg *Config) *engine {
 	net := cfg.Wafer.Network()
-	if cfg.Tracer == nil {
-		cfg.Tracer = net.Tracer()
-	} else if net.Tracer() == nil {
-		net.SetTracer(cfg.Tracer)
-	}
 	e := &engine{
 		cfg:   cfg,
 		sched: net.Scheduler(),
@@ -305,8 +300,8 @@ func newEngine(cfg *Config) *engine {
 		comm:  collective.NewComm(cfg.Wafer),
 		crit:  net.CritPath(),
 	}
-	if f, ok := cfg.Wafer.(*topology.FredFabric); ok {
-		e.arb = newFredArbiter(net, f)
+	if _, ok := cfg.Wafer.(*topology.FredFabric); ok {
+		e.arb = newFredArbiter(net)
 	} else {
 		e.arb = meshArbiter{net: net}
 	}
