@@ -370,7 +370,7 @@ func (n *Network) fillDomain(root *Link) {
 	for _, c := range comps {
 		filled += n.fillComponent(c, sc)
 	}
-	// Per-link rate sums (telemetry/metrics/traces read them): zero the
+	// Per-link rate sums (the observer pass and LinkUtil read them): zero the
 	// domain's links — including ones whose flows all departed — then
 	// accumulate in activation order, the same order the reference's
 	// full pass uses, so the float sums match bit-for-bit.
