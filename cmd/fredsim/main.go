@@ -48,8 +48,9 @@
 //	                  output is byte-identical at every N. `all` runs
 //	                  each experiment as a cell of one sweep, and the
 //	                  experiments' own cells share the same N workers.
-//	                  A -trace run is forced sequential: the trace file
-//	                  needs one continuous build sequence.
+//	                  A -trace file is byte-identical at every N too:
+//	                  each simulation is named by its place in the
+//	                  sweep, not by the order it was built in.
 //
 // Observability:
 //
@@ -103,7 +104,6 @@ import (
 	"github.com/wafernet/fred/internal/obs"
 	"github.com/wafernet/fred/internal/report"
 	"github.com/wafernet/fred/internal/timeseries"
-	"github.com/wafernet/fred/internal/trace"
 )
 
 func main() {
@@ -176,11 +176,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	session := experiments.NewSession()
 	session.SetParallel(parallel)
-	var rec *trace.Recorder
 	if tracePath != "" {
-		rec = trace.NewRecorder()
-		rec.SetProcessName("fredsim " + cmd)
-		session.SetTracer(rec)
+		session.CollectTrace(true)
 	}
 	if linkStats {
 		session.CollectLinkStats(true)
@@ -300,7 +297,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fredsim: wrote %d flight-recorder cells to %s\n",
 			len(art.Cells), tsPath)
 	}
-	if rec != nil {
+	if tracePath != "" {
+		rec := session.Trace()
+		rec.SetProcessName("fredsim " + cmd)
 		if err := rec.WriteFile(tracePath); err != nil {
 			fmt.Fprintln(stderr, "fredsim:", err)
 			return 1

@@ -40,7 +40,7 @@ import (
 
 // hasCat reports whether a trace category matches a base category,
 // either exactly or with a per-network namespace suffix ("comm",
-// "comm/Baseline#1", ...).
+// "comm/Figure10:0:0:Baseline", ...).
 func hasCat(cat, base string) bool {
 	return cat == base || strings.HasPrefix(cat, base+"/")
 }

@@ -15,19 +15,19 @@ func record(t *testing.T) []byte {
 	r := trace.NewRecorder()
 	// Two collective ops of different lengths, in a namespaced and a
 	// bare category.
-	r.AsyncSpan("comm/Baseline#1", "DP ring-allreduce(3)", 1, 0, 0.010,
+	r.AsyncSpan("comm/Figure10:0:0:Baseline", "DP ring-allreduce(3)", 1, 0, 0.010,
 		trace.Float("bytes", 2e9))
 	r.AsyncSpan("comm", "MP all-gather(4)", 2, 0.001, 0.004,
 		trace.Float("bytes", 5e8))
 	// Flow lifecycle: one flow with latency then active stages.
-	r.AsyncSpan("flow/Baseline#1", "latency", 7, 0, 0.001, trace.String("label", "x"))
-	r.AsyncSpan("flow/Baseline#1", "active", 7, 0.001, 0.009, trace.String("label", "x"))
-	r.AsyncInstant("flow/Baseline#1", "done", 7, 0.009, trace.String("label", "x"))
+	r.AsyncSpan("flow/Figure10:0:0:Baseline", "latency", 7, 0, 0.001, trace.String("label", "x"))
+	r.AsyncSpan("flow/Figure10:0:0:Baseline", "active", 7, 0.001, 0.009, trace.String("label", "x"))
+	r.AsyncInstant("flow/Figure10:0:0:Baseline", "done", 7, 0.009, trace.String("label", "x"))
 	// Link utilization: 100% for the first half of the trace, 0 after;
 	// the busiest-link table integrates to a 50% mean.
-	r.Counter("link/Baseline#1/mesh 0->1", "util", 0, 1.0)
-	r.Counter("link/Baseline#1/mesh 0->1", "util", 0.005, 0)
-	r.Counter("link/Baseline#1/mesh 1->2", "util", 0, 0.25)
+	r.Counter("link/Figure10:0:0:Baseline/mesh 0->1", "util", 0, 1.0)
+	r.Counter("link/Figure10:0:0:Baseline/mesh 0->1", "util", 0.005, 0)
+	r.Counter("link/Figure10:0:0:Baseline/mesh 1->2", "util", 0, 0.25)
 	// Final event pins the trace horizon at 10 ms.
 	r.Instant("mark", "end", 0.010)
 	var buf bytes.Buffer
@@ -125,7 +125,7 @@ func TestHasCat(t *testing.T) {
 		want      bool
 	}{
 		{"comm", "comm", true},
-		{"comm/Baseline#1", "comm", true},
+		{"comm/Figure10:0:0:Baseline", "comm", true},
 		{"commx", "comm", false},
 		{"flow/x", "comm", false},
 	}

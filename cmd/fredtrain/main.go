@@ -133,11 +133,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// counter, link stats, metrics, flight recorder, progress token)
 	// to the build.
 	session := experiments.NewSession()
-	var rec *trace.Recorder
 	if *tracePath != "" {
-		rec = trace.NewRecorder()
-		rec.SetProcessName(fmt.Sprintf("fredtrain %s %s", m.Name, *system))
-		session.SetTracer(rec)
+		session.CollectTrace(true)
 	}
 	if *linkStats {
 		session.CollectLinkStats(true)
@@ -185,9 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		GradBuckets:         *buckets,
 		Schedule:            sched,
 	}
-	if rec != nil {
-		cfg.Tracer = rec
-	}
 	r, err := training.Simulate(cfg)
 	if tok != nil {
 		tok.SetSimTime(net.Scheduler().Now())
@@ -201,7 +195,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	net.EndRun()
-	if rec != nil {
+	if *tracePath != "" {
+		rec := session.Trace()
+		rec.SetProcessName(fmt.Sprintf("fredtrain %s %s", m.Name, *system))
 		rec.Span("train", "iteration", 0, r.Total,
 			trace.String("model", m.Name), trace.String("system", *system))
 		if err := rec.WriteFile(*tracePath); err != nil {

@@ -180,7 +180,6 @@ func (s *Session) GradBucketAblation() ([]GradBucketRow, *report.Table) {
 			Strategy:            parallelism.Strategy{MP: 1, DP: 20, PP: 1},
 			MinibatchPerReplica: 16,
 			GradBuckets:         nb,
-			Tracer:              cs.obs.tracer,
 		})
 		rows[i] = GradBucketRow{Buckets: nb, ExposedDP: r.Breakdown.DP, Total: r.Total}
 	})
@@ -357,7 +356,6 @@ func (s *Session) ScheduleAblation() ([]ScheduleRow, *report.Table) {
 			Strategy:            strat,
 			MinibatchPerReplica: 40,
 			Schedule:            sched,
-			Tracer:              cs.obs.tracer,
 		})
 		rows[i] = ScheduleRow{Strategy: strat, Schedule: sched.String(), Total: r.Total, Recompute: r.ActivationRecompute}
 	})

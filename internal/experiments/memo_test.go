@@ -9,7 +9,6 @@ import (
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/sim"
-	"github.com/wafernet/fred/internal/trace"
 	"github.com/wafernet/fred/internal/training"
 	"github.com/wafernet/fred/internal/workload"
 )
@@ -152,8 +151,16 @@ func TestObservedSessionSkipsMemo(t *testing.T) {
 		attach func(s *Session)
 		count  func(s *Session) int
 	}{
-		"tracer": {func(s *Session) { s.SetTracer(trace.NewRecorder()) },
-			func(s *Session) int { return s.buildSeq }},
+		"tracer": {func(s *Session) { s.CollectTrace(true) },
+			func(s *Session) int {
+				n := 0
+				for _, r := range s.records {
+					if r.tr != nil {
+						n++
+					}
+				}
+				return n
+			}},
 		"linkstats": {func(s *Session) { s.CollectLinkStats(true) },
 			func(s *Session) int { return len(s.LinkStatsTables()) }},
 		"metrics": {func(s *Session) { s.CollectMetrics(true) },

@@ -147,7 +147,6 @@ func (s *Session) TrainingHeatmap(strat parallelism.Strategy) (string, *report.T
 		Model:               workload.Transformer17B(),
 		Strategy:            strat,
 		MinibatchPerReplica: 16,
-		Tracer:              s.obs.tracer,
 	})
 	net := w.Network()
 	width, height := w.Dims()

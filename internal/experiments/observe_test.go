@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"github.com/wafernet/fred/internal/trace"
 )
 
 // recordFigure10 runs the full Figure 10 sweep on a session with a
@@ -14,13 +12,12 @@ import (
 // exported trace bytes.
 func recordFigure10(t *testing.T) []byte {
 	t.Helper()
-	rec := trace.NewRecorder()
 	s := NewSession()
-	s.SetTracer(rec)
+	s.CollectTrace(true)
 	s.CollectLinkStats(true)
 	s.Figure10(false)
 	var buf bytes.Buffer
-	if err := rec.WriteJSON(&buf); err != nil {
+	if err := s.Trace().WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()
@@ -28,9 +25,7 @@ func recordFigure10(t *testing.T) []byte {
 
 // The headline observability guarantee: tracing must not perturb the
 // simulation and the simulation must not perturb the trace — two runs
-// of the same experiment export byte-identical files. (A session with
-// a tracer attached runs sequentially by contract, so this also pins
-// the tracer→sequential rule.)
+// of the same experiment export byte-identical files.
 func TestFigure10TraceDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full Figure 10 sweep twice")
@@ -92,9 +87,8 @@ func TestFigure10TraceDeterministic(t *testing.T) {
 func TestTracingDoesNotPerturbResults(t *testing.T) {
 	base, _ := NewSession().Figure2()
 
-	rec := trace.NewRecorder()
 	s := NewSession()
-	s.SetTracer(rec)
+	s.CollectTrace(true)
 	s.CollectLinkStats(true)
 	traced, _ := s.Figure2()
 
@@ -107,7 +101,7 @@ func TestTracingDoesNotPerturbResults(t *testing.T) {
 				i, base[i], traced[i])
 		}
 	}
-	if rec.Spans() == 0 {
+	if s.Trace().Spans() == 0 {
 		t.Fatal("traced run recorded no spans")
 	}
 	if tables := s.LinkStatsTables(); len(tables) == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -31,19 +32,23 @@ import (
 // observer is attached.
 //
 // The zero-config session (NewSession) runs cells across GOMAXPROCS
-// workers with observability off. Attaching a tracer (SetTracer) forces
-// sequential execution: a merged trace needs the per-build "#<seq>"
-// namespace numbering to be continuous, which only a single builder
-// provides — and it keeps traces byte-identical run to run.
+// workers with observability off. Every observer, the tracer included,
+// records into a buffer of the network it observes, and the buffers
+// merge in cell order, so every artifact is byte-identical at every
+// pool width.
 //
 // A Session's Build and RunTraining may be called from multiple
-// goroutines concurrently (the collected records and the build
-// sequence are mutex-guarded), except while a tracer is attached:
-// tracers are single-goroutine by contract (see trace.Tracer).
+// goroutines concurrently: the collected records and the build count
+// are mutex-guarded.
 type Session struct {
 	// obs is the set of observers attached to every network the session
 	// builds; forEach copies it whole into child sessions.
 	obs observers
+
+	// place is the session's position in a traced sweep, one
+	// "<fan-out>:<cell>:" pair per enclosing cell, outermost first; a
+	// traced network's name appends its build index and system.
+	place string
 
 	// progress is the wall-clock flight-recorder plane: when set, every
 	// forEach reports study/cell lifecycle events to it. Child sessions
@@ -72,34 +77,37 @@ type Session struct {
 	// bypass it.
 	memo *trainMemo
 
-	mu       sync.Mutex
-	buildSeq int
-	errs     []error
+	mu     sync.Mutex
+	builds int // networks built so far: the next build's index
+	errs   []error
 	// records holds what each observed network contributes to the
 	// session's artifacts, in build order; fanOut appends each child's
 	// records in cell order.
 	records []*netRecord
+	trace   *trace.Recorder // the merged trace (Trace)
 }
 
 // observers is the set of observers a session attaches to every
 // network it builds (observeNetwork).
 type observers struct {
-	tracer                       trace.Tracer
-	linkStats, metrics, crit, ts bool
+	trace, linkStats, metrics, crit, ts bool
 }
 
 // enabled reports whether any observer is on.
 func (o observers) enabled() bool {
-	return o.tracer != nil || o.linkStats || o.metrics || o.crit || o.ts
+	return o.trace || o.linkStats || o.metrics || o.crit || o.ts
 }
 
 // netRecord is one observed network's share of the session's
-// artifacts: its registry and flight recorder from the build on, and,
-// once a training run on it ends, its critical-path iteration and
-// hotspot table. Each field is nil while its observer is off. net is
-// the network until its run ends (endRuns).
+// artifacts: its trace buffer, registry and flight recorder from the
+// build on, and, once a training run on it ends, its critical-path
+// iteration and hotspot table. Each field is nil while its observer is
+// off. name is the network's trace namespace. net is the network until
+// its run ends (endRuns).
 type netRecord struct {
 	net   *netsim.Network
+	name  string
+	tr    *trace.Recorder
 	reg   *metrics.Registry
 	ts    *timeseries.Recorder
 	crit  *critpath.Iteration
@@ -116,14 +124,13 @@ func (s *Session) dropRecords(drop func(*netRecord)) {
 	}
 }
 
-// endRuns ends the run of every network recorded from index from on
-// that is still open — a network a cell observed without training on
-// it — so its observers close their trailing intervals, and lets the
-// network go.
-func (s *Session) endRuns(from int) {
+// endRuns ends the run of every recorded network that is still open —
+// a network a cell observed without training on it — so its observers
+// close their trailing intervals, and lets the network go.
+func (s *Session) endRuns() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range s.records[from:] {
+	for _, r := range s.records {
 		if r.net != nil {
 			r.net.EndRun()
 			r.net = nil
@@ -134,7 +141,7 @@ func (s *Session) endRuns(from int) {
 // collected ends every open run and returns the records in order;
 // callers read them only.
 func (s *Session) collected() []*netRecord {
-	s.endRuns(0)
+	s.endRuns()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.records
@@ -215,18 +222,35 @@ func (s *Session) SetParallel(n int) {
 	s.tokens = make(chan struct{}, n-1)
 }
 
-// SetTracer attaches a tracer to every subsequently built system: its
-// network (flow spans, link counters), its scheduler (event-count
-// samples) and its training runs (collective-op spans) all record into
-// it. Pass nil to detach. The per-build namespace sequence restarts, so
-// attaching a fresh tracer and rerunning an experiment reproduces the
-// previous trace byte for byte. A non-nil tracer forces the session
-// sequential.
-func (s *Session) SetTracer(tr trace.Tracer) {
-	s.obs.tracer = tr
+// CollectTrace toggles tracing: every subsequently built system gets a
+// trace buffer of its own, into which its network (flow spans, link
+// counters), its scheduler (event-count samples) and its training runs
+// (collective-op spans) record. Enabling resets the previously
+// collected trace.
+func (s *Session) CollectTrace(on bool) {
+	s.obs.trace = on
+	s.dropRecords(func(r *netRecord) { r.tr = nil })
 	s.mu.Lock()
-	s.buildSeq = 0
+	s.trace = trace.NewRecorder()
 	s.mu.Unlock()
+}
+
+// Trace moves every collected trace buffer into the session's trace,
+// in build order, and returns it, or nil if CollectTrace was never
+// called. Each network's categories and tracks are namespaced by its
+// name (trace.Recorder.Move), so the exported trace is byte-identical
+// at every worker-pool size.
+func (s *Session) Trace() *trace.Recorder {
+	recs := s.collected()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, r := range recs {
+		if r.tr != nil {
+			s.trace.Move(r.tr, r.name)
+			r.tr = nil
+		}
+	}
+	return s.trace
 }
 
 // CollectLinkStats toggles per-run link-statistics collection: every
@@ -346,14 +370,6 @@ func (s *Session) SetContext(ctx context.Context) { s.ctx = ctx }
 // detach.
 func (s *Session) ObserveCell(tok *obs.Cell) { s.cellTok = tok }
 
-// workers resolves the effective pool width.
-func (s *Session) workers() int {
-	if s.obs.tracer != nil {
-		return 1
-	}
-	return cap(s.tokens) + 1
-}
-
 // forEach executes fn(cell, cs) for every cell in [0, n), the session's
 // unit of fan-out, and reports the study and its cells to the progress
 // engine. See fanOut.
@@ -364,66 +380,35 @@ func (s *Session) forEach(study string, n int, fn func(cell int, cs *Session)) {
 // fanOut is forEach with the progress engine explicit: nil reports
 // nothing, which All uses so that only the studies' own cells count.
 //
-// With one worker the cells run in order on the session itself,
-// exactly as the sequential drivers always have. With more, each cell
-// gets a child session — the parent's observer set, memo, context,
-// progress engine and pool, with records of its own — and once every
-// cell is done the children's records are appended to the parent's in
-// cell order, so hotspot tables and artifacts merge back in cell order
-// no matter which worker finishes first. Callers index result arrays
-// by cell, which keeps row order deterministic by construction.
+// Each cell gets a child session — the parent's observer set, memo,
+// context, progress engine and pool, with records, errors and build
+// count of its own — and once every cell is done the children's
+// records and errors are appended to the parent's in cell order, so
+// artifacts merge back in cell order no matter which worker finishes
+// first. Callers index result arrays by cell, which keeps row order
+// deterministic by construction.
 //
 // The pool is shared by every nested fan-out of a session. The caller
-// always works its own cells; before each cell it claims, a worker
-// spawns a helper for the remaining cells only if a token is free, and
-// no goroutine ever waits for a token. So nested fan-outs use whatever
-// workers the outer ones leave idle, and neither they nor the sweep
-// memo's single-flight can deadlock: every wait is on a cell some
-// running goroutine is working.
+// always works its own cells, in order; before each cell it claims, a
+// worker spawns a helper for the remaining cells only if a token is
+// free, and no goroutine ever waits for a token. So a one-worker pool
+// runs every cell on the caller, nested fan-outs use whatever workers
+// the outer ones leave idle, and neither they nor the sweep memo's
+// single-flight can deadlock: every wait is on a cell some running
+// goroutine is working.
 //
 // A cell that panics does not kill the run (or the process): the panic
 // is recovered, tagged with the study name and cell index, and
-// recorded on the session — the remaining cells run to completion and
-// Err reports the aggregate. A failed cell's row stays zero-valued in
-// the caller's result array.
+// recorded on the cell's session — the remaining cells run to
+// completion and Err reports the aggregate. A failed cell's row stays
+// zero-valued in the caller's result array.
 func (s *Session) fanOut(study string, n int, progress *obs.Engine, fn func(cell int, cs *Session)) {
 	if progress != nil {
 		progress.StudyStarted(study, n)
 	}
-	runCell := func(i int, cs *Session) {
-		var tok *obs.Cell
-		prev := cs.cellTok
-		if progress != nil {
-			tok = progress.CellStarted(study, i)
-			cs.cellTok = tok
-		}
-		cs.mu.Lock()
-		from := len(cs.records)
-		cs.mu.Unlock()
-		defer func() {
-			failed := false
-			if r := recover(); r != nil {
-				s.addErr(&CellError{Study: study, Cell: i, Value: r, Stack: string(debug.Stack())})
-				failed = true
-			}
-			cs.endRuns(from)
-			if progress != nil {
-				cs.cellTok = prev
-				progress.CellFinished(tok, failed)
-			}
-		}()
-		fn(i, cs)
-	}
-	w := s.workers()
-	if w <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			runCell(i, s)
-		}
-		return
-	}
 	children := make([]*Session, n)
 	for i := range children {
-		children[i] = &Session{
+		cs := &Session{
 			obs:      s.obs,
 			progress: s.progress,
 			cellTok:  s.cellTok,
@@ -431,6 +416,28 @@ func (s *Session) fanOut(study string, n int, progress *obs.Engine, fn func(cell
 			memo:     s.memo,
 			tokens:   s.tokens,
 		}
+		if s.obs.trace {
+			cs.place = s.place + study + ":" + strconv.Itoa(i) + ":"
+		}
+		children[i] = cs
+	}
+	runCell := func(i int) {
+		cs := children[i]
+		if progress != nil {
+			cs.cellTok = progress.CellStarted(study, i)
+		}
+		defer func() {
+			failed := false
+			if r := recover(); r != nil {
+				cs.addErr(&CellError{Study: study, Cell: i, Value: r, Stack: string(debug.Stack())})
+				failed = true
+			}
+			cs.endRuns()
+			if progress != nil {
+				progress.CellFinished(cs.cellTok, failed)
+			}
+		}()
+		fn(i, cs)
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -453,7 +460,7 @@ func (s *Session) fanOut(study string, n int, progress *obs.Engine, fn func(cell
 				default:
 				}
 			}
-			runCell(i, children[i])
+			runCell(i)
 		}
 	}
 	work()
@@ -462,38 +469,35 @@ func (s *Session) fanOut(study string, n int, progress *obs.Engine, fn func(cell
 	defer s.mu.Unlock()
 	for _, c := range children {
 		s.records = append(s.records, c.records...)
-		// Nested fan-outs record on the child; surface those too.
 		s.errs = append(s.errs, c.errs...)
 	}
 }
 
 // observeNetwork subscribes the session's observers to a freshly
 // built wafer network and returns the network's record, or nil when no
-// artifact-producing observer is on. Each traced build gets a unique
-// "<system>#<seq>" trace namespace so the many runs of one experiment,
-// whose simulated clocks all start at zero, stay distinguishable in
-// the merged trace.
+// observer is on. A traced network records into a buffer of its own
+// under bare category and track names; Trace namespaces it by the
+// network's name, so the many runs of one experiment, whose simulated
+// clocks all start at zero, stay distinguishable in the merged trace.
 func (s *Session) observeNetwork(net *netsim.Network, system System) *netRecord {
 	if s.ctx != nil {
 		net.Scheduler().BindContext(s.ctx, 0)
 	}
 	o := s.obs
-	if o.tracer != nil {
-		s.mu.Lock()
-		s.buildSeq++
-		seq := s.buildSeq
-		s.mu.Unlock()
-		net.SetName(fmt.Sprintf("%s#%d", system, seq))
-		netobs.AttachTracer(net, o.tracer)
-		trace.AttachSchedulerCounter(net.Scheduler(), o.tracer,
-			"scheduler/"+net.Name(), 4096)
-	}
 	var rec *netRecord
-	if o.linkStats || o.metrics || o.crit || o.ts {
+	s.mu.Lock()
+	build := s.builds
+	s.builds++
+	if o.enabled() {
 		rec = &netRecord{net: net}
-		s.mu.Lock()
 		s.records = append(s.records, rec)
-		s.mu.Unlock()
+	}
+	s.mu.Unlock()
+	if o.trace {
+		rec.name = s.place + strconv.Itoa(build) + ":" + string(system)
+		rec.tr = trace.NewRecorder()
+		netobs.AttachTracer(net, rec.tr)
+		trace.AttachSchedulerCounter(net.Scheduler(), rec.tr, "scheduler", 4096)
 	}
 	if o.linkStats {
 		netobs.AttachLinkStats(net)
@@ -570,7 +574,6 @@ func (s *Session) simulateTraining(sys System, m *workload.Model, strat parallel
 		Model:               m,
 		Strategy:            strat,
 		MinibatchPerReplica: perReplica,
-		Tracer:              s.obs.tracer,
 	})
 	if err != nil {
 		return nil, err

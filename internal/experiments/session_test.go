@@ -8,7 +8,6 @@ import (
 
 	"github.com/wafernet/fred/internal/obs"
 	"github.com/wafernet/fred/internal/parallelism"
-	"github.com/wafernet/fred/internal/trace"
 	"github.com/wafernet/fred/internal/workload"
 )
 
@@ -38,24 +37,6 @@ func TestSessionConcurrentRunTraining(t *testing.T) {
 	wg.Wait()
 	if n := len(s.LinkStatsTables()); n != 2 {
 		t.Fatalf("collected %d hotspot tables, want 2", n)
-	}
-}
-
-// A tracer forces the pool sequential: merged traces need a single
-// builder for the continuous #<seq> namespace.
-func TestTracerForcesSequential(t *testing.T) {
-	s := NewSession()
-	s.SetParallel(8)
-	if got := s.workers(); got != 8 {
-		t.Fatalf("workers = %d, want 8", got)
-	}
-	s.SetTracer(trace.NewRecorder())
-	if got := s.workers(); got != 1 {
-		t.Fatalf("workers with tracer = %d, want 1", got)
-	}
-	s.SetTracer(nil)
-	if got := s.workers(); got != 8 {
-		t.Fatalf("workers after detach = %d, want 8", got)
 	}
 }
 

@@ -39,38 +39,35 @@ func find[T netsim.Observer](net *netsim.Network) T {
 	return zero
 }
 
-// linkPrefix is the namespace of net's per-link tracks and series.
-func linkPrefix(net *netsim.Network) string {
-	if name := net.Name(); name != "" {
-		return "link/" + name + "/"
-	}
-	return "link/"
-}
-
 // tracer records a network's engine events into a trace.Tracer: flow
 // lifecycle spans (latency → active → paused → done) and instants on
 // the "flow" async category, per-link utilization and active-flow
-// counters, per-flow rate changes, and link fault instants. Tracks are
-// namespaced by the network's name (netsim.Network.SetName).
+// counters, per-flow rate changes, and link fault instants, under the
+// bare category and track names of the trace package's conventions.
 type tracer struct {
-	tr                          trace.Tracer
-	net                         *netsim.Network
-	catFlow, linkPrefix, netCtr string
+	tr  trace.Tracer
+	net *netsim.Network
 	// rates holds the last rate emitted per live flow ID; a flow's
 	// entry goes when the flow ends.
 	rates map[uint64]float64
 }
 
 // AttachTracer subscribes an observer that records net's engine events
-// into tr. Set the network's name first.
+// into tr.
 func AttachTracer(net *netsim.Network, tr trace.Tracer) {
-	t := &tracer{tr: tr, net: net, catFlow: "flow", linkPrefix: linkPrefix(net), netCtr: "net",
-		rates: make(map[uint64]float64)}
-	if name := net.Name(); name != "" {
-		t.catFlow, t.netCtr = "flow/"+name, "net/"+name
-	}
+	t := &tracer{tr: tr, net: net, rates: make(map[uint64]float64)}
 	net.AddObserver(t, netsim.EvFlowStage, netsim.EvFlowDone, netsim.EvFlowCancel, netsim.EvFlowAbort,
 		netsim.EvLinkFail, netsim.EvLinkDegrade, netsim.EvLinkRestore, netsim.EvPass)
+}
+
+// Tracer returns the trace.Tracer of the tracer observer subscribed to
+// net, or nil when there is none; the training engine records its
+// collective-op spans there.
+func Tracer(net *netsim.Network) trace.Tracer {
+	if t := find[*tracer](net); t != nil {
+		return t.tr
+	}
+	return nil
 }
 
 // Observe implements netsim.Observer.
@@ -78,9 +75,9 @@ func (t *tracer) Observe(ev netsim.Event) {
 	f := ev.Flow
 	switch ev.Kind {
 	case netsim.EvFlowStage:
-		t.tr.AsyncSpan(t.catFlow, ev.Stage, f.ID(), ev.Start, ev.Now, trace.String("label", f.Label()))
+		t.tr.AsyncSpan("flow", ev.Stage, f.ID(), ev.Start, ev.Now, trace.String("label", f.Label()))
 	case netsim.EvFlowDone:
-		t.tr.AsyncInstant(t.catFlow, "done", f.ID(), ev.Now,
+		t.tr.AsyncInstant("flow", "done", f.ID(), ev.Now,
 			trace.String("label", f.Label()), trace.Float("bytes", f.Bytes()))
 		delete(t.rates, f.ID())
 	case netsim.EvFlowCancel, netsim.EvFlowAbort:
@@ -88,7 +85,7 @@ func (t *tracer) Observe(ev netsim.Event) {
 		if ev.Kind == netsim.EvFlowAbort {
 			name = "failed"
 		}
-		t.tr.AsyncInstant(t.catFlow, name, f.ID(), ev.Now,
+		t.tr.AsyncInstant("flow", name, f.ID(), ev.Now,
 			trace.String("label", f.Label()), trace.Float("remaining", f.Remaining()))
 		delete(t.rates, f.ID())
 	case netsim.EvLinkFail:
@@ -100,16 +97,16 @@ func (t *tracer) Observe(ev netsim.Event) {
 	case netsim.EvPass:
 		for id, u := range ev.Util {
 			if u != ev.Prev[id] {
-				t.tr.Counter(t.linkPrefix+t.net.Link(netsim.LinkID(id)).Name, "util", ev.Now, u)
+				t.tr.Counter("link/"+t.net.Link(netsim.LinkID(id)).Name, "util", ev.Now, u)
 			}
 		}
-		t.tr.Counter(t.netCtr, "active_flows", ev.Now, float64(t.net.ActiveFlows()))
+		t.tr.Counter("net", "active_flows", ev.Now, float64(t.net.ActiveFlows()))
 		for _, f := range ev.Active {
 			if f == nil {
 				continue
 			}
 			if r := f.Rate(); r != t.rates[f.ID()] && !math.IsInf(r, 1) {
-				t.tr.AsyncInstant(t.catFlow, "rate", f.ID(), ev.Now,
+				t.tr.AsyncInstant("flow", "rate", f.ID(), ev.Now,
 					trace.String("label", f.Label()), trace.Float("bps", r))
 				t.rates[f.ID()] = r
 			}
@@ -125,9 +122,8 @@ func (t *tracer) Observe(ev netsim.Event) {
 // exactly), and, at the end of the run, the rate engine's fill counters
 // as netsim/fill/* series.
 type metricsObserver struct {
-	reg        *metrics.Registry
-	net        *netsim.Network
-	linkPrefix string
+	reg *metrics.Registry
+	net *netsim.Network
 
 	started, completed, delivered, rerouted, aborted *metrics.Series
 
@@ -145,15 +141,14 @@ type metricsObserver struct {
 // into reg, registering its flow counters at once.
 func AttachMetrics(net *netsim.Network, reg *metrics.Registry) {
 	m := &metricsObserver{
-		reg:        reg,
-		net:        net,
-		linkPrefix: linkPrefix(net),
-		started:    reg.Counter("net/flows_started", ""),
-		completed:  reg.Counter("net/flows_completed", ""),
-		delivered:  reg.Counter("net/bytes_delivered", "B"),
-		rerouted:   reg.Counter("net/flows_rerouted", ""),
-		aborted:    reg.Counter("net/flows_aborted", ""),
-		last:       net.Scheduler().Now(),
+		reg:       reg,
+		net:       net,
+		started:   reg.Counter("net/flows_started", ""),
+		completed: reg.Counter("net/flows_completed", ""),
+		delivered: reg.Counter("net/bytes_delivered", "B"),
+		rerouted:  reg.Counter("net/flows_rerouted", ""),
+		aborted:   reg.Counter("net/flows_aborted", ""),
+		last:      net.Scheduler().Now(),
 	}
 	net.AddObserver(m, netsim.EvFlowStart, netsim.EvFlowDone, netsim.EvFlowReroute, netsim.EvFlowAbort,
 		netsim.EvPass, netsim.EvRunEnd)
@@ -196,7 +191,7 @@ func (m *metricsObserver) charge(now float64, util []float64) {
 		for id := len(m.hists); id < len(util); id++ {
 			var h *metrics.Series
 			if l := m.net.Link(netsim.LinkID(id)); !math.IsInf(l.Bandwidth, 1) {
-				h = m.reg.Histogram(m.linkPrefix+l.Name+"/util", "", metrics.UtilBuckets())
+				h = m.reg.Histogram("link/"+l.Name+"/util", "", metrics.UtilBuckets())
 			}
 			m.hists = append(m.hists, h)
 		}

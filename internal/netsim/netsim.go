@@ -446,8 +446,6 @@ type Network struct {
 	// crit, when non-nil (SetCritPath), records every flow's causal
 	// node, contention stall and binding link into the critpath DAG.
 	crit *critpath.Recorder
-
-	name string // trace namespace (SetName)
 }
 
 // New creates an empty network driven by the given scheduler.
@@ -456,17 +454,6 @@ func New(s *sim.Scheduler) *Network {
 	n.recomputeFn = n.recompute
 	return n
 }
-
-// SetName assigns a trace namespace to this network instance. When
-// several independent simulations record into one shared tracer (the
-// experiment drivers build a fresh network per run), the name keeps
-// their flow categories, link counters and ids from colliding on the
-// merged timeline. An empty name uses the bare track names. Set it
-// before attaching observers, which read it when they attach.
-func (n *Network) SetName(name string) { n.name = name }
-
-// Name returns the trace namespace set with SetName.
-func (n *Network) Name() string { return n.name }
 
 // Scheduler returns the scheduler driving this network.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }

@@ -37,18 +37,20 @@ func TestPeakUtilWithTelemetry(t *testing.T) {
 
 // The flow lifecycle must appear in a recorded trace as one async
 // stage span per state transition plus a terminal instant, all under
-// the network's (possibly namespaced) "flow" category.
+// the "flow" category, namespaced once the network's buffer merges
+// into a shared trace.
 func TestFlowLifecycleSpansTraced(t *testing.T) {
 	s := sim.NewScheduler()
 	net, links := line(s, 2, 100)
-	net.SetName("testnet")
-	rec := trace.NewRecorder()
-	netobs.AttachTracer(net, rec)
+	buf0 := trace.NewRecorder()
+	netobs.AttachTracer(net, buf0)
 	var f *Flow
 	f = net.StartFlow(FlowSpec{Links: links, Bytes: 1000, Latency: 1, Label: "payload"})
 	s.At(6, func() { f.Pause() })  // 5 bytes/s progress: active 1..6
 	s.At(8, func() { f.Resume() }) // latency again 8..9, active 9..14
 	s.Run()
+	rec := trace.NewRecorder()
+	rec.Move(buf0, "testnet")
 
 	var buf bytes.Buffer
 	if err := rec.WriteJSON(&buf); err != nil {

@@ -44,7 +44,7 @@ type Snapshot struct {
 	// until the first cell completes.
 	ETAS float64 `json:"eta_s"`
 	// Running lists the in-flight cells sorted by (study, cell), each
-	// with its latest sampled simulated time (and horizon when known).
+	// with its latest sampled simulated time.
 	Running []CellSnapshot `json:"running,omitempty"`
 }
 
@@ -55,10 +55,6 @@ type CellSnapshot struct {
 	// SimTimeS is the cell's simulated clock as of the last sample the
 	// scheduler hook pushed (0 until the first sample).
 	SimTimeS float64 `json:"sim_time_s"`
-	// HorizonS is the cell's simulated-time horizon when the study
-	// declared one; 0 means unknown (most training cells run to
-	// completion rather than to a deadline).
-	HorizonS float64 `json:"horizon_s,omitempty"`
 }
 
 // Cell is a handle for one in-flight experiment cell. Its setters are
@@ -68,7 +64,6 @@ type Cell struct {
 	study   string
 	index   int
 	simTime atomic.Uint64 // float64 bits
-	horizon atomic.Uint64 // float64 bits
 }
 
 // SetSimTime publishes the cell's current simulated clock. Called from
@@ -78,15 +73,6 @@ func (c *Cell) SetSimTime(t float64) {
 		return
 	}
 	c.simTime.Store(math.Float64bits(t))
-}
-
-// SetHorizon publishes the cell's simulated-time horizon, for studies
-// that run to a deadline rather than to completion.
-func (c *Cell) SetHorizon(t float64) {
-	if c == nil {
-		return
-	}
-	c.horizon.Store(math.Float64bits(t))
 }
 
 // Engine aggregates cell progress. All methods are safe for concurrent
@@ -208,7 +194,6 @@ func (e *Engine) snapshotLocked(now time.Time) Snapshot {
 			Study:    c.study,
 			Cell:     c.index,
 			SimTimeS: math.Float64frombits(c.simTime.Load()),
-			HorizonS: math.Float64frombits(c.horizon.Load()),
 		})
 	}
 	sort.Slice(s.Running, func(i, j int) bool {

@@ -33,13 +33,12 @@ func TestEngineSnapshotAndETA(t *testing.T) {
 	c0 := e.CellStarted("fig2", 0)
 	c1 := e.CellStarted("fig2", 1)
 	c1.SetSimTime(0.5)
-	c1.SetHorizon(2)
 
 	s := e.Snapshot() // read 2: +1s
 	if s.CellsTotal != 3 || s.CellsDone != 0 || s.ElapsedS != 1 || s.ETAS != -1 {
 		t.Fatalf("initial snapshot = %+v", s)
 	}
-	if len(s.Running) != 2 || s.Running[1].SimTimeS != 0.5 || s.Running[1].HorizonS != 2 {
+	if len(s.Running) != 2 || s.Running[1].SimTimeS != 0.5 {
 		t.Fatalf("running = %+v", s.Running)
 	}
 

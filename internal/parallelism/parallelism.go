@@ -123,13 +123,3 @@ func EnumerateExact(n int) []Strategy {
 	}
 	return out
 }
-
-// EnumerateUpTo returns every strategy using between min and max
-// workers inclusive.
-func EnumerateUpTo(min, max int) []Strategy {
-	var out []Strategy
-	for n := min; n <= max; n++ {
-		out = append(out, EnumerateExact(n)...)
-	}
-	return out
-}

@@ -138,25 +138,6 @@ func TestEnumerateExact20(t *testing.T) {
 	}
 }
 
-func TestEnumerateUpTo(t *testing.T) {
-	got := EnumerateUpTo(18, 20)
-	for _, s := range got {
-		if s.Workers() < 18 || s.Workers() > 20 {
-			t.Fatalf("strategy %v out of range", s)
-		}
-	}
-	// Must contain the paper's MP(3)-DP(3)-PP(2) (18 workers).
-	found := false
-	for _, s := range got {
-		if s == (Strategy{3, 3, 2}) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("MP(3)-DP(3)-PP(2) missing from EnumerateUpTo(18,20)")
-	}
-}
-
 func TestPropertyRankBijection(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		s := Strategy{MP: int(a%5) + 1, DP: int(b%5) + 1, PP: int(c%5) + 1}

@@ -229,9 +229,3 @@ func (e *evaluator) revert() {
 	}
 	e.p[e.i], e.p[e.j] = e.p[e.j], e.p[e.i]
 }
-
-// OptimizeStrategy is a convenience wrapping Optimize with moderate
-// search effort.
-func OptimizeStrategy(w topology.Wafer, s parallelism.Strategy, seed int64) (Placement, float64) {
-	return Optimize(w, s, 4, 12, seed)
-}

@@ -46,7 +46,7 @@ func TestOptimizeImprovesOrMatchesDefault(t *testing.T) {
 	s := parallelism.Strategy{MP: 2, DP: 4, PP: 2}
 	m := newMesh44()
 	def := Cost(m, s, MeshDefault(s))
-	opt, cost := OptimizeStrategy(m, s, 1)
+	opt, cost := Optimize(m, s, 4, 12, 1)
 	if err := opt.Validate(m.NPUCount()); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestOptimizeNonAlignedStrategy(t *testing.T) {
 	s := parallelism.Strategy{MP: 5, DP: 3, PP: 1}
 	m := newMesh44()
 	def := Cost(m, s, MeshDefault(s))
-	_, cost := OptimizeStrategy(m, s, 7)
+	_, cost := Optimize(m, s, 4, 12, 7)
 	if cost >= def {
 		t.Fatalf("search found nothing better than default (%g)", def)
 	}
@@ -72,8 +72,8 @@ func TestOptimizeNonAlignedStrategy(t *testing.T) {
 func TestOptimizeDeterministicPerSeed(t *testing.T) {
 	s := parallelism.Strategy{MP: 2, DP: 4, PP: 2}
 	m := newMesh44()
-	p1, c1 := OptimizeStrategy(m, s, 3)
-	p2, c2 := OptimizeStrategy(m, s, 3)
+	p1, c1 := Optimize(m, s, 4, 12, 3)
+	p2, c2 := Optimize(m, s, 4, 12, 3)
 	if c1 != c2 {
 		t.Fatalf("costs differ: %g vs %g", c1, c2)
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"strconv"
+	"strings"
 
 	"github.com/wafernet/fred/internal/sim"
 )
@@ -39,7 +40,9 @@ type record struct {
 // events are written in emission order, and floats are formatted with
 // strconv so identical runs produce byte-identical files.
 type Recorder struct {
-	records []record
+	// runs holds the records in emission order: the recorder's own,
+	// appended to the last run, and the runs taken over by Move.
+	runs    [][]record
 	tids    map[string]int
 	tracks  []string // index i holds the name of tid i+1
 	process string
@@ -54,20 +57,78 @@ func NewRecorder() *Recorder {
 // SetProcessName overrides the process name shown in the trace viewer.
 func (r *Recorder) SetProcessName(name string) { r.process = name }
 
+// add appends one record to the last run.
+func (r *Recorder) add(rec record) {
+	if len(r.runs) == 0 {
+		r.runs = append(r.runs, nil)
+	}
+	last := &r.runs[len(r.runs)-1]
+	*last = append(*last, rec)
+}
+
 // Len returns the number of recorded events (an AsyncSpan counts
 // once even though it exports a begin/end pair).
-func (r *Recorder) Len() int { return len(r.records) }
+func (r *Recorder) Len() int {
+	n := 0
+	for _, run := range r.runs {
+		n += len(run)
+	}
+	return n
+}
 
 // Spans returns the number of recorded duration events (Span and
 // AsyncSpan records).
 func (r *Recorder) Spans() int {
 	n := 0
-	for i := range r.records {
-		if r.records[i].kind == recSpan || r.records[i].kind == recAsyncBegin {
-			n++
+	for _, run := range r.runs {
+		for i := range run {
+			if run[i].kind == recSpan || run[i].kind == recAsyncBegin {
+				n++
+			}
 		}
 	}
 	return n
+}
+
+// Move appends src's records to r under the namespace name and leaves
+// src empty. Every category and track gains "/<name>" after its first
+// path element — "flow" becomes "flow/<name>" and "link/<l>" becomes
+// "link/<name>/<l>" — so the runs of many networks, whose simulated
+// clocks all start at zero, stay apart on one timeline. The records
+// are moved, not copied: a merged trace never exists twice in memory.
+func (r *Recorder) Move(src *Recorder, name string) {
+	spaced := make(map[string]string)
+	ns := func(s string) string {
+		if v, ok := spaced[s]; ok {
+			return v
+		}
+		v := s + "/" + name
+		if i := strings.IndexByte(s, '/'); i >= 0 {
+			v = s[:i] + "/" + name + s[i:]
+		}
+		spaced[s] = v
+		return v
+	}
+	tids := make([]int, len(src.tracks))
+	for i, track := range src.tracks {
+		tids[i] = r.tid(ns(track))
+	}
+	for _, run := range src.runs {
+		for i := range run {
+			rec := &run[i]
+			switch rec.kind {
+			case recSpan, recInstant:
+				rec.tid = tids[rec.tid-1]
+			case recCounter:
+				rec.name = ns(rec.name) // the counter's track
+			default:
+				rec.cat = ns(rec.cat)
+			}
+		}
+	}
+	r.runs = append(r.runs, src.runs...)
+	src.runs, src.tracks = nil, nil
+	clear(src.tids)
 }
 
 func (r *Recorder) tid(track string) int {
@@ -84,7 +145,7 @@ const usPerSec = 1e6
 
 // Span implements Tracer.
 func (r *Recorder) Span(track, name string, start, end sim.Time, args ...Arg) {
-	r.records = append(r.records, record{
+	r.add(record{
 		kind: recSpan, tid: r.tid(track), name: name,
 		ts: start * usPerSec, dur: (end - start) * usPerSec, args: args,
 	})
@@ -92,7 +153,7 @@ func (r *Recorder) Span(track, name string, start, end sim.Time, args ...Arg) {
 
 // AsyncSpan implements Tracer.
 func (r *Recorder) AsyncSpan(cat, name string, id uint64, start, end sim.Time, args ...Arg) {
-	r.records = append(r.records, record{
+	r.add(record{
 		kind: recAsyncBegin, cat: cat, name: name, id: id,
 		ts: start * usPerSec, dur: (end - start) * usPerSec, args: args,
 	})
@@ -100,7 +161,7 @@ func (r *Recorder) AsyncSpan(cat, name string, id uint64, start, end sim.Time, a
 
 // AsyncInstant implements Tracer.
 func (r *Recorder) AsyncInstant(cat, name string, id uint64, t sim.Time, args ...Arg) {
-	r.records = append(r.records, record{
+	r.add(record{
 		kind: recAsyncInstant, cat: cat, name: name, id: id,
 		ts: t * usPerSec, args: args,
 	})
@@ -108,7 +169,7 @@ func (r *Recorder) AsyncInstant(cat, name string, id uint64, t sim.Time, args ..
 
 // Instant implements Tracer.
 func (r *Recorder) Instant(track, name string, t sim.Time, args ...Arg) {
-	r.records = append(r.records, record{
+	r.add(record{
 		kind: recInstant, tid: r.tid(track), name: name,
 		ts: t * usPerSec, args: args,
 	})
@@ -116,7 +177,7 @@ func (r *Recorder) Instant(track, name string, t sim.Time, args ...Arg) {
 
 // Counter implements Tracer.
 func (r *Recorder) Counter(track, series string, t sim.Time, value float64) {
-	r.records = append(r.records, record{
+	r.add(record{
 		kind: recCounter, name: track, cat: series,
 		ts: t * usPerSec, value: value,
 	})
@@ -211,27 +272,29 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 			[]Arg{String("name", track)})
 		writeEvent(scratch)
 	}
-	for i := range r.records {
-		rec := &r.records[i]
-		switch rec.kind {
-		case recSpan:
-			scratch = appendEvent(scratch[:0], 'X', rec.name, "", rec.tid, 0, false, rec.ts, true, rec.dur, rec.args)
-			writeEvent(scratch)
-		case recAsyncBegin:
-			scratch = appendEvent(scratch[:0], 'b', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
-			writeEvent(scratch)
-			scratch = appendEvent(scratch[:0], 'e', rec.name, rec.cat, 0, rec.id, true, rec.ts+rec.dur, false, 0, nil)
-			writeEvent(scratch)
-		case recAsyncInstant:
-			scratch = appendEvent(scratch[:0], 'n', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
-			writeEvent(scratch)
-		case recInstant:
-			scratch = appendEvent(scratch[:0], 'i', rec.name, "", rec.tid, 0, false, rec.ts, false, 0, rec.args)
-			writeEvent(scratch)
-		case recCounter:
-			scratch = appendEvent(scratch[:0], 'C', rec.name, "", 0, 0, false, rec.ts, false, 0,
-				[]Arg{{Key: rec.cat, Value: rec.value}})
-			writeEvent(scratch)
+	for _, run := range r.runs {
+		for i := range run {
+			rec := &run[i]
+			switch rec.kind {
+			case recSpan:
+				scratch = appendEvent(scratch[:0], 'X', rec.name, "", rec.tid, 0, false, rec.ts, true, rec.dur, rec.args)
+				writeEvent(scratch)
+			case recAsyncBegin:
+				scratch = appendEvent(scratch[:0], 'b', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
+				writeEvent(scratch)
+				scratch = appendEvent(scratch[:0], 'e', rec.name, rec.cat, 0, rec.id, true, rec.ts+rec.dur, false, 0, nil)
+				writeEvent(scratch)
+			case recAsyncInstant:
+				scratch = appendEvent(scratch[:0], 'n', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
+				writeEvent(scratch)
+			case recInstant:
+				scratch = appendEvent(scratch[:0], 'i', rec.name, "", rec.tid, 0, false, rec.ts, false, 0, rec.args)
+				writeEvent(scratch)
+			case recCounter:
+				scratch = appendEvent(scratch[:0], 'C', rec.name, "", 0, 0, false, rec.ts, false, 0,
+					[]Arg{{Key: rec.cat, Value: rec.value}})
+				writeEvent(scratch)
+			}
 		}
 	}
 	// Close the array with a final metadata event so every element can
@@ -239,7 +302,7 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	// nicer for tools): emit a terminator object instead.
 	bw.WriteString("\n")
 	scratch = appendEvent(scratch[:0], 'M', "trace_complete", "", 0, 0, false, 0, false, 0,
-		[]Arg{Int("events", len(r.records))})
+		[]Arg{Int("events", r.Len())})
 	bw.Write(scratch)
 	bw.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
 	return bw.Flush()

@@ -45,12 +45,13 @@
 //   - counter track "scheduler", series "events": cumulative events
 //     fired (see AttachSchedulerCounter).
 //
-// When several independent simulations record into one tracer — the
-// experiment drivers build a fresh network per run — each network is
-// namespaced via netsim.SetName: the categories and tracks above
-// become "flow/<net>", "comm/<net>", "link/<net>/<name>", "net/<net>"
-// and "scheduler/<net>", keeping runs whose clocks all start at zero
-// distinguishable on the merged timeline.
+// Every network records into a Recorder of its own under the bare
+// names above. When many independent simulations merge into one trace
+// — the experiment drivers build a fresh network per run — the merge
+// applies each network's name (Recorder.Move): the categories and
+// tracks become "flow/<net>", "comm/<net>", "link/<net>/<name>",
+// "net/<net>" and "scheduler/<net>", keeping runs whose clocks all
+// start at zero distinguishable on the merged timeline.
 package trace
 
 import "github.com/wafernet/fred/internal/sim"

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -191,5 +192,51 @@ func TestAttachSchedulerCounter(t *testing.T) {
 	s.Run()
 	if got := find(export(t, r), "C"); len(got) != 3 {
 		t.Fatalf("samples after a nil attach = %d, want 3", len(got))
+	}
+}
+
+// Move namespaces every category and track of the moved buffer after
+// its first path element, maps its synchronous tracks onto the
+// destination's ids, keeps emission order across the destination's
+// own records, and leaves the buffer empty.
+func TestMoveNamespaces(t *testing.T) {
+	dst := NewRecorder()
+	dst.Instant("train", "start", 0)
+	src := NewRecorder()
+	src.Instant("link", "fail l0", 1)
+	src.AsyncSpan("flow", "active", 7, 1, 2)
+	src.Counter("link/l0", "util", 2, 0.5)
+	src.Counter("net", "active_flows", 2, 1)
+	dst.Move(src, "Fig:3:0:Fred-D")
+	dst.Instant("train", "end", 3)
+	if src.Len() != 0 {
+		t.Fatalf("moved buffer kept %d records", src.Len())
+	}
+	if dst.Len() != 6 || dst.Spans() != 1 {
+		t.Fatalf("merged trace has %d records, %d spans; want 6, 1", dst.Len(), dst.Spans())
+	}
+
+	var got []string
+	for _, e := range export(t, dst) {
+		switch e.Ph {
+		case "i":
+			got = append(got, fmt.Sprintf("i %d %s", e.Tid, e.Name))
+		case "b":
+			got = append(got, "b "+e.Cat)
+		case "C":
+			got = append(got, "C "+e.Name)
+		case "M":
+			if e.Name == "thread_name" {
+				got = append(got, fmt.Sprintf("tid %d %v", e.Tid, e.Args["name"]))
+			}
+		}
+	}
+	want := []string{
+		"tid 1 train", "tid 2 link/Fig:3:0:Fred-D",
+		"i 1 start", "i 2 fail l0", "b flow/Fig:3:0:Fred-D",
+		"C link/Fig:3:0:Fred-D/l0", "C net/Fig:3:0:Fred-D", "i 1 end",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("merged events:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"github.com/wafernet/fred/internal/collective"
+	"github.com/wafernet/fred/internal/netobs"
 	"github.com/wafernet/fred/internal/trace"
 )
 
@@ -41,27 +42,22 @@ func (cs CommStats) String() string {
 }
 
 // statsArbiter decorates an arbiter, recording per-class operation
-// counts, injected bytes and durations. When a tracer is attached it
-// also emits one async span per collective operation on the "comm"
-// category — submission to completion on the simulated clock, tagged
-// with the communication class (the strategy dimension), the overall
-// 3D strategy and the injected bytes — the per-op timeline behind the
-// paper's Figure 2/10 breakdowns.
+// counts, injected bytes and durations. When the network has a tracer
+// (netobs.AttachTracer) it also emits one async span per collective
+// operation on the "comm" category — submission to completion on the
+// simulated clock, tagged with the communication class (the strategy
+// dimension), the overall 3D strategy and the injected bytes — the
+// per-op timeline behind the paper's Figure 2/10 breakdowns.
 type statsArbiter struct {
 	inner arbiter
 	e     *engine
 	stats CommStats
 	tr    trace.Tracer
-	cat   string
 	opSeq uint64
 }
 
 func newStatsArbiter(inner arbiter, e *engine) *statsArbiter {
-	cat := "comm"
-	if name := e.net.Name(); name != "" {
-		cat = "comm/" + name // share the network's trace namespace
-	}
-	return &statsArbiter{inner: inner, e: e, stats: make(CommStats), tr: e.cfg.Tracer, cat: cat}
+	return &statsArbiter{inner: inner, e: e, stats: make(CommStats), tr: netobs.Tracer(e.net)}
 }
 
 func (a *statsArbiter) submit(class Class, s collective.Schedule, done func(*collective.Op)) {
@@ -76,7 +72,7 @@ func (a *statsArbiter) submit(class Class, s collective.Schedule, done func(*col
 		st.BusyTime += a.e.sched.Now() - t0
 		a.stats[class] = st
 		if a.tr != nil {
-			a.tr.AsyncSpan(a.cat, class.String()+" "+s.Name, id, t0, a.e.sched.Now(),
+			a.tr.AsyncSpan("comm", class.String()+" "+s.Name, id, t0, a.e.sched.Now(),
 				trace.String("class", class.String()),
 				trace.String("strategy", a.e.cfg.Strategy.String()),
 				trace.Float("bytes", bytes))

@@ -6,13 +6,14 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/wafernet/fred/internal/netobs"
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/trace"
 	"github.com/wafernet/fred/internal/workload"
 )
 
-// A traced iteration must emit one "comm" async span per collective
-// operation, tagged with the class, the strategy and the injected
+// A traced iteration — one whose network has a tracer observer — must
+// emit one "comm" async span per collective operation, tagged with the class, the strategy and the injected
 // bytes — and the tracer must not change the simulated result.
 func TestCommSpansTraced(t *testing.T) {
 	m := workload.ResNet152()
@@ -26,9 +27,10 @@ func TestCommSpansTraced(t *testing.T) {
 	}
 
 	rec := trace.NewRecorder()
+	w := newMesh()
+	netobs.AttachTracer(w.Network(), rec)
 	traced, err := Simulate(Config{
-		Wafer: newMesh(), Model: m, Strategy: strat, MinibatchPerReplica: 16,
-		Tracer: rec,
+		Wafer: w, Model: m, Strategy: strat, MinibatchPerReplica: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -34,7 +34,6 @@ import (
 	"github.com/wafernet/fred/internal/placement"
 	"github.com/wafernet/fred/internal/sim"
 	"github.com/wafernet/fred/internal/topology"
-	"github.com/wafernet/fred/internal/trace"
 	"github.com/wafernet/fred/internal/workload"
 )
 
@@ -102,13 +101,6 @@ type Config struct {
 	// PP−stage microbatches instead of all of them — a schedule
 	// ablation interacting with the HBM/recompute model.
 	Schedule PipelineSchedule
-	// Tracer, when non-nil, records one span per collective operation
-	// (category "comm", tagged with class, strategy and injected
-	// bytes). The network's flow-level spans and link counters come
-	// from a tracer observer on the network itself
-	// (netobs.AttachTracer), which the experiment session attaches to
-	// every network it builds.
-	Tracer trace.Tracer
 }
 
 // Minibatch returns the global minibatch size (DP × per-replica).
