@@ -3,6 +3,7 @@ package collective
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
@@ -192,22 +193,18 @@ func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes fl
 		return s
 	}
 	rootL1 := f.L1Of(root)
-	var links []netsim.LinkID
+	var buf [16]int
+	l1s := appendLeaves(buf[:0], f, group)
+	links := make([]netsim.LinkID, 0, len(group)+len(l1s)+2)
 	for _, npu := range group {
 		if npu != root {
 			links = append(links, f.UpLink(npu))
 		}
 	}
-	var buf [16]int
-	l1s := appendLeaves(buf[:0], f, group)
-	for _, l1 := range l1s {
-		if l1 != rootL1 {
-			links = append(links, f.L1UpLink(l1))
-		}
-	}
 	needCross := false
 	for _, l1 := range l1s {
 		if l1 != rootL1 {
+			links = append(links, f.L1UpLink(l1))
 			needCross = true
 		}
 	}
@@ -215,9 +212,6 @@ func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes fl
 		links = append(links, f.L1DownLink(rootL1))
 	}
 	links = append(links, f.DownLink(root))
-	if len(links) == 0 {
-		return s
-	}
 	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: inNetworkDepth(f, group)}}}
 	return s
 }
@@ -225,14 +219,20 @@ func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes fl
 // FredInNetworkMulticast compiles an in-switch multicast: the source
 // streams up once and the switches replicate downward.
 func FredInNetworkMulticast(f *topology.FredFabric, src int, dsts []int, bytes float64) Schedule {
-	s := Schedule{Name: fmt.Sprintf("fred-innet-multicast(%d)", len(dsts))}
+	s := Schedule{Name: "fred-innet-multicast(" + strconv.Itoa(len(dsts)) + ")"}
 	if bytes <= 0 {
 		return s
 	}
 	srcL1 := f.L1Of(src)
-	var links []netsim.LinkID
-	seenL1 := make(map[int]bool)
-	needUp := false
+	// The leaves already reached, in a stack buffer for the common
+	// fabrics of at most 16 leaves.
+	var seenBuf [16]bool
+	seenL1 := seenBuf[:]
+	if n := f.L1Count(); n > len(seenBuf) {
+		seenL1 = make([]bool, n)
+	}
+	links := make([]netsim.LinkID, 0, len(dsts)+f.L1Count()+2)
+	needUp, crossed := false, false
 	for _, d := range dsts {
 		if d == src {
 			continue
@@ -242,6 +242,7 @@ func FredInNetworkMulticast(f *topology.FredFabric, src int, dsts []int, bytes f
 		l1 := f.L1Of(d)
 		if l1 != srcL1 && !seenL1[l1] {
 			seenL1[l1] = true
+			crossed = true
 			links = append(links, f.L1DownLink(l1))
 		}
 	}
@@ -249,11 +250,9 @@ func FredInNetworkMulticast(f *topology.FredFabric, src int, dsts []int, bytes f
 		return s
 	}
 	links = append(links, f.UpLink(src))
-	if len(seenL1) > 0 {
-		links = append(links, f.L1UpLink(srcL1))
-	}
 	depth := 2 * f.Config().LinkLatency
-	if len(seenL1) > 0 {
+	if crossed {
+		links = append(links, f.L1UpLink(srcL1))
 		depth = 4 * f.Config().LinkLatency
 	}
 	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: depth}}}

@@ -104,6 +104,14 @@ func (c Config) Validate() error {
 			return &ConfigError{Field: "Dims", Reason: fmt.Sprintf("dimension product %d != %d wafers", product, c.Wafers)}
 		}
 	}
+	switch c.Variant {
+	case topology.FredA, topology.FredB, topology.FredC, topology.FredD:
+	default:
+		return &ConfigError{Field: "Variant", Reason: fmt.Sprintf("unknown FRED variant %q", c.Variant)}
+	}
+	if npus := topology.FredVariantConfig(c.Variant).NPUs; c.BoundaryPorts > npus {
+		return &ConfigError{Field: "BoundaryPorts", Reason: fmt.Sprintf("%d ports exceed the wafer's %d NPUs", c.BoundaryPorts, npus)}
+	}
 	return nil
 }
 
@@ -163,12 +171,9 @@ func NewErr(cfg Config) (*System, error) {
 		acc *= size
 	}
 	s.net = netsim.New(s.sched)
+	s.wafers = make([]*topology.FredFabric, 0, cfg.Wafers)
 	for w := 0; w < cfg.Wafers; w++ {
 		s.wafers = append(s.wafers, topology.NewFredVariant(s.net, cfg.Variant))
-	}
-	if cfg.BoundaryPorts > s.wafers[0].NPUCount() {
-		return nil, &ConfigError{Field: "BoundaryPorts", Reason: fmt.Sprintf(
-			"%d ports exceed the wafer's %d NPUs", cfg.BoundaryPorts, s.wafers[0].NPUCount())}
 	}
 	// Each physical port's bandwidth splits across the dimensions it
 	// serves; with one dimension this is the original model verbatim
@@ -193,6 +198,8 @@ func NewErr(cfg Config) (*System, error) {
 		s.rev[d] = make([][]netsim.LinkID, cfg.Wafers)
 		for w := 0; w < cfg.Wafers; w++ {
 			next := s.neighbour(w, d)
+			s.fwd[d][w] = make([]netsim.LinkID, 0, cfg.BoundaryPorts)
+			s.rev[d][w] = make([]netsim.LinkID, 0, cfg.BoundaryPorts)
 			for k := 0; k < cfg.BoundaryPorts; k++ {
 				// The inter-wafer link joins the boundary NPUs' switch
 				// ports; we model it NPU-to-NPU through dedicated links.
@@ -291,18 +298,21 @@ const (
 
 // ringPhase builds one pipelined phase of ring transfers along
 // dimension d on the first `ports` boundary ports, with every wafer's
-// forward and reverse edges active at once.
+// forward and reverse edges active at once. Each transfer's one-link
+// route is a capacity-capped view into the system's link tables, so
+// the phase is read-only: nothing may write or grow its Links.
 func (s *System) ringPhase(d int, bytes float64, op ringOp, ports int) collective.Phase {
 	size := s.dims[d]
 	perEdge := float64(size-1) * bytes / float64(2*size)
 	if op == ringAR {
 		perEdge *= 2
 	}
-	var ph collective.Phase
+	ph := make(collective.Phase, 0, 2*ports*s.cfg.Wafers)
 	for k := 0; k < ports; k++ {
 		for w := 0; w < s.cfg.Wafers; w++ {
-			ph = append(ph, collective.Transfer{Links: []netsim.LinkID{s.fwd[d][w][k]}, Bytes: perEdge})
-			ph = append(ph, collective.Transfer{Links: []netsim.LinkID{s.rev[d][w][k]}, Bytes: perEdge})
+			ph = append(ph,
+				collective.Transfer{Links: s.fwd[d][w][k : k+1 : k+1], Bytes: perEdge},
+				collective.Transfer{Links: s.rev[d][w][k : k+1 : k+1], Bytes: perEdge})
 		}
 	}
 	return ph
@@ -342,7 +352,7 @@ func (s *System) GlobalAllReduce(bytes float64) collective.Schedule {
 
 	// Step 1: per wafer, K concurrent in-network reduces, one shard to
 	// each boundary NPU (the "special intra-wafer reduce-scatter").
-	var step1 collective.Phase
+	step1 := make(collective.Phase, 0, len(s.wafers)*K)
 	for w := range s.wafers {
 		f := s.wafers[w]
 		for k := 0; k < K; k++ {
@@ -360,7 +370,7 @@ func (s *System) GlobalAllReduce(bytes float64) collective.Schedule {
 	inter := s.interPhases(shard, K)
 	// Step 3: per wafer, K concurrent in-network multicasts from the
 	// boundary NPUs (the "special all-gather").
-	var step3 collective.Phase
+	step3 := make(collective.Phase, 0, len(s.wafers)*K)
 	for w := range s.wafers {
 		f := s.wafers[w]
 		for k := 0; k < K; k++ {

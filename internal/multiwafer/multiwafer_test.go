@@ -127,6 +127,10 @@ func TestValidateTypedErrors(t *testing.T) {
 		{Config{Wafers: 2, BoundaryPorts: 4, PortBW: 1e9, PortLatency: -1}, "PortLatency"},
 		{Config{Wafers: 4, BoundaryPorts: 4, PortBW: 1e9, Dims: []int{4, 1}}, "Dims"},
 		{Config{Wafers: 4, BoundaryPorts: 4, PortBW: 1e9, Dims: []int{2, 4}}, "Dims"},
+		// An unknown variant is an error, not a panic in the topology.
+		{Config{Wafers: 2, Variant: "Fred-Z", BoundaryPorts: 4, PortBW: 1e9}, "Variant"},
+		// Rejected before any wafer is built: a Fred-D wafer has 20 NPUs.
+		{Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 21, PortBW: 1e9}, "BoundaryPorts"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

@@ -68,11 +68,6 @@ type LinkID int
 // or that a flow has drained, guarding against float64 round-off.
 const rateEpsilon = 1e-9
 
-// dedupThreshold is the route length above which StartFlow falls back
-// to a map for link deduplication; at or below it a linear scan is
-// cheaper and allocation-free.
-const dedupThreshold = 16
-
 // Link is a directed channel between two nodes.
 type Link struct {
 	ID        LinkID
@@ -83,10 +78,12 @@ type Link struct {
 
 	net       *Network
 	bytesDone float64 // cumulative bytes carried, for utilisation reports
-	// Fault state (see faults.go): a failed link admits no flows, and
-	// baseBW remembers the healthy bandwidth across Degrade/Restore.
-	failed bool
+	// baseBW remembers the healthy bandwidth across Degrade/Restore
+	// (see faults.go).
 	baseBW float64
+	// routeSeen is resolveRoute's dedup stamp, valid while it matches
+	// the network's routeEpoch.
+	routeSeen uint64
 
 	// Progressive-filling scratch, valid only while fillEpoch matches
 	// the network's current pass. Embedding it here replaces the
@@ -100,10 +97,13 @@ type Link struct {
 	// partition resets in O(1) by bumping that version. Roots
 	// additionally carry the domain's dirty flag, dedupe stamp, link
 	// list tail and flow membership list.
-	domVersion  uint64
-	domParent   int32 // parent's link index (the link's own ID at a root)
-	domSize     int32
-	domDirty    bool
+	domVersion uint64
+	domParent  int32 // parent's link index (the link's own ID at a root)
+	domSize    int32
+	domDirty   bool
+	// failed is fault state (see faults.go): a failed link admits no
+	// flows. It sits beside domDirty to share its padding.
+	failed      bool
 	domSeen     uint64
 	domNext     *Link // next link in this domain's link list
 	domLinkHead *Link
@@ -420,6 +420,8 @@ type Network struct {
 	rateSum   []float64
 
 	flowSeq uint64
+	// routeEpoch stamps Link.routeSeen, one fresh value per dedup pass.
+	routeEpoch uint64
 
 	// obs is the subscriber list (observer.go), masks the event kinds
 	// each subscribed to and want their union; util and prevUtil are
@@ -503,17 +505,15 @@ func (n *Network) AddLink(src, dst NodeID, bandwidth, latency float64, name stri
 		// Chunks grow with the network, from 16 links up to 256.
 		n.linkChunk = make([]Link, min(256, max(16, len(n.links))))
 	}
+	// The chunk slot is zeroed, so setting the few construction fields
+	// in place spares copying all 224 bytes of a Link into it.
 	l := &n.linkChunk[0]
 	n.linkChunk = n.linkChunk[1:]
-	*l = Link{
-		ID:        LinkID(len(n.links)),
-		Src:       src,
-		Dst:       dst,
-		Bandwidth: bandwidth,
-		Latency:   latency,
-		Name:      name,
-		net:       n,
-	}
+	l.ID = LinkID(len(n.links))
+	l.Src, l.Dst = src, dst
+	l.Bandwidth, l.Latency = bandwidth, latency
+	l.Name = name
+	l.net = n
 	n.links = append(n.links, l)
 	return l.ID
 }
@@ -634,47 +634,27 @@ func reuseLinks(buf []*Link, k int) []*Link {
 
 // resolveRoute deduplicates a route (a flow occupies each link once no
 // matter how often a route or tree mentions it) into an exactly-sized
-// link slice, and filters the finite-bandwidth subset the filling
-// engine iterates. Routes are short, so duplicates are found by linear
-// scan; only pathologically long routes pay for a map. The slices are
-// built in buf and finiteBuf when their capacity suffices.
+// link slice, in first-occurrence order, and filters the
+// finite-bandwidth subset the filling engine iterates. Duplicates are
+// found by stamping each link with a fresh route epoch, so a route of
+// any length — a 20-NPU wafer's in-network tree spans 25 links — costs
+// two linear passes and no map. The slices are built in buf and
+// finiteBuf when their capacity suffices.
 func (n *Network) resolveRoute(route []LinkID, buf, finiteBuf []*Link) (links, finiteLinks []*Link) {
-	if len(route) <= dedupThreshold {
-		uniq := 0
-		for i, id := range route {
-			dup := false
-			for _, prev := range route[:i] {
-				if prev == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				uniq++
-			}
+	n.routeEpoch++
+	uniq := 0
+	for _, id := range route {
+		if l := n.links[id]; l.routeSeen != n.routeEpoch {
+			l.routeSeen = n.routeEpoch
+			uniq++
 		}
-		links = reuseLinks(buf, uniq)
-		for _, id := range route {
-			l := n.links[id]
-			dup := false
-			for _, prev := range links {
-				if prev == l {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				links = append(links, l)
-			}
-		}
-	} else {
-		links = reuseLinks(buf, len(route))
-		seen := make(map[LinkID]bool, len(route))
-		for _, id := range route {
-			if !seen[id] {
-				seen[id] = true
-				links = append(links, n.links[id])
-			}
+	}
+	n.routeEpoch++
+	links = reuseLinks(buf, uniq)
+	for _, id := range route {
+		if l := n.links[id]; l.routeSeen != n.routeEpoch {
+			l.routeSeen = n.routeEpoch
+			links = append(links, l)
 		}
 	}
 	finite := 0

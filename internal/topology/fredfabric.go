@@ -90,8 +90,16 @@ func NewFredFabric(net *netsim.Network, cfg FredConfig) *FredFabric {
 	if cfg.NPUs <= 0 || cfg.NPUsPerL1 <= 0 {
 		panic("topology: FredConfig NPU counts must be positive")
 	}
-	f := &FredFabric{cfg: cfg, net: net, variant: "custom"}
 	numL1 := (cfg.NPUs + cfg.NPUsPerL1 - 1) / cfg.NPUsPerL1
+	f := &FredFabric{cfg: cfg, net: net, variant: "custom",
+		npus:    make([]netsim.NodeID, 0, cfg.NPUs),
+		l1s:     make([]netsim.NodeID, 0, numL1),
+		npuUp:   make([]netsim.LinkID, 0, cfg.NPUs),
+		npuDown: make([]netsim.LinkID, 0, cfg.NPUs),
+		l1Up:    make([]netsim.LinkID, 0, numL1),
+		l1Down:  make([]netsim.LinkID, 0, numL1),
+		iocs:    make([]fredIOC, 0, max(cfg.IOCs, 0)),
+	}
 	f.l2 = net.AddNode("fred-l2")
 	var nm namer
 	for i := 0; i < numL1; i++ {

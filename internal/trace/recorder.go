@@ -196,17 +196,33 @@ func ftoa(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-func appendArgs(b []byte, args []Arg) []byte {
+// quoteMemo memoizes strconv.Quote for the duration of one WriteJSON
+// call. A trace repeats a few hundred distinct names, categories and
+// argument strings across hundreds of thousands of events, and quoting
+// rescans every rune of its input.
+type quoteMemo map[string]string
+
+// append appends s quoted exactly as strconv.AppendQuote would.
+func (m quoteMemo) append(b []byte, s string) []byte {
+	q, ok := m[s]
+	if !ok {
+		q = strconv.Quote(s)
+		m[s] = q
+	}
+	return append(b, q...)
+}
+
+func appendArgs(b []byte, q quoteMemo, args []Arg) []byte {
 	b = append(b, `,"args":{`...)
 	for i, a := range args {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = strconv.AppendQuote(b, a.Key)
+		b = q.append(b, a.Key)
 		b = append(b, ':')
 		switch v := a.Value.(type) {
 		case string:
-			b = strconv.AppendQuote(b, v)
+			b = q.append(b, v)
 		case float64:
 			b = append(b, ftoa(v)...)
 		case int:
@@ -223,12 +239,12 @@ func appendArgs(b []byte, args []Arg) []byte {
 }
 
 // appendEvent renders one trace event object (no trailing separator).
-func appendEvent(b []byte, ph byte, name, cat string, tid int, id uint64, hasID bool, ts float64, hasDur bool, dur float64, args []Arg) []byte {
+func appendEvent(b []byte, q quoteMemo, ph byte, name, cat string, tid int, id uint64, hasID bool, ts float64, hasDur bool, dur float64, args []Arg) []byte {
 	b = append(b, `{"name":`...)
-	b = strconv.AppendQuote(b, name)
+	b = q.append(b, name)
 	if cat != "" {
 		b = append(b, `,"cat":`...)
-		b = strconv.AppendQuote(b, cat)
+		b = q.append(b, cat)
 	}
 	b = append(b, `,"ph":"`...)
 	b = append(b, ph)
@@ -246,7 +262,7 @@ func appendEvent(b []byte, ph byte, name, cat string, tid int, id uint64, hasID 
 		b = append(b, ftoa(dur)...)
 	}
 	if args != nil {
-		b = appendArgs(b, args)
+		b = appendArgs(b, q, args)
 	}
 	return append(b, '}')
 }
@@ -257,6 +273,7 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	bw.WriteString(`{"traceEvents":[`)
 	var scratch []byte
+	q := make(quoteMemo)
 	writeEvent := func(b []byte) {
 		bw.WriteString("\n")
 		bw.Write(b)
@@ -264,11 +281,11 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	}
 	// Metadata: process name, then one thread per synchronous track in
 	// first-use order.
-	scratch = appendEvent(scratch[:0], 'M', "process_name", "", 0, 0, false, 0, false, 0,
+	scratch = appendEvent(scratch[:0], q, 'M', "process_name", "", 0, 0, false, 0, false, 0,
 		[]Arg{String("name", r.process)})
 	writeEvent(scratch)
 	for i, track := range r.tracks {
-		scratch = appendEvent(scratch[:0], 'M', "thread_name", "", i+1, 0, false, 0, false, 0,
+		scratch = appendEvent(scratch[:0], q, 'M', "thread_name", "", i+1, 0, false, 0, false, 0,
 			[]Arg{String("name", track)})
 		writeEvent(scratch)
 	}
@@ -277,21 +294,21 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 			rec := &run[i]
 			switch rec.kind {
 			case recSpan:
-				scratch = appendEvent(scratch[:0], 'X', rec.name, "", rec.tid, 0, false, rec.ts, true, rec.dur, rec.args)
+				scratch = appendEvent(scratch[:0], q, 'X', rec.name, "", rec.tid, 0, false, rec.ts, true, rec.dur, rec.args)
 				writeEvent(scratch)
 			case recAsyncBegin:
-				scratch = appendEvent(scratch[:0], 'b', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
+				scratch = appendEvent(scratch[:0], q, 'b', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
 				writeEvent(scratch)
-				scratch = appendEvent(scratch[:0], 'e', rec.name, rec.cat, 0, rec.id, true, rec.ts+rec.dur, false, 0, nil)
+				scratch = appendEvent(scratch[:0], q, 'e', rec.name, rec.cat, 0, rec.id, true, rec.ts+rec.dur, false, 0, nil)
 				writeEvent(scratch)
 			case recAsyncInstant:
-				scratch = appendEvent(scratch[:0], 'n', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
+				scratch = appendEvent(scratch[:0], q, 'n', rec.name, rec.cat, 0, rec.id, true, rec.ts, false, 0, rec.args)
 				writeEvent(scratch)
 			case recInstant:
-				scratch = appendEvent(scratch[:0], 'i', rec.name, "", rec.tid, 0, false, rec.ts, false, 0, rec.args)
+				scratch = appendEvent(scratch[:0], q, 'i', rec.name, "", rec.tid, 0, false, rec.ts, false, 0, rec.args)
 				writeEvent(scratch)
 			case recCounter:
-				scratch = appendEvent(scratch[:0], 'C', rec.name, "", 0, 0, false, rec.ts, false, 0,
+				scratch = appendEvent(scratch[:0], q, 'C', rec.name, "", 0, 0, false, rec.ts, false, 0,
 					[]Arg{{Key: rec.cat, Value: rec.value}})
 				writeEvent(scratch)
 			}
@@ -301,7 +318,7 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	// end with a comma (the format tolerates it, but valid JSON is
 	// nicer for tools): emit a terminator object instead.
 	bw.WriteString("\n")
-	scratch = appendEvent(scratch[:0], 'M', "trace_complete", "", 0, 0, false, 0, false, 0,
+	scratch = appendEvent(scratch[:0], q, 'M', "trace_complete", "", 0, 0, false, 0, false, 0,
 		[]Arg{Int("events", r.Len())})
 	bw.Write(scratch)
 	bw.WriteString("\n],\"displayTimeUnit\":\"ns\"}\n")
