@@ -3,21 +3,19 @@ package collective
 import (
 	"fmt"
 
-	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
 )
 
-// Comm compiles collectives for a concrete wafer topology, selecting
-// the algorithm per Section 7.2: ring-based endpoint algorithms on the
-// mesh, the hierarchical 2D ring for non-in-network FRED variants
-// (Fred-A/C), and in-switch execution for Fred-B/D.
+// Comm compiles collectives for a concrete wafer topology, with the
+// algorithms NewComm selects for it (see selectAlgorithms).
 //
 // Compiled schedules are memoized under a canonical (kind, endpoints,
 // group, bytes, fabric-state epoch) key — see compile.go — so the
 // steady-state training loop replays immutable, route-pre-resolved
 // schedules instead of rebuilding them every iteration.
 type Comm struct {
-	w topology.Wafer
+	w     topology.Wafer
+	algos algorithms
 
 	// Memoization state (compile.go): the per-Comm memo of prepared
 	// schedules and the reused key scratch buffer.
@@ -29,11 +27,99 @@ type Comm struct {
 // NewComm returns a compiler for the given wafer, with schedule
 // memoization on.
 func NewComm(w topology.Wafer) *Comm {
-	return &Comm{w: w, memoize: true, memo: make(map[string]Schedule)}
+	return &Comm{w: w, algos: selectAlgorithms(w), memoize: true, memo: make(map[string]Schedule)}
 }
 
 // Wafer returns the topology the compiler targets.
 func (c *Comm) Wafer() topology.Wafer { return c.w }
+
+// algorithms are the schedule compilers a Comm uses on its wafer.
+type algorithms struct {
+	allReduce, reduceScatter, allGather func(group []int, bytes float64) Schedule
+	multicast                           func(src int, dsts []int, bytes float64) Schedule
+	// degraded compiles an all-reduce over the alive members of a
+	// group on a faulted fabric.
+	degraded func(alive []int, bytes float64) Schedule
+}
+
+// selectAlgorithms picks the wafer's algorithms per Section 7.2:
+// ring-based endpoint algorithms on the mesh, the hierarchical 2D ring
+// on endpoint-only FRED variants (Fred-A/C), and in-switch execution
+// on in-network ones (Fred-B/D). It is the one place outside package
+// topology that decides a fabric's kind: topology cannot import
+// collective, so the choice cannot be a Wafer method.
+//
+// Multicast is a forwarding tree wherever the fabric can replicate —
+// NPUs at each mesh hop, D-µswitches in-network — and concurrent
+// unicasts from the source on endpoint-only FRED, whose switches
+// cannot.
+//
+// Degraded all-reduce keeps the usual all-reduce over the shrunken
+// group, except on the mesh: there the ring edges detour around
+// failed links, since the Hamiltonian embedding assumes a healthy
+// wafer. FRED's partial switch loss is modelled as trunk degradation
+// rather than route loss.
+func selectAlgorithms(w topology.Wafer) algorithms {
+	tree := func(src int, dsts []int, bytes float64) Schedule { return MulticastTree(w, src, dsts, bytes) }
+	var a algorithms
+	switch w := w.(type) {
+	case *topology.Mesh:
+		a = algorithms{
+			allReduce:     func(g []int, b float64) Schedule { return MeshAllReduce(w, g, b) },
+			reduceScatter: func(g []int, b float64) Schedule { return MeshReduceScatter(w, g, b) },
+			allGather:     func(g []int, b float64) Schedule { return MeshAllGather(w, g, b) },
+			multicast:     tree,
+			degraded: func(alive []int, b float64) Schedule {
+				return RingAllReduce(detourRouter{w}, SnakeOrder(w, alive), b, true)
+			},
+		}
+	case *topology.FredFabric:
+		if w.InNetwork() {
+			a = algorithms{
+				allReduce:     func(g []int, b float64) Schedule { return FredInNetworkAllReduce(w, g, b) },
+				reduceScatter: func(g []int, b float64) Schedule { return FredInNetworkReduceScatter(w, g, b) },
+				allGather:     func(g []int, b float64) Schedule { return FredInNetworkAllGather(w, g, b) },
+				multicast:     tree,
+			}
+		} else {
+			a = endpointOnly(w)
+			a.allReduce = func(g []int, b float64) Schedule { return FredEndpointAllReduce(w, g, b) }
+		}
+	case *topology.FredTree:
+		if w.InNetwork() {
+			a = algorithms{
+				allReduce:     func(g []int, b float64) Schedule { return FredTreeInNetworkAllReduce(w, g, b) },
+				reduceScatter: func(g []int, b float64) Schedule { return FredTreeInNetworkReduceScatter(w, g, b) },
+				allGather:     func(g []int, b float64) Schedule { return FredTreeInNetworkAllGather(w, g, b) },
+				multicast:     tree,
+			}
+		} else {
+			a = endpointOnly(w)
+			a.allReduce = func(g []int, b float64) Schedule { return RingAllReduce(w, g, b, true) }
+		}
+	default:
+		a = algorithms{
+			allReduce:     func([]int, float64) Schedule { return unsupported(w, "allreduce") },
+			reduceScatter: func([]int, float64) Schedule { return unsupported(w, "reducescatter") },
+			allGather:     func([]int, float64) Schedule { return unsupported(w, "allgather") },
+			multicast:     tree,
+		}
+	}
+	if a.degraded == nil {
+		a.degraded = a.allReduce
+	}
+	return a
+}
+
+// endpointOnly returns the endpoint-only FRED algorithms other than
+// all-reduce: flat bidirectional rings and unicast multicast.
+func endpointOnly(w topology.Wafer) algorithms {
+	return algorithms{
+		reduceScatter: func(g []int, b float64) Schedule { return RingReduceScatter(w, g, b, true) },
+		allGather:     func(g []int, b float64) Schedule { return RingAllGather(w, g, b, true) },
+		multicast:     func(src int, dsts []int, b float64) Schedule { return unicasts(w, src, dsts, b) },
+	}
+}
 
 // UnsupportedWaferError reports a collective requested on a wafer type
 // the compiler has no algorithm for. It reaches callers as Schedule.Err
@@ -48,12 +134,12 @@ func (e *UnsupportedWaferError) Error() string {
 	return fmt.Sprintf("collective: %s: unsupported wafer type %s", e.Collective, e.WaferType)
 }
 
-// unsupported builds the errored schedule the dispatch methods return
-// in place of the old panic.
-func (c *Comm) unsupported(collective string) Schedule {
+// unsupported builds the errored schedule an unsupported wafer's
+// algorithms return in place of a panic.
+func unsupported(w topology.Wafer, collective string) Schedule {
 	return Schedule{
 		Name: collective + "(unsupported)",
-		Err:  &UnsupportedWaferError{Collective: collective, WaferType: fmt.Sprintf("%T", c.w)},
+		Err:  &UnsupportedWaferError{Collective: collective, WaferType: fmt.Sprintf("%T", w)},
 	}
 }
 
@@ -65,67 +151,7 @@ func (c *Comm) AllReduce(group []int, bytes float64) Schedule {
 	if s, ok := c.lookup(kindAllReduce, 0, 0, group, bytes); ok {
 		return s
 	}
-	return c.insert(c.buildAllReduce(group, bytes))
-}
-
-func (c *Comm) buildAllReduce(group []int, bytes float64) Schedule {
-	switch w := c.w.(type) {
-	case *topology.Mesh:
-		return MeshAllReduce(w, group, bytes)
-	case *topology.FredFabric:
-		if w.InNetwork() {
-			return FredInNetworkAllReduce(w, group, bytes)
-		}
-		return FredEndpointAllReduce(w, group, bytes)
-	case *topology.FredTree:
-		if w.InNetwork() {
-			depth := 0.0
-			for _, a := range group {
-				if l := w.RouteLatency(group[0], a); l > depth {
-					depth = l
-				}
-			}
-			return Schedule{
-				Name: fmt.Sprintf("fredtree-innet-allreduce(%d)", len(group)),
-				Phases: []Phase{{Transfer{
-					Links:           w.InNetworkAllReduceLinks(group),
-					Bytes:           bytes,
-					LatencyOverride: depth,
-				}}},
-			}
-		}
-		return RingAllReduce(w, group, bytes, true)
-	}
-	return c.unsupported("allreduce")
-}
-
-// treeReduce compiles an in-switch reduce toward root on any router:
-// the union of each member's route to the root forms the reduction
-// tree.
-func treeReduce(r router, group []int, root int, bytes float64) Schedule {
-	s := Schedule{Name: "tree-reduce"}
-	var links []netsim.LinkID
-	seen := map[netsim.LinkID]bool{}
-	depth := 0.0
-	for _, m := range group {
-		if m == root {
-			continue
-		}
-		if l := routeLatency(r, m, root); l > depth {
-			depth = l
-		}
-		for _, l := range r.Route(m, root) {
-			if !seen[l] {
-				seen[l] = true
-				links = append(links, l)
-			}
-		}
-	}
-	if len(links) == 0 || bytes <= 0 {
-		return s
-	}
-	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: depth}}}
-	return s
+	return c.insert(c.algos.allReduce(group, bytes))
 }
 
 // ReduceScatter compiles a reduce-scatter of bytes across the group.
@@ -136,30 +162,7 @@ func (c *Comm) ReduceScatter(group []int, bytes float64) Schedule {
 	if s, ok := c.lookup(kindReduceScatter, 0, 0, group, bytes); ok {
 		return s
 	}
-	return c.insert(c.buildReduceScatter(group, bytes))
-}
-
-func (c *Comm) buildReduceScatter(group []int, bytes float64) Schedule {
-	switch w := c.w.(type) {
-	case *topology.Mesh:
-		return MeshReduceScatter(w, group, bytes)
-	case *topology.FredFabric:
-		if w.InNetwork() {
-			return FredInNetworkReduceScatter(w, group, bytes)
-		}
-		return RingReduceScatter(w, group, bytes, true)
-	case *topology.FredTree:
-		if w.InNetwork() {
-			s := Schedule{Name: fmt.Sprintf("fredtree-innet-reducescatter(%d)", len(group))}
-			shard := bytes / float64(len(group))
-			for _, root := range group {
-				s.Phases = append(s.Phases, treeReduce(w, group, root, shard).Phases...)
-			}
-			return s
-		}
-		return RingReduceScatter(w, group, bytes, true)
-	}
-	return c.unsupported("reducescatter")
+	return c.insert(c.algos.reduceScatter(group, bytes))
 }
 
 // AllGather compiles an all-gather of bytes across the group.
@@ -170,30 +173,7 @@ func (c *Comm) AllGather(group []int, bytes float64) Schedule {
 	if s, ok := c.lookup(kindAllGather, 0, 0, group, bytes); ok {
 		return s
 	}
-	return c.insert(c.buildAllGather(group, bytes))
-}
-
-func (c *Comm) buildAllGather(group []int, bytes float64) Schedule {
-	switch w := c.w.(type) {
-	case *topology.Mesh:
-		return MeshAllGather(w, group, bytes)
-	case *topology.FredFabric:
-		if w.InNetwork() {
-			return FredInNetworkAllGather(w, group, bytes)
-		}
-		return RingAllGather(w, group, bytes, true)
-	case *topology.FredTree:
-		if w.InNetwork() {
-			s := Schedule{Name: fmt.Sprintf("fredtree-innet-allgather(%d)", len(group))}
-			shard := bytes / float64(len(group))
-			for _, src := range group {
-				s.Phases = append(s.Phases, MulticastTree(w, src, group, shard).Phases...)
-			}
-			return s
-		}
-		return RingAllGather(w, group, bytes, true)
-	}
-	return c.unsupported("allgather")
+	return c.insert(c.algos.allGather(group, bytes))
 }
 
 // AllToAll compiles an all-to-all where each member distributes bytes
@@ -213,10 +193,7 @@ func (c *Comm) P2P(src, dst int, bytes float64) Schedule {
 	return c.insert(Unicast(c.w, src, dst, bytes))
 }
 
-// Multicast compiles a one-to-many transfer: a forwarding tree on the
-// mesh (NPUs replicate at each hop) and on in-network FRED variants
-// (D-µswitches replicate in-switch); serial unicasts from the source
-// on endpoint-only FRED variants, whose switches cannot replicate.
+// Multicast compiles a one-to-many transfer from src to dsts.
 func (c *Comm) Multicast(src int, dsts []int, bytes float64) Schedule {
 	if bytes <= 0 {
 		return Schedule{Name: "multicast(noop)"}
@@ -224,37 +201,22 @@ func (c *Comm) Multicast(src int, dsts []int, bytes float64) Schedule {
 	if s, ok := c.lookup(kindMulticast, src, 0, dsts, bytes); ok {
 		return s
 	}
-	return c.insert(c.buildMulticast(src, dsts, bytes))
+	return c.insert(c.algos.multicast(src, dsts, bytes))
 }
 
-func (c *Comm) buildMulticast(src int, dsts []int, bytes float64) Schedule {
-	if t, ok := c.w.(*topology.FredTree); ok && !t.InNetwork() {
-		s := Schedule{Name: fmt.Sprintf("multicast-unicasts(%d)", len(dsts))}
-		var ph Phase
-		for _, d := range dsts {
-			if d == src {
-				continue
-			}
-			ph = append(ph, Transfer{Links: t.Route(src, d), Bytes: bytes})
+// unicasts compiles a multicast as concurrent unicasts from the
+// source, for fabrics whose switches cannot replicate.
+func unicasts(r router, src int, dsts []int, bytes float64) Schedule {
+	s := Schedule{Name: fmt.Sprintf("multicast-unicasts(%d)", len(dsts))}
+	var ph Phase
+	for _, d := range dsts {
+		if d == src {
+			continue
 		}
-		if len(ph) > 0 {
-			s.Phases = []Phase{ph}
-		}
-		return s
+		ph = append(ph, Transfer{Links: r.Route(src, d), Bytes: bytes})
 	}
-	if f, ok := c.w.(*topology.FredFabric); ok && !f.InNetwork() {
-		s := Schedule{Name: fmt.Sprintf("multicast-unicasts(%d)", len(dsts))}
-		var ph Phase
-		for _, d := range dsts {
-			if d == src {
-				continue
-			}
-			ph = append(ph, Transfer{Links: f.Route(src, d), Bytes: bytes})
-		}
-		if len(ph) > 0 {
-			s.Phases = []Phase{ph}
-		}
-		return s
+	if len(ph) > 0 {
+		s.Phases = []Phase{ph}
 	}
-	return MulticastTree(c.w, src, dsts, bytes)
+	return s
 }

@@ -1,6 +1,8 @@
 package collective
 
 import (
+	"slices"
+
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
 )
@@ -12,47 +14,35 @@ import (
 // which fails the Op with an error instead of panicking.
 
 // AliveGroup filters a collective group down to its members that still
-// have fabric connectivity (see topology.AliveNPUs), preserving order.
-// Dropped NPUs simply stop participating: the shrunken ring or tree
-// reduces over the survivors only.
+// have fabric connectivity (see topology.Wafer.AliveNPUs), preserving
+// order. Dropped NPUs simply stop participating: the shrunken ring or
+// tree reduces over the survivors only.
 func AliveGroup(w topology.Wafer, group []int) []int {
-	alive := topology.AliveNPUs(w)
-	set := make(map[int]bool, len(alive))
-	for _, n := range alive {
-		set[n] = true
-	}
+	alive := w.AliveNPUs()
 	out := make([]int, 0, len(group))
 	for _, m := range group {
-		if set[m] {
+		if _, ok := slices.BinarySearch(alive, m); ok {
 			out = append(out, m)
 		}
 	}
 	return out
 }
 
-// detourRouter adapts a mesh's fault-aware RouteErr to the schedule
+// detourRouter adapts a wafer's fault-aware RouteErr to the schedule
 // compilers' router interface: an unreachable pair yields a nil route,
 // which surfaces as an OpFailed transfer rather than a dead flow.
-type detourRouter struct{ m *topology.Mesh }
+type detourRouter struct{ topology.Wafer }
 
 func (d detourRouter) Route(src, dst int) []netsim.LinkID {
-	route, err := d.m.RouteErr(src, dst)
+	route, err := d.RouteErr(src, dst)
 	if err != nil {
 		return nil
 	}
 	return route
 }
 
-func (d detourRouter) RouteLatency(src, dst int) float64 {
-	return d.m.RouteLatency(src, dst)
-}
-
 // AllReduceDegraded compiles an all-reduce over the alive members of
-// group. On the mesh the ring edges use detour routes around failed
-// links (the Hamiltonian embedding assumes a healthy wafer); FRED
-// variants keep their usual schedules over the shrunken group, since
-// partial switch loss is modelled as trunk degradation rather than
-// route loss.
+// group, with the wafer's degraded algorithm (see selectAlgorithms).
 // The whole compilation — alive-group filtering included — is a pure
 // function of the fabric-state epoch, so it is memoized under its own
 // key on the original group; a Fail/Restore bumps the epoch and the
@@ -68,8 +58,5 @@ func (c *Comm) AllReduceDegraded(group []int, bytes float64) Schedule {
 	if len(alive) <= 1 {
 		return c.insert(Schedule{Name: "allreduce(noop)"})
 	}
-	if m, ok := c.w.(*topology.Mesh); ok {
-		return c.insert(RingAllReduce(detourRouter{m}, SnakeOrder(m, alive), bytes, true))
-	}
-	return c.insert(c.buildAllReduce(alive, bytes))
+	return c.insert(c.algos.degraded(alive, bytes))
 }

@@ -262,31 +262,65 @@ func FredInNetworkMulticast(f *topology.FredFabric, src int, dsts []int, bytes f
 // FredInNetworkReduceScatter compiles a reduce-scatter as serial
 // in-switch reduces, one per member (Table 2).
 func FredInNetworkReduceScatter(f *topology.FredFabric, group []int, bytes float64) Schedule {
-	s := Schedule{Name: fmt.Sprintf("fred-innet-reducescatter(%d)", len(group))}
-	n := len(group)
-	if n <= 1 || bytes <= 0 {
-		return s
-	}
-	shard := bytes / float64(n)
-	for _, root := range group {
-		sub := FredInNetworkReduce(f, group, root, shard)
-		s.Phases = append(s.Phases, sub.Phases...)
-	}
-	return s
+	return serialRounds("fred-innet-reducescatter", group, bytes, func(root int, shard float64) Schedule {
+		return FredInNetworkReduce(f, group, root, shard)
+	})
 }
 
 // FredInNetworkAllGather compiles an all-gather as serial in-switch
 // multicasts, one per member (Table 2).
 func FredInNetworkAllGather(f *topology.FredFabric, group []int, bytes float64) Schedule {
-	s := Schedule{Name: fmt.Sprintf("fred-innet-allgather(%d)", len(group))}
-	n := len(group)
-	if n <= 1 || bytes <= 0 {
+	return serialRounds("fred-innet-allgather", group, bytes, func(src int, shard float64) Schedule {
+		return FredInNetworkMulticast(f, src, group, shard)
+	})
+}
+
+// serialRounds compiles a collective as one round per group member,
+// each moving that member's shard of bytes.
+func serialRounds(name string, group []int, bytes float64, round func(member int, shard float64) Schedule) Schedule {
+	s := Schedule{Name: fmt.Sprintf("%s(%d)", name, len(group))}
+	if len(group) <= 1 || bytes <= 0 {
 		return s
 	}
-	shard := bytes / float64(n)
-	for _, src := range group {
-		sub := FredInNetworkMulticast(f, src, group, shard)
-		s.Phases = append(s.Phases, sub.Phases...)
+	shard := bytes / float64(len(group))
+	for _, m := range group {
+		s.Phases = append(s.Phases, round(m, shard).Phases...)
 	}
 	return s
+}
+
+// FredTreeInNetworkAllReduce compiles an in-switch all-reduce on a
+// multi-level FRED tree: one pipelined transfer over the group's
+// reduction tree, paying the deepest member route's latency.
+func FredTreeInNetworkAllReduce(t *topology.FredTree, group []int, bytes float64) Schedule {
+	depth := 0.0
+	for _, a := range group {
+		if l := t.RouteLatency(group[0], a); l > depth {
+			depth = l
+		}
+	}
+	return Schedule{
+		Name: fmt.Sprintf("fredtree-innet-allreduce(%d)", len(group)),
+		Phases: []Phase{{Transfer{
+			Links:           t.InNetworkAllReduceLinks(group),
+			Bytes:           bytes,
+			LatencyOverride: depth,
+		}}},
+	}
+}
+
+// FredTreeInNetworkReduceScatter compiles a reduce-scatter on a
+// multi-level FRED tree as serial in-switch reduces, one per member.
+func FredTreeInNetworkReduceScatter(t *topology.FredTree, group []int, bytes float64) Schedule {
+	return serialRounds("fredtree-innet-reducescatter", group, bytes, func(root int, shard float64) Schedule {
+		return routeTree("", t, root, group, shard, true)
+	})
+}
+
+// FredTreeInNetworkAllGather compiles an all-gather on a multi-level
+// FRED tree as serial in-switch multicasts, one per member.
+func FredTreeInNetworkAllGather(t *topology.FredTree, group []int, bytes float64) Schedule {
+	return serialRounds("fredtree-innet-allgather", group, bytes, func(src int, shard float64) Schedule {
+		return MulticastTree(t, src, group, shard)
+	})
 }

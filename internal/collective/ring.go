@@ -8,26 +8,12 @@ import (
 	"github.com/wafernet/fred/internal/topology"
 )
 
-// router turns an NPU pair into a link route (both Mesh and FredFabric
-// satisfy it via topology.Wafer).
+// router turns an NPU pair into a link route and that route's
+// cut-through latency, so schedules can model pipeline fill time for
+// small messages. Every topology.Wafer satisfies it.
 type router interface {
 	Route(src, dst int) []netsim.LinkID
-}
-
-// latencyRouter additionally reports a route's cut-through latency, so
-// schedules can model pipeline fill time for small messages.
-type latencyRouter interface {
-	router
 	RouteLatency(src, dst int) float64
-}
-
-// routeLatency returns the route latency when the router exposes it,
-// else 0 (the transfer falls back to summing its links).
-func routeLatency(r router, src, dst int) float64 {
-	if lr, ok := r.(latencyRouter); ok {
-		return lr.RouteLatency(src, dst)
-	}
-	return 0
 }
 
 // RingAllReduce compiles an endpoint ring all-reduce over the logical
@@ -78,7 +64,7 @@ func appendRingPhase(phases []Phase, r router, order []int, bytes float64, bidir
 	steps := float64(halves * (n - 1))
 	maxHop := 0.0
 	for i := 0; i < n; i++ {
-		if l := routeLatency(r, order[i], order[(i+1)%n]); l > maxHop {
+		if l := r.RouteLatency(order[i], order[(i+1)%n]); l > maxHop {
 			maxHop = l
 		}
 	}
@@ -171,10 +157,7 @@ func SnakeOrder(m *topology.Mesh, group []int) []int {
 // utilisation and 2(N−1)/N·D traffic); arbitrary groups ride a
 // bidirectional logical ring in snake order.
 func MeshAllReduce(m *topology.Mesh, group []int, bytes float64) Schedule {
-	if len(group) == m.NPUCount() {
-		return RingAllReduce(m, HamiltonianRing(m), bytes, true)
-	}
-	return RingAllReduce(m, SnakeOrder(m, group), bytes, true)
+	return RingAllReduce(m, meshOrder(m, group), bytes, true)
 }
 
 // meshOrder picks the ring embedding for a mesh group.
@@ -206,26 +189,39 @@ func Unicast(r router, src, dst int, bytes float64) Schedule {
 }
 
 // MulticastTree compiles a one-to-many transfer over the union of the
-// topology's unicast routes, which forms a tree on both the X-Y mesh
-// (shared row prefix, then columns) and the FRED fabric (up, across,
-// down). Used for pipeline-parallel activation forwarding where one
-// MP-group member feeds every NPU of the next stage (footnote 8).
+// topology's unicast routes (see routeTree). Used for pipeline-parallel
+// activation forwarding where one MP-group member feeds every NPU of
+// the next stage (footnote 8).
 func MulticastTree(r router, src int, dsts []int, bytes float64) Schedule {
-	s := Schedule{Name: fmt.Sprintf("multicast(%d)", len(dsts))}
+	return routeTree(fmt.Sprintf("multicast(%d)", len(dsts)), r, src, dsts, bytes, false)
+}
+
+// routeTree compiles one pipelined transfer over the union of the
+// routes between hub and every other member: from the hub (a
+// multicast) or, with toHub, toward it (an in-switch reduce). The
+// union forms a tree on the X-Y mesh (shared row prefix, then
+// columns) and on the FRED fabrics (up, across, down); the transfer
+// pays the deepest route's latency once.
+func routeTree(name string, r router, hub int, members []int, bytes float64, toHub bool) Schedule {
+	s := Schedule{Name: name}
 	if bytes <= 0 {
 		return s
 	}
 	var links []netsim.LinkID
 	seen := make(map[netsim.LinkID]bool)
 	depth := 0.0
-	for _, d := range dsts {
-		if d == src {
+	for _, m := range members {
+		if m == hub {
 			continue
 		}
-		if l := routeLatency(r, src, d); l > depth {
+		src, dst := hub, m
+		if toHub {
+			src, dst = m, hub
+		}
+		if l := r.RouteLatency(src, dst); l > depth {
 			depth = l
 		}
-		for _, l := range r.Route(src, d) {
+		for _, l := range r.Route(src, dst) {
 			if !seen[l] {
 				seen[l] = true
 				links = append(links, l)

@@ -60,7 +60,7 @@ func (s *Session) CrossoverStudy() ([]CrossoverRow, *report.Table) {
 			}
 			f := topology.NewFredTree(netsim.New(sim.NewScheduler()), cfg)
 			row.FredTime = collective.RunToCompletion(f.Network(),
-				NewCommFor(f).AllReduce(group, bytes))
+				collective.NewComm(f).AllReduce(group, bytes))
 		}
 		rows[i] = row
 	})
@@ -79,9 +79,6 @@ func (s *Session) CrossoverStudy() ([]CrossoverRow, *report.Table) {
 	tbl.AddNote("the tree's O(log N) rounds beat the ring's O(N) fill at small sizes on larger wafers; in-network FRED dominates both (Section 2.2)")
 	return rows, tbl
 }
-
-// NewCommFor is a tiny alias keeping the study readable.
-func NewCommFor(w topology.Wafer) *collective.Comm { return collective.NewComm(w) }
 
 func formatBytes(b float64) string {
 	switch {

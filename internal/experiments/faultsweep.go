@@ -114,7 +114,7 @@ func (s *Session) fredDegradedBW(k int) (float64, critpath.Blame) {
 	}
 	net.Scheduler().Run() // apply the plan before traffic starts
 
-	group := topology.AliveNPUs(f)
+	group := f.AliveNPUs()
 	elapsed, blame, err := collective.RunToCompletionBlame(net, collective.NewComm(f).AllReduce(group, faultSweepBytes))
 	if err != nil || elapsed <= 0 {
 		return 0, blame

@@ -26,14 +26,6 @@ func (e *UnreachableError) Error() string {
 	return fmt.Sprintf("topology: %s: no alive route from NPU %d to NPU %d", e.Topo, e.Src, e.Dst)
 }
 
-// FaultRouter is implemented by wafers that can route around failed
-// links. RouteErr returns the topology's canonical route when it is
-// fully alive, a deterministic detour over surviving links when the
-// topology has path diversity, and an UnreachableError otherwise.
-type FaultRouter interface {
-	RouteErr(src, dst int) ([]netsim.LinkID, error)
-}
-
 // routeAlive reports whether every link of a route is alive.
 func routeAlive(net *netsim.Network, route []netsim.LinkID) bool {
 	for _, id := range route {
@@ -44,7 +36,7 @@ func routeAlive(net *netsim.Network, route []netsim.LinkID) bool {
 	return true
 }
 
-// RouteErr implements FaultRouter: X-Y dimension order when that path
+// RouteErr implements Wafer: X-Y dimension order when that path
 // is alive, otherwise the shortest detour over surviving mesh links
 // (breadth-first, deterministic neighbour order: east, west, south,
 // north), otherwise an UnreachableError when the failures partition
@@ -123,72 +115,61 @@ func (m *Mesh) detourRoute(src, dst int) ([]netsim.LinkID, error) {
 	return route, nil
 }
 
-// RouteErr implements FaultRouter. The up-down route through the
-// switch hierarchy is unique at link granularity (path diversity lives
+// RouteErr implements Wafer. The up-down route through the switch
+// hierarchy is unique at link granularity (path diversity lives
 // inside the switches, see package fred), so a failed link on it means
 // the pair is unreachable.
 func (f *FredFabric) RouteErr(src, dst int) ([]netsim.LinkID, error) {
-	route := f.Route(src, dst)
-	if !routeAlive(f.net, route) {
-		return nil, &UnreachableError{Topo: f.Name(), Src: src, Dst: dst}
-	}
-	return route, nil
+	return uniqueRouteErr(f, src, dst)
 }
 
-// RouteErr implements FaultRouter; like FredFabric, the LCA route is
-// unique per pair, so a dead link on it is an UnreachableError.
+// RouteErr implements Wafer; like FredFabric, the LCA route is unique
+// per pair.
 func (t *FredTree) RouteErr(src, dst int) ([]netsim.LinkID, error) {
-	route := t.Route(src, dst)
-	if !routeAlive(t.net, route) {
-		return nil, &UnreachableError{Topo: t.Name(), Src: src, Dst: dst}
+	return uniqueRouteErr(t, src, dst)
+}
+
+// uniqueRouteErr returns a wafer's only route for the pair when it is
+// alive, else an UnreachableError.
+func uniqueRouteErr(w Wafer, src, dst int) ([]netsim.LinkID, error) {
+	route := w.Route(src, dst)
+	if !routeAlive(w.Network(), route) {
+		return nil, &UnreachableError{Topo: w.Name(), Src: src, Dst: dst}
 	}
 	return route, nil
 }
 
-// AliveNPUs returns the NPUs whose injection ports (both directions)
-// are still alive, in index order — the membership a degraded
-// collective re-plans over.
-func AliveNPUs(w Wafer) []int {
-	net := w.Network()
+// AliveNPUs implements Wafer: a mesh NPU participates while any of its
+// ports work, so at least one in- and one out-link must survive.
+func (m *Mesh) AliveNPUs() []int {
+	in, out := make([]bool, len(m.npus)), make([]bool, len(m.npus))
+	for pair, id := range m.links {
+		if !m.net.Link(id).Failed() {
+			out[pair[0]], in[pair[1]] = true, true
+		}
+	}
 	var alive []int
-	switch v := w.(type) {
-	case *Mesh:
-		for i := range v.npus {
-			// A mesh NPU participates while any of its ports work: check
-			// that at least one in- and one out-link survive.
-			in, out := false, false
-			x, y := v.Coord(i)
-			for _, d := range [4][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
-				nx, ny := x+d[0], y+d[1]
-				if nx < 0 || nx >= v.cfg.W || ny < 0 || ny >= v.cfg.H {
-					continue
-				}
-				j := v.Index(nx, ny)
-				if _, ok := v.aliveNeighborLink(i, j); ok {
-					out = true
-				}
-				if _, ok := v.aliveNeighborLink(j, i); ok {
-					in = true
-				}
-			}
-			if in && out {
-				alive = append(alive, i)
-			}
+	for i := range m.npus {
+		if in[i] && out[i] {
+			alive = append(alive, i)
 		}
-	case *FredFabric:
-		for i := range v.npus {
-			if !net.Link(v.npuUp[i]).Failed() && !net.Link(v.npuDown[i]).Failed() {
-				alive = append(alive, i)
-			}
-		}
-	case *FredTree:
-		for i := range v.npus {
-			if !net.Link(v.npuUp[i]).Failed() && !net.Link(v.npuDwn[i]).Failed() {
-				alive = append(alive, i)
-			}
-		}
-	default:
-		for i := 0; i < w.NPUCount(); i++ {
+	}
+	return alive
+}
+
+// AliveNPUs implements Wafer: an NPU participates while both
+// directions of its single switch port are alive.
+func (f *FredFabric) AliveNPUs() []int { return alivePorts(f.net, f.npuUp, f.npuDown) }
+
+// AliveNPUs implements Wafer, as for FredFabric.
+func (t *FredTree) AliveNPUs() []int { return alivePorts(t.net, t.npuUp, t.npuDwn) }
+
+// alivePorts returns the NPUs whose up and down port links are both
+// alive, in index order.
+func alivePorts(net *netsim.Network, up, down []netsim.LinkID) []int {
+	var alive []int
+	for i := range up {
+		if !net.Link(up[i]).Failed() && !net.Link(down[i]).Failed() {
 			alive = append(alive, i)
 		}
 	}

@@ -11,12 +11,12 @@ import (
 // checkAllPairs asserts the route-validity property: for every NPU
 // pair, RouteErr either returns a route using only alive links or an
 // UnreachableError — never a route crossing a dead link.
-func checkAllPairs(t *testing.T, tag string, w Wafer, fr FaultRouter) (routes, unreachable int) {
+func checkAllPairs(t *testing.T, tag string, w Wafer) (routes, unreachable int) {
 	t.Helper()
 	net := w.Network()
 	for src := 0; src < w.NPUCount(); src++ {
 		for dst := 0; dst < w.NPUCount(); dst++ {
-			route, err := fr.RouteErr(src, dst)
+			route, err := w.RouteErr(src, dst)
 			if err != nil {
 				if _, ok := err.(*UnreachableError); !ok {
 					t.Fatalf("%s: %d->%d: error %v is not an UnreachableError", tag, src, dst, err)
@@ -53,7 +53,7 @@ func TestMeshRouteValidityUnderRandomFaults(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			net.FailNode(netsim.NodeID(rng.Intn(m.NPUCount())))
 		}
-		routes, unreachable := checkAllPairs(t, "mesh", m, m)
+		routes, unreachable := checkAllPairs(t, "mesh", m)
 		if routes == 0 {
 			t.Errorf("seed %d: every pair unreachable (%d) — fault plan implausibly severe", seed, unreachable)
 		}
@@ -129,7 +129,7 @@ func TestFredFabricRouteErr(t *testing.T) {
 	if _, err := f.RouteErr(5, 0); err != nil {
 		t.Fatalf("reverse route (alive down-trunk) failed: %v", err)
 	}
-	checkAllPairs(t, "fredA", f, f)
+	checkAllPairs(t, "fredA", f)
 }
 
 func TestFredTreeRouteValidityUnderRandomFaults(t *testing.T) {
@@ -143,19 +143,19 @@ func TestFredTreeRouteValidityUnderRandomFaults(t *testing.T) {
 		for i := 1 + rng.Intn(4); i > 0; i-- {
 			net.Link(netsim.LinkID(rng.Intn(net.NumLinks()))).Fail()
 		}
-		checkAllPairs(t, "fredtree", ft, ft)
+		checkAllPairs(t, "fredtree", ft)
 	}
 }
 
 func TestAliveNPUs(t *testing.T) {
 	net := netsim.New(sim.NewScheduler())
 	m := NewMesh(net, DefaultMeshConfig())
-	if got := len(AliveNPUs(m)); got != m.NPUCount() {
+	if got := len(m.AliveNPUs()); got != m.NPUCount() {
 		t.Fatalf("healthy mesh: %d alive NPUs, want %d", got, m.NPUCount())
 	}
 	// Drop NPU 7 entirely.
 	net.FailNode(netsim.NodeID(7))
-	alive := AliveNPUs(m)
+	alive := m.AliveNPUs()
 	if len(alive) != m.NPUCount()-1 {
 		t.Fatalf("%d alive after dropout, want %d", len(alive), m.NPUCount()-1)
 	}
@@ -168,8 +168,28 @@ func TestAliveNPUs(t *testing.T) {
 	net2 := netsim.New(sim.NewScheduler())
 	f := NewFredVariant(net2, FredA)
 	net2.Link(f.UpLink(3)).Fail()
-	alive = AliveNPUs(f)
+	alive = f.AliveNPUs()
 	if len(alive) != f.NPUCount()-1 {
 		t.Fatalf("fred: %d alive, want %d", len(alive), f.NPUCount()-1)
+	}
+
+	// A multi-level tree drops an NPU whose down port failed.
+	net3 := netsim.New(sim.NewScheduler())
+	ft := NewFredTree(net3, TreeConfig{
+		NPUs: 16, FanIn: []int{4, 2, 2}, LevelBW: []float64{3e12, 1.5e12, 1.5e12},
+		IOCs: 4, IOCBW: 128e9, LinkLatency: 20e-9,
+	})
+	if got := len(ft.AliveNPUs()); got != ft.NPUCount() {
+		t.Fatalf("healthy tree: %d alive NPUs, want %d", got, ft.NPUCount())
+	}
+	net3.Link(ft.npuDwn[5]).Fail()
+	alive = ft.AliveNPUs()
+	if len(alive) != ft.NPUCount()-1 {
+		t.Fatalf("tree: %d alive, want %d", len(alive), ft.NPUCount()-1)
+	}
+	for _, i := range alive {
+		if i == 5 {
+			t.Fatal("tree: NPU with a failed port still reported alive")
+		}
 	}
 }

@@ -145,6 +145,10 @@ func (f *FredFabric) Variant() FredVariant { return f.variant }
 // execution (Fred-B/D).
 func (f *FredFabric) InNetwork() bool { return f.cfg.InNetwork }
 
+// CircuitSwitched implements Wafer: the FRED switches execute one
+// communication class at a time (Section 5.4).
+func (f *FredFabric) CircuitSwitched() bool { return true }
+
 // Name implements Wafer.
 func (f *FredFabric) Name() string { return string(f.variant) }
 
@@ -204,8 +208,8 @@ func (f *FredFabric) Route(src, dst int) []netsim.LinkID {
 	}
 }
 
-// RouteLatency returns the up-down route's cut-through latency (2
-// hops under one leaf, 4 across the root).
+// RouteLatency implements Wafer: the up-down route's cut-through
+// latency (2 hops under one leaf, 4 across the root).
 func (f *FredFabric) RouteLatency(src, dst int) float64 {
 	if src == dst {
 		return 0

@@ -144,6 +144,10 @@ func (t *FredTree) Config() TreeConfig { return t.cfg }
 // InNetwork reports in-switch collective support.
 func (t *FredTree) InNetwork() bool { return t.cfg.InNetwork }
 
+// CircuitSwitched implements Wafer. The multi-level tree is studied
+// only by collective sweeps, which run no circuit discipline.
+func (t *FredTree) CircuitSwitched() bool { return false }
+
 // Levels returns the switch-level count (tree height above the NPUs).
 func (t *FredTree) Levels() int { return len(t.levels) }
 
@@ -201,7 +205,7 @@ func (t *FredTree) Route(src, dst int) []netsim.LinkID {
 	return append(links, t.npuDwn[dst])
 }
 
-// RouteLatency returns the tree route's cut-through latency.
+// RouteLatency implements Wafer: the tree route's cut-through latency.
 func (t *FredTree) RouteLatency(src, dst int) float64 {
 	return float64(len(t.Route(src, dst))) * t.cfg.LinkLatency
 }

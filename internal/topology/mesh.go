@@ -120,6 +120,9 @@ func (m *Mesh) Dims() (w, h int) { return m.cfg.W, m.cfg.H }
 // Name implements Wafer.
 func (m *Mesh) Name() string { return fmt.Sprintf("mesh-%dx%d", m.cfg.W, m.cfg.H) }
 
+// CircuitSwitched implements Wafer: the mesh is packet-switched.
+func (m *Mesh) CircuitSwitched() bool { return false }
+
 // Network implements Wafer.
 func (m *Mesh) Network() *netsim.Network { return m.net }
 
@@ -191,7 +194,7 @@ func (m *Mesh) Route(src, dst int) []netsim.LinkID {
 	return out
 }
 
-// RouteLatency returns the X-Y route's cut-through latency.
+// RouteLatency implements Wafer: the X-Y route's cut-through latency.
 func (m *Mesh) RouteLatency(src, dst int) float64 {
 	return float64(m.Distance(src, dst)) * m.cfg.LinkLatency
 }

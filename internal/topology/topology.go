@@ -75,6 +75,20 @@ type Wafer interface {
 	NPUPortBW() float64
 	// IOCBW returns the per-controller one-direction bandwidth.
 	IOCBW() float64
+	// RouteLatency returns the cut-through latency of Route(src, dst).
+	RouteLatency(src, dst int) float64
+	// RouteErr returns Route(src, dst) when it is fully alive, a
+	// deterministic detour over surviving links when the topology has
+	// path diversity, and an UnreachableError otherwise.
+	RouteErr(src, dst int) ([]netsim.LinkID, error)
+	// AliveNPUs returns the NPUs that still have fabric connectivity,
+	// in index order: the membership a degraded collective re-plans
+	// over.
+	AliveNPUs() []int
+	// CircuitSwitched reports whether the fabric runs collectives
+	// under FRED's one-class-at-a-time circuit discipline (Section 5.4)
+	// rather than sharing links among all classes at once.
+	CircuitSwitched() bool
 }
 
 // TotalIOCBW returns the aggregate one-direction I/O bandwidth of a

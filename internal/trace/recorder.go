@@ -185,15 +185,15 @@ func (r *Recorder) Counter(track, series string, t sim.Time, value float64) {
 
 var _ Tracer = (*Recorder)(nil)
 
-// ftoa formats a float deterministically for JSON. The trace format
-// has no encoding for non-finite numbers, so they are clamped.
-func ftoa(f float64) string {
+// appendFloat appends f formatted deterministically for JSON. The
+// trace format cannot encode non-finite numbers, so they are clamped.
+func appendFloat(b []byte, f float64) []byte {
 	if math.IsInf(f, 1) || math.IsNaN(f) {
 		f = math.MaxFloat64
 	} else if math.IsInf(f, -1) {
 		f = -math.MaxFloat64
 	}
-	return strconv.FormatFloat(f, 'g', -1, 64)
+	return strconv.AppendFloat(b, f, 'g', -1, 64)
 }
 
 // quoteMemo memoizes strconv.Quote for the duration of one WriteJSON
@@ -224,7 +224,7 @@ func appendArgs(b []byte, q quoteMemo, args []Arg) []byte {
 		case string:
 			b = q.append(b, v)
 		case float64:
-			b = append(b, ftoa(v)...)
+			b = appendFloat(b, v)
 		case int:
 			b = strconv.AppendInt(b, int64(v), 10)
 		case uint64:
@@ -256,10 +256,10 @@ func appendEvent(b []byte, q quoteMemo, ph byte, name, cat string, tid int, id u
 		b = append(b, '"')
 	}
 	b = append(b, `,"ts":`...)
-	b = append(b, ftoa(ts)...)
+	b = appendFloat(b, ts)
 	if hasDur {
 		b = append(b, `,"dur":`...)
-		b = append(b, ftoa(dur)...)
+		b = appendFloat(b, dur)
 	}
 	if args != nil {
 		b = appendArgs(b, q, args)

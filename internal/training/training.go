@@ -249,19 +249,6 @@ func Simulate(cfg Config) (*Report, error) {
 	return e.runStationary()
 }
 
-// MustSimulate panics on error, for tests and benchmarks of known-good
-// configurations — a Must-style assertion like regexp.MustCompile.
-// Production callers (experiments, fredsim) use Simulate and handle
-// the error: on a degraded wafer a rejected configuration is an
-// expected outcome, not a bug.
-func MustSimulate(cfg Config) *Report {
-	r, err := Simulate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // engine holds the per-run state shared by both execution modes.
 type engine struct {
 	cfg   *Config
@@ -292,7 +279,7 @@ func newEngine(cfg *Config) *engine {
 		comm:  collective.NewComm(cfg.Wafer),
 		crit:  net.CritPath(),
 	}
-	if _, ok := cfg.Wafer.(*topology.FredFabric); ok {
+	if cfg.Wafer.CircuitSwitched() {
 		e.arb = newFredArbiter(net)
 	} else {
 		e.arb = meshArbiter{net: net}

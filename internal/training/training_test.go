@@ -11,6 +11,17 @@ import (
 	"github.com/wafernet/fred/internal/workload"
 )
 
+// MustSimulate panics on error, for tests of known-good configurations.
+// Production callers use Simulate and handle the error: on a degraded
+// wafer a rejected configuration is an expected outcome, not a bug.
+func MustSimulate(cfg Config) *Report {
+	r, err := Simulate(cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 func newMesh() topology.Wafer {
 	return topology.NewMesh(netsim.New(sim.NewScheduler()), topology.DefaultMeshConfig())
 }
