@@ -43,12 +43,3 @@ func TreeAllReduce(r router, group []int, bytes float64) Schedule {
 	}
 	return s
 }
-
-// TreeReduceRounds returns the reduce-round count ⌈log2 N⌉.
-func TreeReduceRounds(n int) int {
-	r := 0
-	for span := 1; span < n; span <<= 1 {
-		r++
-	}
-	return r
-}

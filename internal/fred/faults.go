@@ -1,9 +1,6 @@
 package fred
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // µswitch failures. A failed element takes all of its ports out of
 // service. Routing then re-plans around the failure using the Clos
@@ -49,18 +46,6 @@ func (ic *Interconnect) FailElement(id int) {
 // ElementFailed reports whether FailElement was called on the element.
 func (ic *Interconnect) ElementFailed(id int) bool {
 	return ic.failed != nil && ic.failed[id]
-}
-
-// FailedElements returns the failed element IDs in ascending order.
-func (ic *Interconnect) FailedElements() []int {
-	var out []int
-	for id, f := range ic.failed {
-		if f {
-			out = append(out, id)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // stageFailed reports whether any element of the (sub-)stage — base,

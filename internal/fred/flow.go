@@ -160,9 +160,3 @@ func validateFlows(p int, flows []Flow) error {
 	}
 	return nil
 }
-
-// flowPortsKey returns a canonical key for grouping (used by tests and
-// diagnostics).
-func flowPortsKey(ports []int) string {
-	return fmt.Sprint(sortedCopy(ports))
-}

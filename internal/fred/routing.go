@@ -58,9 +58,6 @@ type Assignment struct {
 // Flows returns the flows this plan routes.
 func (p *Plan) Flows() []Flow { return p.flows }
 
-// Connections returns the configured connections of one element.
-func (p *Plan) Connections(elemID int) []Connection { return p.config[elemID] }
-
 // ActiveReductions counts connections with the reduction feature
 // activated (the highlighted R/RD µswitches of Figure 7(h)).
 func (p *Plan) ActiveReductions() int {

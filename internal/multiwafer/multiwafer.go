@@ -32,6 +32,7 @@ package multiwafer
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"github.com/wafernet/fred/internal/collective"
@@ -86,17 +87,23 @@ func (c Config) Validate() error {
 	if c.BoundaryPorts < 1 {
 		return &ConfigError{Field: "BoundaryPorts", Reason: fmt.Sprintf("need ≥ 1 boundary port, got %d", c.BoundaryPorts)}
 	}
-	if c.PortBW <= 0 {
-		return &ConfigError{Field: "PortBW", Reason: fmt.Sprintf("bandwidth %g must be positive", c.PortBW)}
+	// The negated comparisons also reject NaN.
+	if !(c.PortBW > 0 && c.PortBW <= math.MaxFloat64) {
+		return &ConfigError{Field: "PortBW", Reason: fmt.Sprintf("bandwidth %g must be finite and positive", c.PortBW)}
 	}
-	if c.PortLatency < 0 {
-		return &ConfigError{Field: "PortLatency", Reason: fmt.Sprintf("latency %g must be non-negative", c.PortLatency)}
+	if !(c.PortLatency >= 0 && c.PortLatency <= math.MaxFloat64) {
+		return &ConfigError{Field: "PortLatency", Reason: fmt.Sprintf("latency %g must be finite and non-negative", c.PortLatency)}
 	}
 	if len(c.Dims) > 0 {
 		product := 1
 		for i, d := range c.Dims {
 			if d < 2 {
 				return &ConfigError{Field: "Dims", Reason: fmt.Sprintf("dimension %d size %d must be ≥ 2", i, d)}
+			}
+			// product*d > Wafers, tested without overflowing int; this
+			// also rejects any dimension larger than Wafers.
+			if product > c.Wafers/d {
+				return &ConfigError{Field: "Dims", Reason: fmt.Sprintf("dimensions 0..%d multiply past %d wafers", i, c.Wafers)}
 			}
 			product *= d
 		}

@@ -127,6 +127,15 @@ func TestValidateTypedErrors(t *testing.T) {
 		{Config{Wafers: 2, BoundaryPorts: 4, PortBW: 1e9, PortLatency: -1}, "PortLatency"},
 		{Config{Wafers: 4, BoundaryPorts: 4, PortBW: 1e9, Dims: []int{4, 1}}, "Dims"},
 		{Config{Wafers: 4, BoundaryPorts: 4, PortBW: 1e9, Dims: []int{2, 4}}, "Dims"},
+		// Non-finite port parameters: a NaN or infinite latency stalls
+		// Run forever; a NaN or infinite bandwidth times nothing real.
+		{Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: 1e9, PortLatency: math.NaN()}, "PortLatency"},
+		{Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: 1e9, PortLatency: math.Inf(1)}, "PortLatency"},
+		{Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: math.NaN()}, "PortBW"},
+		{Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: math.Inf(1)}, "PortBW"},
+		// 4611686018427387905 × 4 wraps to 4: an overflowing product
+		// must not pass for the wafer count.
+		{Config{Wafers: 4, Variant: topology.FredD, BoundaryPorts: 4, PortBW: 1e9, Dims: []int{4611686018427387905, 4}}, "Dims"},
 		// An unknown variant is an error, not a panic in the topology.
 		{Config{Wafers: 2, Variant: "Fred-Z", BoundaryPorts: 4, PortBW: 1e9}, "Variant"},
 		// Rejected before any wafer is built: a Fred-D wafer has 20 NPUs.
@@ -294,4 +303,48 @@ func TestLinkNamesMatchFormat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzConfig requires every configuration to come back from Validate
+// and NewErr as either a *ConfigError or a System of the configured
+// shape that compiles a global all-reduce, never a panic. Dims takes
+// the first ndims%4 of d0, d1, d2. A system is built only for small
+// accepted configurations, so no input allocates a huge fabric.
+//
+// Explore with: go test -run='^$' -fuzz=FuzzConfig ./internal/multiwafer
+func FuzzConfig(f *testing.F) {
+	add := func(c Config) {
+		d := append(append([]int(nil), c.Dims...), 0, 0, 0)
+		f.Add(c.Wafers, string(c.Variant), c.BoundaryPorts, c.PortBW, c.PortLatency, uint8(len(c.Dims)), d[0], d[1], d[2])
+	}
+	add(DefaultConfig())
+	add(Config{Wafers: 4, Variant: topology.FredA, BoundaryPorts: 2, PortBW: 1e9, Dims: []int{2, 2}})
+	// The five inputs Validate once let through.
+	add(Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: 1e9, PortLatency: math.NaN()})
+	add(Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: 1e9, PortLatency: math.Inf(1)})
+	add(Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: math.NaN()})
+	add(Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 4, PortBW: math.Inf(1)})
+	add(Config{Wafers: 4, Variant: topology.FredD, BoundaryPorts: 4, PortBW: 1e9, Dims: []int{4611686018427387905, 4}})
+	f.Fuzz(func(t *testing.T, wafers int, variant string, ports int, bw, lat float64, ndims uint8, d0, d1, d2 int) {
+		cfg := Config{Wafers: wafers, Variant: topology.FredVariant(variant), BoundaryPorts: ports,
+			PortBW: bw, PortLatency: lat, Dims: []int{d0, d1, d2}[:ndims%4]}
+		err := cfg.Validate()
+		var ce *ConfigError
+		if err != nil && !errors.As(err, &ce) {
+			t.Fatalf("Validate(%+v) = %v, want nil or *ConfigError", cfg, err)
+		}
+		if err != nil || wafers > 16 || ports > 20 {
+			return
+		}
+		s, err := NewErr(cfg)
+		if err != nil {
+			t.Fatalf("NewErr rejected %+v, which Validate accepted: %v", cfg, err)
+		}
+		if s.Wafers() != wafers || s.NPUCount() != wafers*topology.FredVariantConfig(cfg.Variant).NPUs {
+			t.Fatalf("%+v built %d wafers, %d NPUs", cfg, s.Wafers(), s.NPUCount())
+		}
+		if len(s.GlobalAllReduce(1e6).Phases) == 0 {
+			t.Fatalf("%+v: empty global all-reduce", cfg)
+		}
+	})
 }

@@ -40,15 +40,6 @@ func (p Placement) NPUs(ranks []int) []int {
 	return out
 }
 
-// Identity returns the rank-order placement for n workers.
-func Identity(n int) Placement {
-	p := make(Placement, n)
-	for i := range p {
-		p[i] = i
-	}
-	return p
-}
-
 // Dim names one of the three parallelism dimensions.
 type Dim int
 

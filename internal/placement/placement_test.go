@@ -12,7 +12,10 @@ import (
 )
 
 func TestIdentityValid(t *testing.T) {
-	p := Identity(20)
+	p := make(Placement, 20)
+	for i := range p {
+		p[i] = i
+	}
 	if err := p.Validate(20); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Time is a point on the simulated timeline, in seconds.
@@ -56,9 +55,6 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // deadline, rare enough that the hot event loop pays one predictable
 // branch per event and an atomic context read only every 4096th.
 const DefaultCancelCheckEvery = 4096
-
-// Infinity is a time later than any event the simulators schedule.
-const Infinity Time = math.MaxFloat64
 
 // Event is a scheduled callback. It is returned by Scheduler.At so the
 // caller can cancel it before it fires. A zero Event may also be

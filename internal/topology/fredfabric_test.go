@@ -249,11 +249,10 @@ func TestWaferInterfaceCompliance(t *testing.T) {
 	var _ Wafer = (*FredFabric)(nil)
 	m := newTestMesh()
 	fd := newTestFabric(FredD)
-	if TotalIOCBW(m) != 18*128e9 {
-		t.Fatalf("mesh TotalIOCBW = %g", TotalIOCBW(m))
-	}
-	if TotalIOCBW(fd) != 18*128e9 {
-		t.Fatalf("fred TotalIOCBW = %g", TotalIOCBW(fd))
+	for _, w := range []Wafer{m, fd} {
+		if got := float64(w.IOCCount()) * w.IOCBW(); got != 18*128e9 {
+			t.Fatalf("%T total I/O bandwidth = %g", w, got)
+		}
 	}
 	if m.NPUPortBW() != 3e12 {
 		t.Fatalf("mesh NPUPortBW = %g, want 3 TB/s", m.NPUPortBW())

@@ -90,9 +90,3 @@ type Wafer interface {
 	// rather than sharing links among all classes at once.
 	CircuitSwitched() bool
 }
-
-// TotalIOCBW returns the aggregate one-direction I/O bandwidth of a
-// wafer.
-func TotalIOCBW(w Wafer) float64 {
-	return float64(w.IOCCount()) * w.IOCBW()
-}

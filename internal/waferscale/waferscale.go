@@ -17,22 +17,18 @@ const (
 
 	// NPUComputeAreaMM2 and NPUComputePowerW describe the GPU-like
 	// compute chiplet (FP16: 1000 TFLOPS).
-	NPUComputeAreaMM2   = 814.0
-	NPUComputePowerW    = 525.0
-	NPUPeakFP16TFLOPs   = 1000.0
-	HBMStacksPerNPU     = 5
-	HBMStackAreaMM2     = 100.0
-	HBMStackPowerW      = 35.0
-	HBMCapacityBytes    = 80e9  // total per NPU
-	HBMBandwidthBps     = 3e12  // total per NPU
-	NPUChipletPitchUM   = 100.0 // inter-chiplet spacing
-	WaferLinkLatencyS   = 20e-9
-	WaferEnergyPJPerBit = 0.063
+	NPUComputeAreaMM2 = 814.0
+	NPUComputePowerW  = 525.0
+	NPUPeakFP16TFLOPs = 1000.0
+	HBMStacksPerNPU   = 5
+	HBMStackAreaMM2   = 100.0
+	HBMStackPowerW    = 35.0
+	HBMCapacityBytes  = 80e9 // total per NPU
+	HBMBandwidthBps   = 3e12 // total per NPU
 
 	// IOControllerCount etc. describe the CXL-3 controllers.
 	IOControllerCount   = 18
 	IOControllerAreaMM2 = 20.0
-	IOControllerPowerW  = 5.0
 	IOControllerBWBps   = 128e9
 
 	// NPUCount is the number of NPUs the 15 kW budget admits
@@ -51,11 +47,6 @@ func NPUPowerW() float64 { return NPUComputePowerW + HBMStacksPerNPU*HBMStackPow
 // baseline system (26,640 mm², Section 6.2.2).
 func BaselineComputeAreaMM2() float64 {
 	return NPUCount*NPUAreaMM2() + IOControllerCount*IOControllerAreaMM2
-}
-
-// MaxNPUsForPower returns how many NPUs a power budget admits.
-func MaxNPUsForPower(budgetW float64) int {
-	return int(budgetW / NPUPowerW())
 }
 
 // SwitchChiplet is one row of Table 4.

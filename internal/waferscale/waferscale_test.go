@@ -12,7 +12,7 @@ func TestNPUBudget(t *testing.T) {
 	if got := NPUAreaMM2(); got != 1314 {
 		t.Fatalf("NPU area = %g mm², want 1314", got)
 	}
-	if got := MaxNPUsForPower(PowerBudgetW); got != 21 {
+	if got := int(PowerBudgetW / NPUPowerW()); got != 21 {
 		t.Fatalf("15 kW admits %d NPUs, want ≈ 21", got)
 	}
 }
