@@ -226,15 +226,28 @@ func BenchmarkCollectiveWaferAllReduce(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainingIteration measures one full Transformer-17B
-// training-iteration simulation on the baseline mesh.
+// BenchmarkTrainingIteration measures one full training-iteration
+// simulation per engine: weight-stationary Transformer-17B
+// MP(3)-DP(3)-PP(2) on the baseline mesh, and weight-streaming GPT-3
+// at its default strategy on Fred-D.
 func BenchmarkTrainingIteration(b *testing.B) {
-	m := workload.Transformer17B()
-	for i := 0; i < b.N; i++ {
-		p := NewBaselineMesh()
-		if _, err := SimulateTraining(p, m, Strategy{MP: 3, DP: 3, PP: 2}, 16); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name     string
+		platform func() *Platform
+		model    *Model
+		strategy Strategy
+	}{
+		{"stationary", NewBaselineMesh, workload.Transformer17B(), Strategy{MP: 3, DP: 3, PP: 2}},
+		{"streaming", func() *Platform { return NewFred(SystemFredD) }, workload.GPT3(), Strategy{MP: 2, DP: 5, PP: 2}},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := SimulateTraining(c.platform(), c.model, c.strategy, 16); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

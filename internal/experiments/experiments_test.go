@@ -368,27 +368,6 @@ func TestPlacementSearchAblation(t *testing.T) {
 	}
 }
 
-func TestValidateFabricRoutingAllStrategies(t *testing.T) {
-	// Section 5.3's claim, end to end: with m=3 switches and the
-	// consecutive placement, every strategy in the evaluation sweeps
-	// generates communication phases the switches can route.
-	for _, s := range transformerStrategies() {
-		if err := NewSession().ValidateFabricRouting(s); err != nil {
-			t.Errorf("%v: %v", s, err)
-		}
-	}
-	for _, s := range t1tStrategies() {
-		if err := NewSession().ValidateFabricRouting(s); err != nil {
-			t.Errorf("%v: %v", s, err)
-		}
-	}
-	for _, s := range parallelism.EnumerateExact(20) {
-		if err := NewSession().ValidateFabricRouting(s); err != nil {
-			t.Errorf("%v: %v", s, err)
-		}
-	}
-}
-
 func TestCrossoverStudy(t *testing.T) {
 	rows, _ := NewSession().CrossoverStudy()
 	var treeWins64, ringWinsLarge bool

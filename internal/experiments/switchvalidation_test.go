@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"testing"
 
 	"github.com/wafernet/fred/internal/fred"
 	"github.com/wafernet/fred/internal/parallelism"
@@ -9,7 +10,7 @@ import (
 	"github.com/wafernet/fred/internal/topology"
 )
 
-// ValidateFabricRouting checks that the concurrent communication
+// validateFabricRouting checks that the concurrent communication
 // phases a 3D strategy generates on the 20-NPU FRED fabric are
 // routable on the actual switch micro-architecture — connecting the
 // timing simulator (which assumes nonblocking switches) back to the
@@ -23,7 +24,7 @@ import (
 // down-flow (trunk slice → members). Root model: a Fred_3(10) whose
 // port g·5+l carries group g's slice from leaf l, validated with one
 // all-reduce flow per group.
-func (s *Session) ValidateFabricRouting(strat parallelism.Strategy) error {
+func validateFabricRouting(s *Session, strat parallelism.Strategy) error {
 	f := s.Build(FredD).(*topology.FredFabric)
 	p := placement.Consecutive(strat)
 
@@ -109,4 +110,25 @@ func (s *Session) ValidateFabricRouting(strat parallelism.Strategy) error {
 		}
 	}
 	return nil
+}
+
+func TestValidateFabricRoutingAllStrategies(t *testing.T) {
+	// Section 5.3's claim, end to end: with m=3 switches and the
+	// consecutive placement, every strategy in the evaluation sweeps
+	// generates communication phases the switches can route.
+	for _, s := range transformerStrategies() {
+		if err := validateFabricRouting(NewSession(), s); err != nil {
+			t.Errorf("%v: %v", s, err)
+		}
+	}
+	for _, s := range t1tStrategies() {
+		if err := validateFabricRouting(NewSession(), s); err != nil {
+			t.Errorf("%v: %v", s, err)
+		}
+	}
+	for _, s := range parallelism.EnumerateExact(20) {
+		if err := validateFabricRouting(NewSession(), s); err != nil {
+			t.Errorf("%v: %v", s, err)
+		}
+	}
 }

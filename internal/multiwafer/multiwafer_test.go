@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
+	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/topology"
 )
@@ -347,4 +349,30 @@ func FuzzConfig(f *testing.F) {
 			t.Fatalf("%+v: empty global all-reduce", cfg)
 		}
 	})
+}
+
+// TestOverflowingFinishTimeEndsWithError: a bandwidth that Validate
+// accepts but that puts a flow's finish time past the float64 range
+// (1e6 bytes at 5e-324 B/s) must end the run with an error. The engine
+// used to keep re-firing its completion event at t=+Inf and never
+// return.
+func TestOverflowingFinishTimeEndsWithError(t *testing.T) {
+	cfg := Config{Wafers: 2, Variant: topology.FredD, BoundaryPorts: 1, PortBW: 5e-324}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(cfg)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := collective.RunToCompletionErr(s.Network(), s.GlobalAllReduce(1e6))
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if err == nil {
+			t.Fatal("run with an overflowing finish time returned no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run with an overflowing finish time did not return within 10 s")
+	}
 }

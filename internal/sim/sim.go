@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Time is a point on the simulated timeline, in seconds.
@@ -239,11 +240,13 @@ type Scheduler struct {
 
 	// Cooperative cancellation (BindContext): the bound context is
 	// polled every ctxEvery fired events; once done, the scheduler
-	// halts between events and Err reports a *CanceledError. Sticky —
-	// a canceled scheduler never executes another event.
+	// halts between events and Err reports a *CanceledError.
 	ctx      context.Context
 	ctxEvery uint64
-	ctxErr   error
+	// err is why the run stopped early: a cancellation, or an event
+	// time past the clock's range. Sticky — a stopped scheduler never
+	// executes another event.
+	err error
 }
 
 // BindContext installs cooperative cancellation: Step (and therefore
@@ -262,11 +265,28 @@ func (s *Scheduler) BindContext(ctx context.Context, checkEvery int) {
 	s.ctxEvery = uint64(checkEvery)
 }
 
-// Err reports how the scheduler was canceled: nil while healthy, a
+// Err reports why the scheduler stopped early: nil while healthy, a
 // *CanceledError (matching ErrCanceled via errors.Is) once the bound
-// context tripped. Drivers check it after Run/RunUntil returns — the
-// simulated state at that point is mid-flight and must be discarded.
-func (s *Scheduler) Err() error { return s.ctxErr }
+// context tripped, or an error once an event was asked for at a time
+// the clock cannot reach (+Inf or NaN — a finish time that overflowed).
+// Drivers check it after Run/RunUntil returns — the simulated state at
+// that point is mid-flight and must be discarded.
+func (s *Scheduler) Err() error { return s.err }
+
+// unreachable stops the run when an event is asked for at time t past
+// the float64 range: such an event could only fire with the clock at
+// +Inf, where every later event would fire again at the same instant.
+func (s *Scheduler) unreachable(t Time) bool {
+	if t <= math.MaxFloat64 {
+		return false
+	}
+	if s.err == nil {
+		s.err = fmt.Errorf("sim: event at t=%g is past the simulated clock's range (now t=%g after %d events)",
+			t, s.now, s.fired)
+	}
+	s.halted = true
+	return true
+}
 
 // EnableCausalTracking turns on event-causality depth tracking: every
 // event scheduled from inside another event's callback records a depth
@@ -322,13 +342,18 @@ func (s *Scheduler) Pending() int { return len(s.queue.heap) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a simulator bug rather than a recoverable
-// condition.
+// condition. A time past the float64 range (+Inf, NaN) stops the run
+// with an error instead (see Err): huge but valid inputs overflow
+// there.
 func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %g before now %g", t, s.now))
 	}
 	if fn == nil {
 		panic("sim: nil event callback")
+	}
+	if s.unreachable(t) {
+		return &Event{when: t, fn: fn}
 	}
 	e := &Event{when: t, seq: s.seq, fn: fn}
 	s.seq++
@@ -363,6 +388,9 @@ func (s *Scheduler) Reschedule(e *Event, t Time) {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: rescheduling event at %g before now %g", t, s.now))
 	}
+	if s.unreachable(t) {
+		return
+	}
 	e.when = t
 	e.seq = s.seq
 	s.seq++
@@ -396,17 +424,15 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue.heap) == 0 {
 		return false
 	}
-	if s.ctx != nil {
-		if s.ctxErr != nil {
+	if s.err != nil {
+		s.halted = true
+		return false
+	}
+	if s.ctx != nil && s.fired%s.ctxEvery == 0 {
+		if cause := s.ctx.Err(); cause != nil {
+			s.err = &CanceledError{At: s.now, Fired: s.fired, Cause: cause}
 			s.halted = true
 			return false
-		}
-		if s.fired%s.ctxEvery == 0 {
-			if cause := s.ctx.Err(); cause != nil {
-				s.ctxErr = &CanceledError{At: s.now, Fired: s.fired, Cause: cause}
-				s.halted = true
-				return false
-			}
 		}
 	}
 	e := s.queue.pop()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -86,6 +87,32 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		s.At(5, func() {})
 	})
 	s.Run()
+}
+
+// TestUnreachableTimeStopsRun: an event past the float64 range (a
+// finish time that overflowed to +Inf, or NaN) stops the run with an
+// error after the current event, instead of queueing.
+func TestUnreachableTimeStopsRun(t *testing.T) {
+	for _, bad := range []Time{math.Inf(1), math.NaN()} {
+		s := NewScheduler()
+		fired := 0
+		s.At(1, func() {
+			fired++
+			e := s.After(bad, func() { t.Errorf("event at %g fired", bad) })
+			s.Reschedule(e, bad)
+		})
+		s.At(1, func() { fired++ })
+		s.At(2, func() { t.Error("run went on after an unreachable event") })
+		if end := s.Run(); end != 1 || fired != 1 {
+			t.Errorf("t=%g: run ended at %g with %d events fired, want 1 and 1", bad, end, fired)
+		}
+		if s.Err() == nil {
+			t.Errorf("t=%g: no error", bad)
+		}
+		if s.Run(); s.Now() != 1 {
+			t.Errorf("t=%g: a second Run moved the clock to %g", bad, s.Now())
+		}
+	}
 }
 
 func TestNilCallbackPanics(t *testing.T) {

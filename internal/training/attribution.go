@@ -30,16 +30,14 @@ func (t NPUTime) Attributed() float64 {
 }
 
 // npuTime builds one attribution row from a timeline account: compute
-// seconds, per-class blocked time, and an extra DP exposure (the
-// post-finish gradient-sync wait, which stationary mode measures as
-// end − finished rather than as blocked time).
-func npuTime(npu int, total, compute float64, blocked [numClasses]float64, dpExtra float64) NPUTime {
+// seconds and per-class blocked time.
+func npuTime(npu int, total, compute float64, blocked [numClasses]float64) NPUTime {
 	t := NPUTime{
 		NPU:       npu,
 		Compute:   compute,
 		InputLoad: blocked[ClassLoad],
 		MP:        blocked[ClassMP],
-		DP:        blocked[ClassDP] + dpExtra,
+		DP:        blocked[ClassDP],
 		PP:        blocked[ClassPP],
 		Stream:    blocked[ClassStream],
 		Total:     total,

@@ -1,6 +1,6 @@
 package training
 
-// Critpath integration: the engines record the critical execution
+// Critpath integration: the executor records each timeline's execution
 // chain — compute spans and blocking waits, in timeline order — into
 // critpath Segments and the shared DAG, behind the usual nil-recorder
 // zero-cost guard. A recorder is adopted from the wafer's network
@@ -107,28 +107,13 @@ func (s *segRecorder) opWait(class Class, label string, t0, t1 sim.Time, op *col
 	s.add(critpath.KindWait, class.String(), label, t0, t1, waitBlame(t1-t0, t0, op), bind, node)
 }
 
-// sigWait records a blocked window released by a signal, blamed by the
-// signal's firing cause.
-func (s *segRecorder) sigWait(class Class, label string, t0, t1 sim.Time, sig *signal) {
-	var node critpath.NodeID
-	var bind string
-	if sig.op != nil {
-		node = sig.op.CritNode()
-		bind = sig.op.BindLink()
-	}
-	s.add(critpath.KindWait, class.String(), label, t0, t1, sig.blameFor(t1-t0, t0), bind, node)
-}
-
 // buildIteration analyzes the recorded chain into the report's
 // Iteration, stamping the DAG-wide statistics.
-func (e *engine) buildIteration(total float64, segs []critpath.Segment) *critpath.Iteration {
-	if e.crit == nil {
-		return nil
-	}
+func (x *executor) buildIteration(total float64, segs []critpath.Segment) *critpath.Iteration {
 	it := critpath.BuildIteration("", total, segs)
-	it.LongestChain = e.crit.LongestChain()
-	it.MaxCausalDepth = e.sched.MaxCausalDepth()
-	it.DagNodes = e.crit.NodeCount()
-	it.DagEdges = e.crit.EdgeCount()
+	it.LongestChain = x.crit.LongestChain()
+	it.MaxCausalDepth = x.sched.MaxCausalDepth()
+	it.DagNodes = x.crit.NodeCount()
+	it.DagEdges = x.crit.EdgeCount()
 	return &it
 }

@@ -27,8 +27,7 @@ func (m MemoryUsage) FitsHBM() bool { return m.Total() <= waferscale.HBMCapacity
 // pipeline stage pp. Under GPipe every microbatch's activations stay
 // resident until the flush; under 1F1B at most PP−pp microbatches are
 // in flight (Narayanan et al.).
-func (e *engine) stageMemory(stage []workload.Layer, pp int) MemoryUsage {
-	cfg := e.cfg
+func stageMemory(cfg *Config, stage []workload.Layer, pp int) MemoryUsage {
 	var params, act float64
 	for _, l := range stage {
 		params += l.Params
@@ -59,8 +58,8 @@ func (e *engine) stageMemory(stage []workload.Layer, pp int) MemoryUsage {
 // forward pass during backward) when the stage's resident activations
 // overflow HBM. With recomputation only per-boundary activations stay
 // resident, which always fits at these scales.
-func (e *engine) bwdFactorFor(stage []workload.Layer, pp int) (float64, bool) {
-	if e.stageMemory(stage, pp).FitsHBM() {
+func bwdFactorFor(cfg *Config, stage []workload.Layer, pp int) (float64, bool) {
+	if stageMemory(cfg, stage, pp).FitsHBM() {
 		return 2, false
 	}
 	return 3, true

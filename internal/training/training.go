@@ -22,17 +22,21 @@
 //     with a double-buffered loader and background gradient stream-out
 //     reduced along DP (Section 3.1.2, Section 7.3); the group-internal
 //     pipeline is simulated wave by wave (M+PP−1 waves).
+//
+// Both execution modes build an iteration graph (graph.go) of compute,
+// collective and I/O nodes with dependency edges, from the model, the
+// strategy and the placement alone; one executor (executor.go) replays
+// it on the wafer through the fabric's arbiter, keeping each timeline's
+// account — a stage replica's, or the streaming chain's — for the
+// report's breakdown, per-NPU attribution and critical path.
 package training
 
 import (
 	"fmt"
 
-	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/critpath"
-	"github.com/wafernet/fred/internal/netsim"
 	"github.com/wafernet/fred/internal/parallelism"
 	"github.com/wafernet/fred/internal/placement"
-	"github.com/wafernet/fred/internal/sim"
 	"github.com/wafernet/fred/internal/topology"
 	"github.com/wafernet/fred/internal/workload"
 )
@@ -211,14 +215,22 @@ func (r *Report) String() string {
 
 // Simulate runs one training iteration and returns its report.
 func Simulate(cfg Config) (*Report, error) {
+	if err := cfg.normalize(); err != nil {
+		return nil, err
+	}
+	return newExecutor(&cfg, buildGraph(&cfg)).run()
+}
+
+// normalize validates the config and fills in its defaults.
+func (cfg *Config) normalize() error {
 	if cfg.Model == nil {
-		return nil, fmt.Errorf("training: nil model")
+		return fmt.Errorf("training: nil model")
 	}
 	if !cfg.Strategy.Valid() {
-		return nil, fmt.Errorf("training: invalid strategy %v", cfg.Strategy)
+		return fmt.Errorf("training: invalid strategy %v", cfg.Strategy)
 	}
 	if cfg.Strategy.Workers() > cfg.Wafer.NPUCount() {
-		return nil, fmt.Errorf("training: strategy %v needs %d workers, wafer has %d NPUs",
+		return fmt.Errorf("training: strategy %v needs %d workers, wafer has %d NPUs",
 			cfg.Strategy, cfg.Strategy.Workers(), cfg.Wafer.NPUCount())
 	}
 	if cfg.MinibatchPerReplica <= 0 {
@@ -237,62 +249,12 @@ func Simulate(cfg Config) (*Report, error) {
 		cfg.Placement = placement.Consecutive(cfg.Strategy)
 	}
 	if err := cfg.Placement.Validate(cfg.Wafer.NPUCount()); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.Strategy.PP > len(cfg.Model.Layers) {
-		return nil, fmt.Errorf("training: PP(%d) exceeds %d layers", cfg.Strategy.PP, len(cfg.Model.Layers))
+		return fmt.Errorf("training: PP(%d) exceeds %d layers", cfg.Strategy.PP, len(cfg.Model.Layers))
 	}
-	e := newEngine(&cfg)
-	if cfg.Model.Mode == workload.WeightStreaming {
-		return e.runStreaming()
-	}
-	return e.runStationary()
-}
-
-// engine holds the per-run state shared by both execution modes.
-type engine struct {
-	cfg   *Config
-	sched *sim.Scheduler
-	net   *netsim.Network
-	comm  *collective.Comm
-	arb   arbiter
-	stats *statsArbiter
-	// crit is the network's critpath recorder (nil when critpath
-	// recording is off); the engines record the critical execution
-	// chain into it and build Report.CritPath from it.
-	crit *critpath.Recorder
-
-	// DP-tail blame (stationary mode): the aggregated blame of the DP
-	// gradient-sync ops, used to split the post-finish tail, and the
-	// binding link of the longest DP op.
-	dpBlame  critpath.Blame
-	dpMaxDur float64
-	dpBind   string
-}
-
-func newEngine(cfg *Config) *engine {
-	net := cfg.Wafer.Network()
-	e := &engine{
-		cfg:   cfg,
-		sched: net.Scheduler(),
-		net:   net,
-		comm:  collective.NewComm(cfg.Wafer),
-		crit:  net.CritPath(),
-	}
-	if cfg.Wafer.CircuitSwitched() {
-		e.arb = newFredArbiter(net)
-	} else {
-		e.arb = meshArbiter{net: net}
-	}
-	e.stats = newStatsArbiter(e.arb, e)
-	e.arb = e.stats
-	return e
-}
-
-// computeSeconds converts per-NPU FLOPs into time using the workload's
-// calibrated effective throughput.
-func (e *engine) computeSeconds(flops float64) float64 {
-	return flops / (e.cfg.Model.EffectiveTFLOPs * 1e12)
+	return nil
 }
 
 // stageLayers splits the model's layers into PP contiguous stages of
@@ -325,7 +287,7 @@ func stageLayers(layers []workload.Layer, pp int) [][]workload.Layer {
 	return out
 }
 
-// layerStats aggregates what the engines need from a stage.
+// layerStats aggregates what the stationary graph needs from a stage.
 type layerStats struct {
 	fwdFLOPs   float64 // per sample
 	params     float64

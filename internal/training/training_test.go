@@ -310,42 +310,6 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-func TestSignalSemantics(t *testing.T) {
-	var s signal
-	calls := 0
-	s.wait(func() { calls++ })
-	if calls != 0 {
-		t.Fatal("waiter ran before fire")
-	}
-	s.fire()
-	if calls != 1 {
-		t.Fatal("waiter did not run on fire")
-	}
-	s.wait(func() { calls++ })
-	if calls != 2 {
-		t.Fatal("post-fire waiter did not run immediately")
-	}
-	s.fire() // idempotent
-	if calls != 2 {
-		t.Fatal("second fire re-ran waiters")
-	}
-}
-
-func TestCounterRendezvous(t *testing.T) {
-	c := newCounter(3)
-	fired := false
-	c.wait(func() { fired = true })
-	c.arrive()
-	c.arrive()
-	if fired {
-		t.Fatal("fired early")
-	}
-	c.arrive()
-	if !fired {
-		t.Fatal("did not fire at quota")
-	}
-}
-
 func TestCommStatsInvariants(t *testing.T) {
 	// On Fred-D (in-network), DP all-reduces inject exactly the
 	// gradient volume (D per NPU-group payload byte), and MP injects
