@@ -29,8 +29,8 @@ import (
 // order — order changes the compiled phases, so it must change the key.
 //
 // Epoch invalidation. The fabric-state epoch (netsim.Network.StateEpoch,
-// bumped by every Link.Fail/Degrade/Restore and by fred.FailElement via
-// the trunk Degrade it issues) is part of the key: any fabric mutation
+// bumped by every Link.Fail/Degrade/Restore, including the trunk
+// degrades that model a failed FRED µswitch) is part of the key: any fabric mutation
 // retires exactly the entries planned against the old state, and the
 // next request recompiles against the current one. Entries for dead
 // epochs are left behind — they are bounded by the fault-plan length

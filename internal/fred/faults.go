@@ -10,7 +10,9 @@ import "fmt"
 // until the surviving middles can no longer color the conflict graph.
 // A failed input/output µswitch, mux or demux is different — it owns
 // specific external ports, and a flow needing those ports has no spare
-// path; Route reports it as a DeadSwitchError.
+// path; Route reports it as a DeadSwitchError. The studies model a
+// failed µswitch as degraded trunk links instead (the fault sweep), so
+// only the tests fail elements here (FailElement, faults_test.go).
 
 // DeadSwitchError reports that a flow's external ports are wired
 // through a failed first/last-stage element, which no middle-stage
@@ -29,21 +31,7 @@ func (e *DeadSwitchError) Error() string {
 		e.Flows, e.Element, e.Level)
 }
 
-// FailElement marks an element failed. Subsequent Route calls re-plan
-// around it (middle-stage elements) or report DeadSwitchError for the
-// flows that need it (first/last-stage elements). Failing is permanent
-// and idempotent.
-func (ic *Interconnect) FailElement(id int) {
-	if id < 0 || id >= len(ic.elements) {
-		panic(fmt.Sprintf("fred: FailElement(%d) out of range [0,%d)", id, len(ic.elements)))
-	}
-	if ic.failed == nil {
-		ic.failed = make([]bool, len(ic.elements))
-	}
-	ic.failed[id] = true
-}
-
-// ElementFailed reports whether FailElement was called on the element.
+// ElementFailed reports whether the element has failed.
 func (ic *Interconnect) ElementFailed(id int) bool {
 	return ic.failed != nil && ic.failed[id]
 }

@@ -1,6 +1,7 @@
 package fred
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -130,4 +131,18 @@ func TestRouteValidityUnderRandomSwitchFailures(t *testing.T) {
 	if degraded == 0 {
 		t.Error("no pattern ever degraded — fault plans implausibly mild")
 	}
+}
+
+// FailElement marks an element failed. Subsequent Route calls re-plan
+// around it (middle-stage elements) or report DeadSwitchError for the
+// flows that need it (first/last-stage elements). Failing is permanent
+// and idempotent.
+func (ic *Interconnect) FailElement(id int) {
+	if id < 0 || id >= len(ic.elements) {
+		panic(fmt.Sprintf("fred: FailElement(%d) out of range [0,%d)", id, len(ic.elements)))
+	}
+	if ic.failed == nil {
+		ic.failed = make([]bool, len(ic.elements))
+	}
+	ic.failed[id] = true
 }

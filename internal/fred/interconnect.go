@@ -32,8 +32,9 @@ type Interconnect struct {
 	elements []*Element
 	root     *stage
 	inWire   []Wire
-	// failed flags elements taken out of service (FailElement), indexed
-	// by element ID; nil while the interconnect is healthy.
+	// failed flags elements taken out of service, indexed by element
+	// ID; nil while the interconnect is healthy (only the tests fail
+	// elements, with FailElement).
 	failed []bool
 	// pending collects one Route call's connections before they are
 	// grouped into the plan's per-element configuration (routing.go).

@@ -20,7 +20,7 @@ type ConflictError struct {
 	// M is the number of available colors (middle subnetworks).
 	M int
 	// FailedMiddles counts middle subnetworks out of service at the
-	// failing level (see FailElement); the palette really had
+	// failing level (see faults.go); the palette really had
 	// M − FailedMiddles colors.
 	FailedMiddles int
 }

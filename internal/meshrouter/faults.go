@@ -3,7 +3,8 @@ package meshrouter
 import "fmt"
 
 // Degraded-mode routing. Channels (directed router-to-router links)
-// can be failed before Run; the mesh then abandons pure X-Y and routes
+// can be failed before Run (FailChannel; the tests' FailLink and
+// FailRouter fail a physical link or a whole router); the mesh then abandons pure X-Y and routes
 // every flit by a BFS next-hop table computed over the alive channels
 // only. Detours keep traffic flowing around failures at the cost of
 // X-Y's deadlock-freedom guarantee — Run reports a wedged network as
@@ -39,31 +40,6 @@ func (m *Mesh) FailChannel(node int, d Direction) {
 	}
 	m.failed[[2]int{node, int(d)}] = true
 	m.tableDirty = true
-}
-
-// FailLink fails both directed channels between the adjacent nodes a
-// and b, modelling the loss of a physical mesh link. It panics if the
-// nodes are not neighbors.
-func (m *Mesh) FailLink(a, b int) {
-	for _, d := range []Direction{East, West, South, North} {
-		if n, ok := m.neighbor(a, d); ok && n == b {
-			m.FailChannel(a, d)
-			m.FailChannel(b, opposite(d))
-			return
-		}
-	}
-	panic(fmt.Sprintf("meshrouter: FailLink(%d, %d): nodes are not adjacent", a, b))
-}
-
-// FailRouter fails every channel into and out of a node, modelling a
-// dead router (the attached NPU can still deliver to itself).
-func (m *Mesh) FailRouter(node int) {
-	for _, d := range []Direction{East, West, South, North} {
-		if n, ok := m.neighbor(node, d); ok {
-			m.FailChannel(node, d)
-			m.FailChannel(n, opposite(d))
-		}
-	}
 }
 
 // ChannelFailed reports whether the directed channel node→d is out of

@@ -1,6 +1,7 @@
 package meshrouter
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -130,5 +131,30 @@ func TestChannelFailedAccessor(t *testing.T) {
 	}
 	if m.ChannelFailed(1, West) {
 		t.Fatal("FailChannel is directed; reverse channel should be alive")
+	}
+}
+
+// FailLink fails both directed channels between the adjacent nodes a
+// and b, modelling the loss of a physical mesh link. It panics if the
+// nodes are not neighbors.
+func (m *Mesh) FailLink(a, b int) {
+	for _, d := range []Direction{East, West, South, North} {
+		if n, ok := m.neighbor(a, d); ok && n == b {
+			m.FailChannel(a, d)
+			m.FailChannel(b, opposite(d))
+			return
+		}
+	}
+	panic(fmt.Sprintf("meshrouter: FailLink(%d, %d): nodes are not adjacent", a, b))
+}
+
+// FailRouter fails every channel into and out of a node, modelling a
+// dead router (the attached NPU can still deliver to itself).
+func (m *Mesh) FailRouter(node int) {
+	for _, d := range []Direction{East, West, South, North} {
+		if n, ok := m.neighbor(node, d); ok {
+			m.FailChannel(node, d)
+			m.FailChannel(n, opposite(d))
+		}
 	}
 }

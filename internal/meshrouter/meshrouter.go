@@ -242,7 +242,7 @@ func opposite(d Direction) Direction {
 }
 
 // Run simulates until every injected message is delivered, returning
-// the cycle count. On a degraded mesh (FailChannel/FailRouter) it
+// the cycle count. On a degraded mesh (FailChannel) it
 // returns an UnroutableError when an injected message has no alive
 // path, and a progress error if detour traffic wedges — X-Y's
 // deadlock-freedom guarantee does not survive arbitrary detours.

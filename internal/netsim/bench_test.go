@@ -17,22 +17,18 @@ import (
 // contendedNet builds a 16-link network with nFlows long-lived flows,
 // each crossing three links in a deterministic pattern, activated and
 // rate-filled at t=0.
-func contendedNet(tb testing.TB, reference bool, nFlows int) (*sim.Scheduler, *Network) {
+func contendedNet(tb testing.TB, e engine, nFlows int) (*sim.Scheduler, *Network) {
 	s := sim.NewScheduler()
-	net := New(s)
-	if reference {
-		net.useReferenceEngine()
-	}
+	net := e.newNet(s)
+	routes := e.routes(net)
 	a, b := net.AddNode("a"), net.AddNode("b")
 	links := make([]LinkID, 16)
 	for i := range links {
 		links[i] = net.AddLink(a, b, 100+float64(i*7), 0, "l")
 	}
 	for i := 0; i < nFlows; i++ {
-		net.StartFlow(FlowSpec{
-			Links: []LinkID{links[i%16], links[(i+5)%16], links[(i+11)%16]},
-			Bytes: 1e15, Latency: 0,
-		})
+		net.StartFlow(routes.with(FlowSpec{Bytes: 1e15, Latency: 0},
+			[]LinkID{links[i%16], links[(i+5)%16], links[(i+11)%16]}))
 	}
 	s.RunUntil(0)
 	if net.ActiveFlows() != nFlows {
@@ -46,7 +42,7 @@ func contendedNet(tb testing.TB, reference bool, nFlows int) (*sim.Scheduler, *N
 // — in the steady state the training drivers spend most of their time
 // in. The filling pass is forced each iteration; allocs/op must be 0.
 func BenchmarkRecompute(b *testing.B) {
-	_, net := contendedNet(b, false, 128)
+	_, net := contendedNet(b, engSharded, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,7 +54,7 @@ func BenchmarkRecompute(b *testing.B) {
 // scenario: fresh scratch maps and cancel-and-recreate completion
 // events every pass.
 func BenchmarkRecomputeReference(b *testing.B) {
-	_, net := contendedNet(b, true, 128)
+	_, net := contendedNet(b, engReference, 128)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,8 +66,8 @@ func BenchmarkRecomputeReference(b *testing.B) {
 // activate, rate refill, completion, detach — against a backdrop of 64
 // long-lived contending flows, the dominant event pattern of the
 // collective schedules.
-func flowChurn(b *testing.B, reference bool) {
-	s, net := contendedNet(b, reference, 64)
+func flowChurn(b *testing.B, e engine) {
+	s, net := contendedNet(b, e, 64)
 	links := []LinkID{0, 7}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -86,8 +82,21 @@ func flowChurn(b *testing.B, reference bool) {
 	}
 }
 
-func BenchmarkFlowChurn(b *testing.B)          { flowChurn(b, false) }
-func BenchmarkFlowChurnReference(b *testing.B) { flowChurn(b, true) }
+func BenchmarkFlowChurn(b *testing.B)          { flowChurn(b, engSharded) }
+func BenchmarkFlowChurnReference(b *testing.B) { flowChurn(b, engReference) }
+
+// BenchmarkFillReplay is BenchmarkRecompute's network on prepared
+// routes: after the first pass stores the fill, every forced pass
+// replays it (replay.go) instead of waterfilling. allocs/op must be 0.
+func BenchmarkFillReplay(b *testing.B) {
+	_, net := contendedNet(b, engReplay, 128)
+	net.ForceFullFill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.ForceFullFill()
+	}
+}
 
 // groupedNet builds `groups` disjoint copies of the contendedNet
 // pattern — 16 links, flowsPer flows each crossing three of them — so

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -26,6 +27,8 @@ type churnRecord struct {
 	// the flows routed through it: what linkBytes must conserve.
 	flowBytes []float64
 	endTime   sim.Time
+	stats     FillStats
+	replays   uint64 // fills the replay served, not compared
 }
 
 // churnScenario is the deterministic program derived from a seed. All
@@ -121,14 +124,67 @@ func makeScenario(seed int64) churnScenario {
 	return sc
 }
 
-// run replays the scenario on a fresh network, on the reference engine
-// when reference is set, and records all observables.
-func (sc churnScenario) run(reference bool) churnRecord {
-	s := sim.NewScheduler()
+// engine selects how a differential scenario runs its network.
+type engine int
+
+const (
+	engSharded   engine = iota // the sharded engine, flows on link IDs
+	engReference               // referenceRecompute, flows on link IDs
+	engReplay                  // the sharded engine, flows on PreparedRoutes
+	engNoReplay                // as engReplay, with fill replay off
+)
+
+// newNet returns a fresh network running on engine e.
+func (e engine) newNet(s *sim.Scheduler) *Network {
 	net := New(s)
-	if reference {
+	switch e {
+	case engReference:
 		net.useReferenceEngine()
+	case engNoReplay:
+		net.replay.off = true
 	}
+	return net
+}
+
+// routeSpecs hands a scenario's flows their routes: link IDs, or under
+// engReplay and engNoReplay one PreparedRoute per distinct route,
+// shared by every flow on it and prepared again after a fabric
+// mutation, as the training executor keeps them. Rerouted flows still
+// take link IDs from their Reroute callbacks.
+type routeSpecs struct {
+	net      *Network
+	prepared bool
+	epoch    uint64
+	cache    map[string]*PreparedRoute
+}
+
+func (e engine) routes(net *Network) *routeSpecs {
+	return &routeSpecs{net: net, prepared: e == engReplay || e == engNoReplay}
+}
+
+// with sets spec's route to route.
+func (r *routeSpecs) with(spec FlowSpec, route []LinkID) FlowSpec {
+	if !r.prepared {
+		spec.Links = route
+		return spec
+	}
+	if r.cache == nil || r.epoch != r.net.StateEpoch() {
+		r.cache, r.epoch = map[string]*PreparedRoute{}, r.net.StateEpoch()
+	}
+	k := fmt.Sprint(route)
+	if r.cache[k] == nil {
+		r.cache[k] = r.net.PrepareRoute(route)
+	}
+	spec.Prepared = r.cache[k]
+	return spec
+}
+
+// run replays the scenario on a fresh network running on engine e, and
+// records all observables.
+func (sc churnScenario) run(e engine) churnRecord {
+	s := sim.NewScheduler()
+	net := e.newNet(s)
+	routes := e.routes(net)
 	nodes := make([]NodeID, sc.nNodes)
 	for i := range nodes {
 		nodes[i] = net.AddNode("n")
@@ -178,10 +234,9 @@ func (sc churnScenario) run(reference bool) churnRecord {
 		if chained < len(sc.chainRoute) {
 			c := chained
 			chained++
-			nf := net.StartFlow(FlowSpec{
-				Links: ids(sc.chainRoute[c]), Bytes: sc.chainBytes[c],
-				Latency: -1, Done: onDone, Label: "chain",
-			})
+			nf := net.StartFlow(routes.with(FlowSpec{
+				Bytes: sc.chainBytes[c], Latency: -1, Done: onDone, Label: "chain",
+			}, ids(sc.chainRoute[c])))
 			allFlows = append(allFlows, nf)
 			allIDs = append(allIDs, nf.ID())
 		}
@@ -189,10 +244,9 @@ func (sc churnScenario) run(reference bool) churnRecord {
 	for i := range sc.flowRoute {
 		i := i
 		s.At(sc.flowStart[i], func() {
-			flows[i] = net.StartFlow(FlowSpec{
-				Links: ids(sc.flowRoute[i]), Bytes: sc.flowBytes[i],
-				Latency: sc.flowLat[i], Done: onDone, Label: "init",
-			})
+			flows[i] = net.StartFlow(routes.with(FlowSpec{
+				Bytes: sc.flowBytes[i], Latency: sc.flowLat[i], Done: onDone, Label: "init",
+			}, ids(sc.flowRoute[i])))
 			flowIDs[i] = flows[i].ID()
 			allFlows = append(allFlows, flows[i])
 			allIDs = append(allIDs, flows[i].ID())
@@ -238,6 +292,7 @@ func (sc churnScenario) run(reference bool) churnRecord {
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
 	}
+	rec.stats, rec.replays = net.FillStats(), net.replay.hits
 	for i, f := range allFlows {
 		if f.ID() == allIDs[i] && !credited[allIDs[i]] {
 			credit(f)
@@ -273,45 +328,52 @@ func minInt(a, b int) int {
 func TestDifferentialEnginesBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		sc := makeScenario(seed)
-		opt := sc.run(false)
-		ref := sc.run(true)
+		opt := sc.run(engSharded)
+		ref := sc.run(engReference)
 		checkConservation(t, seed, "optimized", opt)
 		checkConservation(t, seed, "reference", ref)
 
-		if opt.endTime != ref.endTime {
-			t.Errorf("seed %d: end time %v != reference %v", seed, opt.endTime, ref.endTime)
+		compareChurnRecords(t, seed, opt, ref)
+	}
+}
+
+// compareChurnRecords requires two runs of a churn scenario to agree
+// bit for bit on every observable but the engine's own counters.
+func compareChurnRecords(t *testing.T, seed int64, got, want churnRecord) {
+	t.Helper()
+	if got.endTime != want.endTime {
+		t.Errorf("seed %d: end time %v != want %v", seed, got.endTime, want.endTime)
+	}
+	if len(got.finishOrder) != len(want.finishOrder) {
+		t.Fatalf("seed %d: %d completions != want %d",
+			seed, len(got.finishOrder), len(want.finishOrder))
+	}
+	for i := range got.finishOrder {
+		if got.finishOrder[i] != want.finishOrder[i] {
+			t.Fatalf("seed %d: completion order diverges at %d: flow %d != want flow %d",
+				seed, i, got.finishOrder[i], want.finishOrder[i])
 		}
-		if len(opt.finishOrder) != len(ref.finishOrder) {
-			t.Fatalf("seed %d: %d completions != reference %d",
-				seed, len(opt.finishOrder), len(ref.finishOrder))
+	}
+	for id, ft := range got.finishTimes {
+		if ft != want.finishTimes[id] {
+			t.Errorf("seed %d: flow %d finished at %v != want %v",
+				seed, id, ft, want.finishTimes[id])
 		}
-		for i := range opt.finishOrder {
-			if opt.finishOrder[i] != ref.finishOrder[i] {
-				t.Fatalf("seed %d: completion order diverges at %d: flow %d != reference flow %d",
-					seed, i, opt.finishOrder[i], ref.finishOrder[i])
-			}
+	}
+	if len(got.rateSamples) != len(want.rateSamples) {
+		t.Fatalf("seed %d: %d rate samples != want %d",
+			seed, len(got.rateSamples), len(want.rateSamples))
+	}
+	for i := range got.rateSamples {
+		if got.rateSamples[i] != want.rateSamples[i] {
+			t.Errorf("seed %d: rate sample %d: %v != want %v",
+				seed, i, got.rateSamples[i], want.rateSamples[i])
 		}
-		for id, ft := range opt.finishTimes {
-			if ft != ref.finishTimes[id] {
-				t.Errorf("seed %d: flow %d finished at %v != reference %v",
-					seed, id, ft, ref.finishTimes[id])
-			}
-		}
-		if len(opt.rateSamples) != len(ref.rateSamples) {
-			t.Fatalf("seed %d: %d rate samples != reference %d",
-				seed, len(opt.rateSamples), len(ref.rateSamples))
-		}
-		for i := range opt.rateSamples {
-			if opt.rateSamples[i] != ref.rateSamples[i] {
-				t.Errorf("seed %d: rate sample %d: %v != reference %v",
-					seed, i, opt.rateSamples[i], ref.rateSamples[i])
-			}
-		}
-		for i := range opt.linkBytes {
-			if opt.linkBytes[i] != ref.linkBytes[i] {
-				t.Errorf("seed %d: link %d carried %v != reference %v",
-					seed, i, opt.linkBytes[i], ref.linkBytes[i])
-			}
+	}
+	for i := range got.linkBytes {
+		if got.linkBytes[i] != want.linkBytes[i] {
+			t.Errorf("seed %d: link %d carried %v != want %v",
+				seed, i, got.linkBytes[i], want.linkBytes[i])
 		}
 	}
 }

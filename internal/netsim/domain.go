@@ -297,9 +297,11 @@ func compUnion(a, b *Link) *Link {
 }
 
 // fillDomain refills one dirty domain: collect its flows in activation
-// order, rediscover exact connected components, waterfill each
-// component independently, and refresh the domain's per-link rate
-// sums. All writes are domain-local, plus the engine's work counters.
+// order, then replay a stored fill of the same configuration or
+// rediscover exact connected components and waterfill each component
+// independently, and refresh the domain's per-link rate sums. All
+// writes are domain-local, plus the engine's work counters and the
+// network's replay store.
 func (n *Network) fillDomain(root *Link) {
 	sc := &n.fillScratch
 	flows := sc.flows[:0]
@@ -327,13 +329,55 @@ func (n *Network) fillDomain(root *Link) {
 		})
 	}
 	sc.flows = flows
+	observed := len(n.obs) > 0
 	if len(flows) == 0 {
 		// Every flow left: the domain's links carry nothing any more.
-		for l := root.domLinkHead; l != nil; l = l.domNext {
-			n.rateSum[l.ID] = 0
+		if observed {
+			for l := root.domLinkHead; l != nil; l = l.domNext {
+				n.rateSum[l.ID] = 0
+			}
 		}
 		return
 	}
+	// A configuration filled before replays (replay.go).
+	key, replayable := n.replayKey(flows)
+	var e *replayEntry
+	if replayable {
+		e = n.replay.find(key, flows)
+	}
+	var comps int
+	if e != nil {
+		n.replayApply(e, flows)
+		comps = int(e.comps)
+	} else {
+		comps = n.fillComponents(flows, sc)
+		if replayable {
+			n.replay.store(key, flows, comps)
+		}
+	}
+	// Per-link rate sums, kept only while an observer is attached (the
+	// observer pass and LinkUtil read them): zero the domain's links —
+	// including ones whose flows all departed — then accumulate in
+	// activation order, the same order the reference's full pass uses,
+	// so the float sums match bit-for-bit.
+	if observed {
+		for l := root.domLinkHead; l != nil; l = l.domNext {
+			n.rateSum[l.ID] = 0
+		}
+		for _, f := range flows {
+			for _, l := range f.finiteLinks {
+				n.rateSum[l.ID] += f.rate
+			}
+		}
+	}
+	n.stats.ComponentsFilled += uint64(comps)
+	n.stats.FlowsFilled += uint64(len(flows))
+}
+
+// fillComponents rediscovers the exact connected components of the
+// domain's flows and waterfills each one. It returns the component
+// count.
+func (n *Network) fillComponents(flows []*Flow, sc *fillScratch) int {
 	epoch := n.fillEpoch
 	for _, f := range flows {
 		first := f.finiteLinks[0]
@@ -366,24 +410,10 @@ func (n *Network) fillDomain(root *Link) {
 		f.compNext = nil
 	}
 	sc.comps = comps
-	filled := 0
 	for _, c := range comps {
-		filled += n.fillComponent(c, sc)
+		n.fillComponent(c, sc)
 	}
-	// Per-link rate sums (the observer pass and LinkUtil read them): zero the
-	// domain's links — including ones whose flows all departed — then
-	// accumulate in activation order, the same order the reference's
-	// full pass uses, so the float sums match bit-for-bit.
-	for l := root.domLinkHead; l != nil; l = l.domNext {
-		n.rateSum[l.ID] = 0
-	}
-	for _, f := range flows {
-		for _, l := range f.finiteLinks {
-			n.rateSum[l.ID] += f.rate
-		}
-	}
-	n.stats.ComponentsFilled += uint64(len(comps))
-	n.stats.FlowsFilled += uint64(filled)
+	return len(comps)
 }
 
 // fillComponent runs one progressive-filling pass over a single exact
@@ -391,15 +421,16 @@ func (n *Network) fillDomain(root *Link) {
 // order). The arithmetic — delta selection, rate accumulation order,
 // residual updates, the saturation epsilon — is operation-for-operation
 // identical to the reference per-component fill, keeping rates
-// bit-exact. Returns the number of flows filled.
-func (n *Network) fillComponent(comp *Link, sc *fillScratch) int {
+// bit-exact. Each frozen flow records its binding link's index in
+// finiteLinks for the replay store.
+func (n *Network) fillComponent(comp *Link, sc *fillScratch) {
 	epoch := n.fillEpoch
 	touched := sc.touched[:0]
 	unfrozenCount := 0
-	count := 0
 	for f := comp.compHead; f != nil; f = f.compNext {
 		f.rate = 0
 		f.fillFrozen = false
+		f.bindIdx = -1
 		for _, l := range f.finiteLinks {
 			if l.fillEpoch != epoch {
 				l.fillEpoch = epoch
@@ -410,7 +441,6 @@ func (n *Network) fillComponent(comp *Link, sc *fillScratch) int {
 			l.unfrozen++
 		}
 		unfrozenCount++
-		count++
 	}
 	for unfrozenCount > 0 {
 		delta := math.Inf(1)
@@ -450,9 +480,10 @@ func (n *Network) fillComponent(comp *Link, sc *fillScratch) int {
 			if f.fillFrozen {
 				continue
 			}
-			for _, l := range f.finiteLinks {
+			for j, l := range f.finiteLinks {
 				if l.residual <= rateEpsilon*l.Bandwidth {
 					f.fillFrozen = true
+					f.bindIdx = int32(j)
 					unfrozenCount--
 					if n.crit != nil {
 						f.bindLink = l
@@ -474,7 +505,6 @@ func (n *Network) fillComponent(comp *Link, sc *fillScratch) int {
 		}
 	}
 	sc.touched = touched
-	return count
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -27,6 +28,7 @@ type shardRecord struct {
 	bindLink    []string   // per-flow binding links (critpath blame)
 	endTime     sim.Time
 	stats       FillStats // the sharded engine's work, not vs reference
+	replays     uint64    // fills the replay served, not compared
 }
 
 // shardScenario is a deterministic multi-group program derived from a
@@ -112,21 +114,18 @@ func makeShardScenario(seed int64) shardScenario {
 	return sc
 }
 
-// run replays the scenario, on the reference engine when reference is
-// set, and records all observables.
-func (sc shardScenario) run(reference bool) shardRecord {
+// run replays the scenario on engine e and records all observables.
+func (sc shardScenario) run(e engine) shardRecord {
 	s := sim.NewScheduler()
-	net := New(s)
-	if reference {
-		net.useReferenceEngine()
-	}
+	net := e.newNet(s)
+	routes := e.routes(net)
 	log := attachLog(nil, net)
 	net.SetCritPath(critpath.NewRecorder())
 	a, b := net.AddNode("a"), net.AddNode("b")
 	links := make([]LinkID, len(sc.linkBW))
 	failed := make([]bool, len(sc.linkBW))
 	for i := range links {
-		links[i] = net.AddLink(a, b, sc.linkBW[i], sc.linkLat[i], "l")
+		links[i] = net.AddLink(a, b, sc.linkBW[i], sc.linkLat[i], fmt.Sprint("l", i))
 	}
 	rec := shardRecord{
 		finishTimes: make([]sim.Time, len(sc.flowRoute)),
@@ -155,8 +154,8 @@ func (sc shardScenario) run(reference bool) shardRecord {
 			route[j] = links[li]
 		}
 		s.At(sc.flowStart[i], func() {
-			flows[i] = net.StartFlow(FlowSpec{
-				Links: route, Bytes: sc.flowBytes[i], Latency: -1, Label: "f",
+			flows[i] = net.StartFlow(routes.with(FlowSpec{
+				Bytes: sc.flowBytes[i], Latency: -1, Label: "f",
 				Done: func(f *Flow) {
 					rec.finishTimes[f.ID()] = s.Now()
 					rec.finishOrder = append(rec.finishOrder, f.ID())
@@ -166,7 +165,7 @@ func (sc shardScenario) run(reference bool) shardRecord {
 				OnFail: func(f *Flow) {
 					rec.failOrder = append(rec.failOrder, f.ID())
 				},
-			})
+			}, route))
 			ids[i] = flows[i].ID()
 		})
 	}
@@ -232,7 +231,7 @@ func (sc shardScenario) run(reference bool) shardRecord {
 			rec.bindLink[i] = f.BindLinkName()
 		}
 	}
-	rec.stats = net.FillStats()
+	rec.stats, rec.replays = net.FillStats(), net.replay.hits
 	return rec
 }
 
@@ -294,8 +293,8 @@ func compareShardRecords(t *testing.T, seed int64, name string, got, want shardR
 func TestDifferentialShardedMultiDomain(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		sc := makeShardScenario(seed)
-		ref := sc.run(true)
-		opt := sc.run(false)
+		ref := sc.run(engReference)
+		opt := sc.run(engSharded)
 		compareShardRecords(t, seed, "sharded vs reference", opt, ref)
 		if opt.stats.FlowsFilled == 0 && len(sc.flowRoute) > 0 {
 			t.Errorf("seed %d: engine filled no flows — scenario exercised nothing", seed)

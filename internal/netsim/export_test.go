@@ -6,3 +6,7 @@ var (
 	Line   = line
 	Approx = approx
 )
+
+// SetReferenceEverywhere puts every network built from now on onto the
+// reference engine (on) or back onto the sharded engine.
+func SetReferenceEverywhere(on bool) { referenceEverywhere = on }

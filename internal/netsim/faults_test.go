@@ -445,14 +445,14 @@ type faultRecord struct {
 	rateSamples []float64
 	linkBytes   []float64
 	endTime     sim.Time
+	stats       FillStats
+	replays     uint64 // fills the replay served, not compared
 }
 
-func (sc faultScenario) run(reference bool) faultRecord {
+func (sc faultScenario) run(e engine) faultRecord {
 	s := sim.NewScheduler()
-	net := New(s)
-	if reference {
-		net.useReferenceEngine()
-	}
+	net := e.newNet(s)
+	routes := e.routes(net)
 	nodes := make([]NodeID, sc.nNodes)
 	for i := range nodes {
 		nodes[i] = net.AddNode("n")
@@ -474,11 +474,11 @@ func (sc faultScenario) run(reference bool) faultRecord {
 	for i := range sc.flowRoute {
 		i := i
 		s.At(sc.flowStart[i], func() {
-			spec := FlowSpec{
-				Links: ids(sc.flowRoute[i]), Bytes: sc.flowBytes[i], Latency: -1,
+			spec := routes.with(FlowSpec{
+				Bytes: sc.flowBytes[i], Latency: -1,
 				Done:   func(f *Flow) { rec.finishOrder = append(rec.finishOrder, f.ID()) },
 				OnFail: func(f *Flow) { rec.failOrder = append(rec.failOrder, f.ID()) },
-			}
+			}, ids(sc.flowRoute[i]))
 			if sp := sc.spares[i]; len(sp) > 0 {
 				spec.Reroute = func(attempt int) ([]LinkID, bool) {
 					if attempt > len(sp) {
@@ -541,6 +541,7 @@ func (sc faultScenario) run(reference bool) faultRecord {
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
 	}
+	rec.stats, rec.replays = net.FillStats(), net.replay.hits
 	return rec
 }
 
@@ -602,7 +603,7 @@ func TestDifferentialFaultChurnBitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		sc := makeFaultScenario(seed)
 		tag := fmt.Sprintf("seed %d", seed)
-		compareFaultRecords(t, tag, sc.run(false), sc.run(true))
+		compareFaultRecords(t, tag, sc.run(engSharded), sc.run(engReference))
 		if t.Failed() {
 			t.Fatalf("%s: engines diverged under fault churn", tag)
 		}

@@ -252,6 +252,12 @@ type Flow struct {
 	activeIdx  int    // index in net.active; -1 while not active
 	fillFrozen bool   // progressive-filling scratch
 	actSeq     uint64 // activation sequence (assigned per activate)
+	// routeID is the serial of the PreparedRoute the flow rides, 0 for
+	// a route resolved from link IDs; bindIdx is the index in
+	// finiteLinks of the link that froze it in its last fill, -1 if
+	// none did. Both feed the fill replay (replay.go).
+	routeID uint32
+	bindIdx int32
 	// Contention-domain membership (domain.go): doubly linked through
 	// the owning domain root's flow list while active with finite links.
 	domPrev *Flow
@@ -403,6 +409,10 @@ type Network struct {
 	procRoots   []*Link
 	fillScratch fillScratch
 	stats       FillStats
+	// replay stores past domain fills for reuse (replay.go), and
+	// routeSerial numbers prepared routes for its keys.
+	replay      fillReplay
+	routeSerial uint32
 
 	// Completion calendar (domain.go): active flows' armed completions
 	// in an indexed min-heap ordered by (eta, arming pass, activation
@@ -414,8 +424,9 @@ type Network struct {
 
 	// Reusable scratch (the allocation-free core): fillEpoch stamps
 	// per-link scratch validity, rateSum holds the per-link flow-rate
-	// sums, maintained by domain fills (zeroed and re-accumulated for a
-	// dirty domain's links only) and read by observePass and LinkUtil.
+	// sums, maintained by domain fills while an observer is attached
+	// (zeroed and re-accumulated for a dirty domain's links only) and
+	// read by observePass and LinkUtil, which only observers call.
 	fillEpoch uint64
 	rateSum   []float64
 
@@ -454,6 +465,9 @@ type Network struct {
 func New(s *sim.Scheduler) *Network {
 	n := &Network{sched: s, retry: DefaultRetryPolicy(), partVersion: 1}
 	n.recomputeFn = n.recompute
+	if referenceEverywhere {
+		n.useReferenceEngine()
+	}
 	return n
 }
 
@@ -556,6 +570,7 @@ func (n *Network) StartFlow(spec FlowSpec) *Flow {
 		f.latency = lat
 		f.links = p.links
 		f.finiteLinks = p.finite
+		f.routeID = p.id
 	} else {
 		if lat < 0 {
 			lat = 0
@@ -614,6 +629,7 @@ func (f *Flow) fireLatency() {
 // buildRoute resolves the route into the flow's link slices, reusing
 // the capacity the Flow object resolved into before.
 func (n *Network) buildRoute(f *Flow, route []LinkID) {
+	f.routeID = 0
 	f.links, f.finiteLinks = n.resolveRoute(route, f.ownLinks, f.ownFinite)
 	f.ownLinks = f.links[:0]
 	if len(f.finiteLinks) > 0 && len(f.finiteLinks) < len(f.links) {
@@ -948,7 +964,9 @@ func (n *Network) recompute() {
 	if len(n.procRoots) > 0 {
 		n.stats.FillPasses++
 		n.fillEpoch++
-		n.ensureRateSum()
+		if len(n.obs) > 0 {
+			n.ensureRateSum()
+		}
 		for _, root := range n.procRoots {
 			n.fillDomain(root)
 		}

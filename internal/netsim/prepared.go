@@ -14,12 +14,15 @@ package netsim
 // it holds *Link pointers — and a cache holding prepared routes must
 // key on Network.StateEpoch so fabric mutations invalidate it.
 
+import "math"
+
 // PreparedRoute is a route resolved once against a network: the
 // deduplicated link set, its finite-bandwidth subset, and the summed
 // cut-through latency of the raw route (duplicates included, exactly
 // as StartFlow computes it for a negative FlowSpec.Latency).
 type PreparedRoute struct {
 	net     *Network
+	id      uint32 // serial for the fill replay's keys; 0 once serials run out
 	links   []*Link
 	finite  []*Link
 	latency float64
@@ -35,7 +38,12 @@ func (n *Network) PrepareRoute(route []LinkID) *PreparedRoute {
 	for _, id := range route {
 		lat += n.links[id].Latency
 	}
-	return &PreparedRoute{net: n, links: links, finite: finite, latency: lat}
+	p := &PreparedRoute{net: n, links: links, finite: finite, latency: lat}
+	if n.routeSerial < math.MaxUint32 {
+		n.routeSerial++
+		p.id = n.routeSerial
+	}
+	return p
 }
 
 // Latency returns the prepared route's cut-through latency — the sum

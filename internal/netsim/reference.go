@@ -17,7 +17,8 @@ import (
 // switches a network onto it, and the property tests in
 // differential_test.go assert that both engines produce bit-identical
 // rates, completion times and orders, telemetry and link byte counters
-// over randomized churn, fault and domain-merge/split scenarios. It is
+// over randomized churn, fault and domain-merge/split scenarios;
+// referenceEverywhere runs whole studies on it (sweep_test.go). It is
 // not reachable from production paths.
 //
 // The oracle fills per exact component (not one global pass) because
@@ -31,6 +32,12 @@ import (
 // re-deriving the ETA from the settled remaining would shift it by
 // ULPs, which the engine's clean-domain skipping could never
 // reproduce.
+
+// referenceEverywhere puts every network New builds on the reference
+// engine. Only tests set it (export_test.go), around a whole sweep, so
+// every study meets the oracle; it is read, never written, while
+// networks are being built.
+var referenceEverywhere bool
 
 // useReferenceEngine routes all future rate recomputations of this
 // network through referenceRecompute. It must be called before any

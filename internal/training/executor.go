@@ -58,8 +58,8 @@ type timeline struct {
 
 // nodeState is a node's progress in one replay.
 type nodeState struct {
-	pending int      // dependencies not yet complete
-	left    int      // operations or flows still in flight
+	pending int32    // dependencies not yet complete
+	left    int32    // operations or flows still in flight
 	start   sim.Time // launch time
 	// What completed the node, for the blame of the waits it releases:
 	// its last operation, or its last flow's contention and fault
@@ -213,7 +213,7 @@ func (x *executor) startFlows(i int, n *node) {
 	}
 	if n.io == inputLoad {
 		npus := w.NPUCount()
-		x.state[i].left = npus
+		x.state[i].left = int32(npus)
 		bytes := n.bytes / float64(npus)
 		for npu := 0; npu < npus; npu++ {
 			x.net.StartFlow(netsim.FlowSpec{
@@ -234,7 +234,7 @@ func (x *executor) startFlows(i int, n *node) {
 		}
 		*trees = newPreparedRoutes(x.net, nIOC, route)
 	}
-	x.state[i].left = nIOC
+	x.state[i].left = int32(nIOC)
 	bytes := n.bytes / float64(nIOC)
 	for ioc := 0; ioc < nIOC; ioc++ {
 		x.net.StartFlow(netsim.FlowSpec{

@@ -47,7 +47,7 @@ type node struct {
 	kind     nodeKind
 	io       ioKind
 	chain    bool // the timeline blocks on it
-	timeline int
+	timeline int32
 	class    Class
 	// label names the critpath segment: a compute span's label, a
 	// blocking collective's fallback when its schedule is empty, or the
@@ -57,10 +57,10 @@ type node struct {
 	bytes float64 // I/O bytes, split evenly over the node's flows
 	// entries[lo:hi] of the graph are a collective's operations; the
 	// node completes when all of them have.
-	lo, hi int
-	deps   int // dependency count
+	lo, hi int32
+	deps   int32 // dependency count
 	// succ[slo:shi] of the graph are the successors, in edge order.
-	slo, shi int
+	slo, shi int32
 }
 
 // entry is one operation of a collective node: an all-reduce over
@@ -71,7 +71,7 @@ type entry struct {
 	bytes float64
 }
 
-type edge struct{ from, to int }
+type edge struct{ from, to int32 }
 
 // graph is one iteration's nodes and edges, plus what the report
 // needs to attribute the timelines.
@@ -92,24 +92,32 @@ type graph struct {
 	recompute bool // some stage overflowed HBM and recomputes activations
 }
 
+// reserve sizes the node, entry and edge arrays for a build of at most
+// that many of each, so the build appends without growing them.
+func (g *graph) reserve(nodes, entries, edges int) {
+	g.nodes = make([]node, 0, nodes)
+	g.entries = make([]entry, 0, entries)
+	g.edges = make([]edge, 0, edges)
+}
+
 func (g *graph) add(n node) int {
 	g.nodes = append(g.nodes, n)
 	return len(g.nodes) - 1
 }
 
 func (g *graph) compute(t int, label string, d float64) int {
-	return g.add(node{kind: computeNode, chain: true, timeline: t, label: label, dur: d})
+	return g.add(node{kind: computeNode, chain: true, timeline: int32(t), label: label, dur: d})
 }
 
 func (g *graph) collective(t int, class Class, label string, chain bool, es ...entry) int {
-	lo := len(g.entries)
+	lo := int32(len(g.entries))
 	g.entries = append(g.entries, es...)
-	return g.add(node{kind: collectiveNode, chain: chain, timeline: t, class: class, label: label,
-		lo: lo, hi: len(g.entries)})
+	return g.add(node{kind: collectiveNode, chain: chain, timeline: int32(t), class: class, label: label,
+		lo: lo, hi: int32(len(g.entries))})
 }
 
 func (g *graph) io(t int, k ioKind, class Class, label string, chain bool, bytes float64) int {
-	return g.add(node{kind: ioNode, io: k, chain: chain, timeline: t, class: class, label: label, bytes: bytes})
+	return g.add(node{kind: ioNode, io: k, chain: chain, timeline: int32(t), class: class, label: label, bytes: bytes})
 }
 
 // edge makes to depend on from (no-op for from < 0). A node's
@@ -118,7 +126,7 @@ func (g *graph) edge(from, to int) {
 	if from < 0 {
 		return
 	}
-	g.edges = append(g.edges, edge{from, to})
+	g.edges = append(g.edges, edge{int32(from), int32(to)})
 	g.nodes[to].deps++
 }
 
@@ -127,7 +135,7 @@ func (g *graph) finish() *graph {
 	for _, e := range g.edges {
 		g.nodes[e.from].shi++
 	}
-	at := 0
+	at := int32(0)
 	for i := range g.nodes {
 		n := &g.nodes[i]
 		n.slo, n.shi, at = at, at, at+n.shi
@@ -135,7 +143,7 @@ func (g *graph) finish() *graph {
 	g.succ = make([]int, len(g.edges))
 	for _, e := range g.edges {
 		n := &g.nodes[e.from]
-		g.succ[n.shi] = e.to
+		g.succ[n.shi] = int(e.to)
 		n.shi++
 	}
 	g.edges = nil
@@ -171,7 +179,28 @@ func stationaryGraph(cfg *Config) *graph {
 	stages := stageLayers(cfg.Model.Layers, s.PP)
 	g := &graph{tail: ClassDP, hasTail: s.DP > 1, tailLabel: "dp-sync"}
 
+	// Per timeline: 2M−1+nb compute steps, each followed by an MP
+	// all-reduce when MP > 1, and M multicasts to each adjacent stage;
+	// per stage, nb DP syncs of MP operations each when DP > 1.
+	steps, nodes, entries, edges, nSends := 2*M-1+nb, 0, 0, 0, 0
+	coll, dpSyncs := 0, 0
+	if s.MP > 1 {
+		coll = steps
+	}
+	if s.DP > 1 {
+		dpSyncs = nb
+	}
+	for pp := 0; pp < s.PP; pp++ {
+		sends := M * (min(pp, 1) + min(s.PP-1-pp, 1))
+		nodes += steps + coll + sends
+		entries += coll + sends
+		edges += steps - 1 + coll + 2*sends + dpSyncs
+		nSends += s.DP * sends
+	}
+	g.reserve(s.DP*nodes+s.PP*dpSyncs, s.DP*entries+s.PP*dpSyncs*s.MP, s.DP*edges)
+
 	timeline := func(dp, pp int) int { return dp*s.PP + pp }
+	g.npus = make([][]int, 0, s.DP*s.PP)
 	for dp := 0; dp < s.DP; dp++ {
 		for pp := 0; pp < s.PP; pp++ {
 			ranks := make([]int, s.MP)
@@ -186,7 +215,7 @@ func stationaryGraph(cfg *Config) *graph {
 	// adjacent stage's multicast.
 	recv := make([][2][]int, len(g.npus))
 	type send struct{ node, to, ub, dir int }
-	var sends []send
+	sends := make([]send, 0, nSends)
 	// dpSync[pp*nb+b] is the DP synchronisation of stage pp's bucket b.
 	dpSync := make([]int, s.PP*nb)
 	for i := range dpSync {
@@ -352,6 +381,34 @@ func streamingGraph(cfg *Config) *graph {
 		return 2*G - 1 - i
 	}
 
+	// Size the arrays: per pass, a wave-compute node per wave, with an
+	// MP barrier when MP > 1 and a pipeline barrier when two adjacent
+	// stages are active; besides, the input load, 2G weight loads and G
+	// gradient stores, and their edges (each load waits for the one
+	// before it and for the compute two loads back).
+	{
+		nodes, entries, edges := 1+3*G, 0, 2+5*G
+		for i := 0; i < nLoads; i++ {
+			n := len(groupStages[loadGroup(i)])
+			for k := 0; k < M+n-1; k++ {
+				active, links := min(n, k+1)-max(0, k-M+1), min(n-1, k+1)-max(0, k-M+1)
+				nodes++
+				edges++
+				if s.MP > 1 && active > 0 {
+					nodes++
+					edges++
+					entries += active * s.DP
+				}
+				if links > 0 {
+					nodes++
+					edges++
+					entries += links * s.DP
+				}
+			}
+			edges++ // the pass's first wave waits for its load
+		}
+		g.reserve(nodes, entries, edges)
+	}
 	var es []entry // one wave's operations of one class
 	prev := -1
 	if !model.InputPrefetchable {
@@ -455,7 +512,7 @@ type pipeStep struct {
 // at most PP−pp microbatches' activations resident instead of M
 // (Narayanan et al.'s PipeDream-flush).
 func pipelineSteps(kind PipelineSchedule, M, PP, pp int) []pipeStep {
-	var steps []pipeStep
+	steps := make([]pipeStep, 0, 2*M)
 	switch kind {
 	case Schedule1F1B:
 		warm := min(PP-pp, M)

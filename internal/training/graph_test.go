@@ -62,7 +62,7 @@ func TestGraphStationaryShape(t *testing.T) {
 		switch {
 		case n.kind == collectiveNode && n.class == ClassDP:
 			syncs++
-			if n.deps != s.DP || n.hi-n.lo != s.MP {
+			if int(n.deps) != s.DP || int(n.hi-n.lo) != s.MP {
 				t.Errorf("DP sync has %d deps and %d ops, want %d and %d", n.deps, n.hi-n.lo, s.DP, s.MP)
 			}
 		case n.kind == collectiveNode && n.class == ClassPP:
@@ -99,5 +99,29 @@ func TestExecutorLaunchesAfterLastDependency(t *testing.T) {
 	}
 	if r.Total != 5 || r.Breakdown.Compute != 6 {
 		t.Fatalf("total %g, compute %g; want 5 and 6", r.Total, r.Breakdown.Compute)
+	}
+}
+
+// TestGraphPresized: both builders size the node and entry arrays from
+// the strategy before building, so a build never regrows them (a
+// regrowth would leave a quarter or more of the capacity unused).
+func TestGraphPresized(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"t17b-buckets", Config{Model: workload.Transformer17B(), Strategy: parallelism.Strategy{MP: 3, DP: 3, PP: 2},
+			MinibatchPerReplica: 16, GradBuckets: 4}},
+		{"t17b-1f1b", Config{Model: workload.Transformer17B(), Strategy: parallelism.Strategy{MP: 2, DP: 5, PP: 2},
+			MinibatchPerReplica: 40, Schedule: Schedule1F1B}},
+		{"resnet-dp", Config{Model: workload.ResNet152(), Strategy: parallelism.Strategy{MP: 1, DP: 20, PP: 1}}},
+		{"gpt3", Config{Model: workload.GPT3(), Strategy: parallelism.Strategy{MP: 2, DP: 5, PP: 2}, MinibatchPerReplica: 16}},
+		{"t1t", Config{Model: workload.Transformer1T(), Strategy: parallelism.Strategy{MP: 4, DP: 5, PP: 1}}},
+	}
+	for _, c := range cases {
+		g := graphOf(t, newMesh(), c.cfg)
+		if n, e := len(g.nodes), len(g.entries); cap(g.nodes) > n+1 || cap(g.entries) > e+1 {
+			t.Errorf("%s: %d nodes in %d, %d entries in %d", c.name, n, cap(g.nodes), e, cap(g.entries))
+		}
 	}
 }
