@@ -137,7 +137,11 @@ func NewMeshPlatform(cfg topology.MeshConfig) *Platform {
 	return &Platform{wafer: topology.NewMesh(netsim.New(sim.NewScheduler()), cfg)}
 }
 
-// NewFredPlatform builds a custom FRED fabric.
+// NewFredPlatform builds a custom FRED fabric of any height: the
+// config's level list gives each level's fan-in and link bandwidth
+// (FredVariantConfig's 2-level Table 5 instances are a starting
+// point). It panics with FredConfig.Validate's error on an invalid
+// configuration.
 func NewFredPlatform(cfg topology.FredConfig) *Platform {
 	return &Platform{wafer: topology.NewFredFabric(netsim.New(sim.NewScheduler()), cfg)}
 }

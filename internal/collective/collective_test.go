@@ -293,10 +293,10 @@ func TestInNetworkAllReduceTrafficHalved(t *testing.T) {
 	s := FredInNetworkAllReduce(f, group, gb)
 	perLink := s.LinkBytes()
 	for _, npu := range group {
-		if got := perLink[f.UpLink(npu)]; got != gb {
+		if got := perLink[f.UpLink(npu, 0)]; got != gb {
 			t.Fatalf("NPU %d injects %g, want %g", npu, got, gb)
 		}
-		if got := perLink[f.DownLink(npu)]; got != gb {
+		if got := perLink[f.DownLink(npu, 0)]; got != gb {
 			t.Fatalf("NPU %d receives %g, want %g", npu, got, gb)
 		}
 	}

@@ -85,18 +85,6 @@ func selectAlgorithms(w topology.Wafer) algorithms {
 			a = endpointOnly(w)
 			a.allReduce = func(g []int, b float64) Schedule { return FredEndpointAllReduce(w, g, b) }
 		}
-	case *topology.FredTree:
-		if w.InNetwork() {
-			a = algorithms{
-				allReduce:     func(g []int, b float64) Schedule { return FredTreeInNetworkAllReduce(w, g, b) },
-				reduceScatter: func(g []int, b float64) Schedule { return FredTreeInNetworkReduceScatter(w, g, b) },
-				allGather:     func(g []int, b float64) Schedule { return FredTreeInNetworkAllGather(w, g, b) },
-				multicast:     tree,
-			}
-		} else {
-			a = endpointOnly(w)
-			a.allReduce = func(g []int, b float64) Schedule { return RingAllReduce(w, g, b, true) }
-		}
 	default:
 		a = algorithms{
 			allReduce:     func([]int, float64) Schedule { return unsupported(w, "allreduce") },

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -25,26 +26,46 @@ func groupByL1(f *topology.FredFabric, group []int) (map[int][]int, []int) {
 	return byL1, l1s
 }
 
-// appendLeaves appends the distinct leaf switches of a group to dst in
-// ascending order — groupByL1's leaf list without the per-leaf member
-// map, for the callers that need only the leaf set. Callers pass a
-// stack buffer, so the common small groups allocate nothing.
-func appendLeaves(dst []int, f *topology.FredFabric, group []int) []int {
+// appendSwitches appends to dst one member of the group per distinct
+// level-k switch above it (k = 1: its L1), in switch order — groupByL1's
+// leaf list at k = 1, without the per-leaf member map. The NPUs under
+// a switch are contiguous in index order, so members sort as their
+// switches do, and a switch already present holds a neighbour of a new
+// member's insertion point. Callers pass a stack buffer, so the common
+// small groups allocate nothing.
+func appendSwitches(dst []int, f *topology.FredFabric, group []int, k int) []int {
 	base := len(dst)
 	for _, npu := range group {
-		l1 := f.L1Of(npu)
 		i := len(dst)
-		for i > base && dst[i-1] > l1 {
+		for i > base && dst[i-1] > npu {
 			i--
 		}
-		if i > base && dst[i-1] == l1 {
+		id := f.UpLink(npu, k)
+		if i > base && f.UpLink(dst[i-1], k) == id || i < len(dst) && f.UpLink(dst[i], k) == id {
 			continue
 		}
 		dst = append(dst, 0)
 		copy(dst[i+1:], dst[i:])
-		dst[i] = l1
+		dst[i] = npu
 	}
 	return dst
+}
+
+// spanLevel returns the level of the lowest switch above every member
+// of the group: 1 when they share an L1, Levels() when only the root
+// joins them.
+func spanLevel(f *topology.FredFabric, group []int) int {
+	k := 1
+	for ; k < f.Levels(); k++ {
+		i := 1
+		for i < len(group) && f.UpLink(group[i], k) == f.UpLink(group[0], k) {
+			i++
+		}
+		if i >= len(group) {
+			break
+		}
+	}
+	return k
 }
 
 // FredEndpointAllReduce compiles the hierarchical 2D ring algorithm
@@ -137,30 +158,33 @@ func appendConcurrent(phases []Phase, parts []Schedule) []Phase {
 	return phases
 }
 
-// inNetworkDepth returns the pipelined tree's cut-through latency: 2
-// hops for a leaf-local group, 4 through the root.
+// inNetworkDepth returns the pipelined tree's cut-through latency:
+// up to the group's lowest common switch and back down, 2 hops for a
+// leaf-local group and 4 through a 2-level root.
 func inNetworkDepth(f *topology.FredFabric, group []int) float64 {
-	var buf [16]int
-	if len(appendLeaves(buf[:0], f, group)) <= 1 {
-		return 2 * f.Config().LinkLatency
-	}
-	return 4 * f.Config().LinkLatency
+	return float64(2*spanLevel(f, group)) * f.Config().LinkLatency
 }
 
 // inNetworkTreeLinks returns the links of the reduction/broadcast tree
-// connecting a group through its leaf switches (and the root switch if
-// more than one leaf is involved): per-NPU up and down links plus the
-// L1↔L2 links of every involved leaf.
+// connecting a group through its switches: per-NPU up and down links,
+// then, at each level below the group's lowest common switch, the up
+// and down links of every involved switch.
 func inNetworkTreeLinks(f *topology.FredFabric, group []int) []netsim.LinkID {
 	var buf [16]int
-	l1s := appendLeaves(buf[:0], f, group)
-	links := make([]netsim.LinkID, 0, 2*len(group)+2*len(l1s))
+	switches := appendSwitches(buf[:0], f, group, 1)
+	links := make([]netsim.LinkID, 0, 2*len(group)+2*(f.Levels()-1)*len(switches))
 	for _, npu := range group {
-		links = append(links, f.UpLink(npu), f.DownLink(npu))
+		links = append(links, f.UpLink(npu, 0), f.DownLink(npu, 0))
 	}
-	if len(l1s) > 1 {
-		for _, l1 := range l1s {
-			links = append(links, f.L1UpLink(l1), f.L1DownLink(l1))
+	for k := 1; k < f.Levels(); k++ {
+		if k > 1 {
+			switches = appendSwitches(buf[:0], f, group, k)
+		}
+		if len(switches) <= 1 {
+			break
+		}
+		for _, npu := range switches {
+			links = append(links, f.UpLink(npu, k), f.DownLink(npu, k))
 		}
 	}
 	return links
@@ -186,32 +210,39 @@ func FredInNetworkAllReduce(f *topology.FredFabric, group []int, bytes float64) 
 }
 
 // FredInNetworkReduce compiles an in-switch reduce: contributions
-// climb and reduce toward the root NPU's leaf, then descend to root.
+// climb and reduce toward the root NPU's switches, then descend to
+// root.
 func FredInNetworkReduce(f *topology.FredFabric, group []int, root int, bytes float64) Schedule {
 	s := Schedule{Name: "fred-innet-reduce"}
 	if bytes <= 0 {
 		return s
 	}
-	rootL1 := f.L1Of(root)
 	var buf [16]int
-	l1s := appendLeaves(buf[:0], f, group)
-	links := make([]netsim.LinkID, 0, len(group)+len(l1s)+2)
+	switches := appendSwitches(buf[:0], f, group, 1)
+	links := make([]netsim.LinkID, 0, len(group)+(f.Levels()-1)*len(switches)+f.Levels())
 	for _, npu := range group {
 		if npu != root {
-			links = append(links, f.UpLink(npu))
+			links = append(links, f.UpLink(npu, 0))
 		}
 	}
-	needCross := false
-	for _, l1 := range l1s {
-		if l1 != rootL1 {
-			links = append(links, f.L1UpLink(l1))
-			needCross = true
+	// Every switch off the root's path forwards its partial sum up, as
+	// far as the level that joins the group with the root.
+	top := 1
+	for k := 1; k < f.Levels(); k++ {
+		if k > 1 {
+			switches = appendSwitches(buf[:0], f, group, k)
+		}
+		rootUp := f.UpLink(root, k)
+		for _, npu := range switches {
+			if up := f.UpLink(npu, k); up != rootUp {
+				links = append(links, up)
+				top = k + 1
+			}
 		}
 	}
-	if needCross {
-		links = append(links, f.L1DownLink(rootL1))
+	for k := top - 1; k >= 0; k-- {
+		links = append(links, f.DownLink(root, k))
 	}
-	links = append(links, f.DownLink(root))
 	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: inNetworkDepth(f, group)}}}
 	return s
 }
@@ -223,39 +254,46 @@ func FredInNetworkMulticast(f *topology.FredFabric, src int, dsts []int, bytes f
 	if bytes <= 0 {
 		return s
 	}
-	srcL1 := f.L1Of(src)
-	// The leaves already reached, in a stack buffer for the common
-	// fabrics of at most 16 leaves.
+	// The L1s already reached, in a stack array of 16 flags (a heap
+	// slice only on fabrics with more L1s), and the down links already
+	// taken from the switches above them.
 	var seenBuf [16]bool
 	seenL1 := seenBuf[:]
 	if n := f.L1Count(); n > len(seenBuf) {
 		seenL1 = make([]bool, n)
 	}
-	links := make([]netsim.LinkID, 0, len(dsts)+f.L1Count()+2)
-	needUp, crossed := false, false
+	var aboveBuf [16]netsim.LinkID
+	seenAbove := aboveBuf[:0]
+	links := make([]netsim.LinkID, 0, len(dsts)+f.L1Count()+f.Levels())
+	top, srcL1 := 0, f.L1Of(src)
 	for _, d := range dsts {
 		if d == src {
 			continue
 		}
-		needUp = true
-		links = append(links, f.DownLink(d))
+		top = max(top, 1)
+		links = append(links, f.DownLink(d, 0))
 		l1 := f.L1Of(d)
-		if l1 != srcL1 && !seenL1[l1] {
-			seenL1[l1] = true
-			crossed = true
-			links = append(links, f.L1DownLink(l1))
+		if l1 == srcL1 || seenL1[l1] {
+			continue
+		}
+		seenL1[l1] = true
+		top = max(top, 2)
+		links = append(links, f.DownLink(d, 1))
+		for k := 2; k < f.Levels() && f.UpLink(d, k) != f.UpLink(src, k); k++ {
+			top = max(top, k+1)
+			if down := f.DownLink(d, k); !slices.Contains(seenAbove, down) {
+				seenAbove = append(seenAbove, down)
+				links = append(links, down)
+			}
 		}
 	}
-	if !needUp {
+	if top == 0 {
 		return s
 	}
-	links = append(links, f.UpLink(src))
-	depth := 2 * f.Config().LinkLatency
-	if crossed {
-		links = append(links, f.L1UpLink(srcL1))
-		depth = 4 * f.Config().LinkLatency
+	for k := 0; k < top; k++ {
+		links = append(links, f.UpLink(src, k))
 	}
-	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: depth}}}
+	s.Phases = []Phase{{Transfer{Links: links, Bytes: bytes, LatencyOverride: float64(2*top) * f.Config().LinkLatency}}}
 	return s
 }
 
@@ -287,40 +325,4 @@ func serialRounds(name string, group []int, bytes float64, round func(member int
 		s.Phases = append(s.Phases, round(m, shard).Phases...)
 	}
 	return s
-}
-
-// FredTreeInNetworkAllReduce compiles an in-switch all-reduce on a
-// multi-level FRED tree: one pipelined transfer over the group's
-// reduction tree, paying the deepest member route's latency.
-func FredTreeInNetworkAllReduce(t *topology.FredTree, group []int, bytes float64) Schedule {
-	depth := 0.0
-	for _, a := range group {
-		if l := t.RouteLatency(group[0], a); l > depth {
-			depth = l
-		}
-	}
-	return Schedule{
-		Name: fmt.Sprintf("fredtree-innet-allreduce(%d)", len(group)),
-		Phases: []Phase{{Transfer{
-			Links:           t.InNetworkAllReduceLinks(group),
-			Bytes:           bytes,
-			LatencyOverride: depth,
-		}}},
-	}
-}
-
-// FredTreeInNetworkReduceScatter compiles a reduce-scatter on a
-// multi-level FRED tree as serial in-switch reduces, one per member.
-func FredTreeInNetworkReduceScatter(t *topology.FredTree, group []int, bytes float64) Schedule {
-	return serialRounds("fredtree-innet-reducescatter", group, bytes, func(root int, shard float64) Schedule {
-		return routeTree("", t, root, group, shard, true)
-	})
-}
-
-// FredTreeInNetworkAllGather compiles an all-gather on a multi-level
-// FRED tree as serial in-switch multicasts, one per member.
-func FredTreeInNetworkAllGather(t *topology.FredTree, group []int, bytes float64) Schedule {
-	return serialRounds("fredtree-innet-allgather", group, bytes, func(src int, shard float64) Schedule {
-		return MulticastTree(t, src, group, shard)
-	})
 }

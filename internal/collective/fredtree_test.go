@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/wafernet/fred/internal/netsim"
@@ -8,9 +9,14 @@ import (
 	"github.com/wafernet/fred/internal/topology"
 )
 
-func newTree(inNetwork bool) (*netsim.Network, *topology.FredTree) {
+// The TestFredTree* tests run collectives on a FRED fabric taller than the
+// Table 5 variants' two levels.
+
+// newTree builds a 64-NPU, 3-level fabric: 4 NPUs per leaf, 4 leaves
+// per mid switch, 4 mid switches under the root.
+func newTree(inNetwork bool) (*netsim.Network, *topology.FredFabric) {
 	net := netsim.New(sim.NewScheduler())
-	return net, topology.NewFredTree(net, topology.TreeConfig{
+	return net, topology.NewFredFabric(net, topology.FredConfig{
 		NPUs:        64,
 		FanIn:       []int{4, 4, 4},
 		LevelBW:     []float64{3e12, 12e12, 48e12},
@@ -20,6 +26,10 @@ func newTree(inNetwork bool) (*netsim.Network, *topology.FredTree) {
 		InNetwork:   inNetwork,
 	})
 }
+
+// sixHops is the cut-through latency up and down three levels,
+// computed at run time as the schedules do.
+var sixHops = func() float64 { lat := 20e-9; return 6 * lat }()
 
 func TestFredTreeInNetworkAllReduceLeafLocal(t *testing.T) {
 	// A leaf-local group runs at the full NPU port bandwidth.
@@ -89,7 +99,13 @@ func TestFredTreeCrossLevelCollective(t *testing.T) {
 	net, tr := newTree(true)
 	c := NewComm(tr)
 	group := []int{0, 16, 32, 48} // one NPU per mid-switch subtree
-	got := RunToCompletion(net, c.AllReduce(group, gb))
+	s := c.AllReduce(group, gb)
+	// One tree transfer over 4 NPU, 4 leaf and 4 mid links each way,
+	// 6 hops deep.
+	if tr := s.Phases[0][0]; len(tr.Links) != 24 || tr.LatencyOverride != sixHops {
+		t.Fatalf("tree transfer: %d links, latency %g; want 24, %g", len(tr.Links), tr.LatencyOverride, sixHops)
+	}
+	got := RunToCompletion(net, s)
 	// Single flow: bound by the NPU links (3 TB/s).
 	within(t, "cross-level all-reduce", got, gb/3e12, 0.02)
 }
@@ -110,5 +126,24 @@ func TestFredTreeConcurrentGroupsShareTrunks(t *testing.T) {
 	for i, tm := range times {
 		within(t, "concurrent tree group", tm, gb/3e12, 0.05)
 		_ = i
+	}
+}
+
+// TestFredTreeReduceAndMulticastLinks: on three levels the in-switch
+// reduce climbs each member's switches up to the level that joins it
+// with the root and descends the root's path; the multicast mirrors it.
+func TestFredTreeReduceAndMulticastLinks(t *testing.T) {
+	_, tr := newTree(true)
+	up, down := tr.UpLink, tr.DownLink
+	red := FredInNetworkReduce(tr, []int{0, 1, 4, 16}, 0, gb).Phases[0][0]
+	want := []netsim.LinkID{up(1, 0), up(4, 0), up(16, 0), up(4, 1), up(16, 1), up(16, 2), down(0, 2), down(0, 1), down(0, 0)}
+	if !slices.Equal(red.Links, want) || red.LatencyOverride != sixHops {
+		t.Fatalf("reduce links %v latency %g, want %v, %g", red.Links, red.LatencyOverride, want, sixHops)
+	}
+	mc := FredInNetworkMulticast(tr, 0, []int{16, 17, 1, 4}, gb).Phases[0][0]
+	want = []netsim.LinkID{down(16, 0), down(16, 1), down(16, 2), down(17, 0), down(1, 0), down(4, 0), down(4, 1),
+		up(0, 0), up(0, 1), up(0, 2)}
+	if !slices.Equal(mc.Links, want) || mc.LatencyOverride != sixHops {
+		t.Fatalf("multicast links %v latency %g, want %v, %g", mc.Links, mc.LatencyOverride, want, sixHops)
 	}
 }

@@ -65,7 +65,7 @@ func TestOpSkipsRecycledFlows(t *testing.T) {
 	}
 }
 
-// TestAppendLeavesMatchesGroupByL1: the allocation-free leaf set the
+// TestAppendLeavesMatchesGroupByL1: the allocation-free L1 set the
 // in-network trees use equals groupByL1's sorted leaf list on random
 // groups.
 func TestAppendLeavesMatchesGroupByL1(t *testing.T) {
@@ -76,7 +76,10 @@ func TestAppendLeavesMatchesGroupByL1(t *testing.T) {
 		group := perm[:1+rng.Intn(len(perm))]
 		_, want := groupByL1(f, group)
 		var buf [4]int // small on purpose: large groups spill to the heap
-		got := appendLeaves(buf[:0], f, group)
+		var got []int
+		for _, npu := range appendSwitches(buf[:0], f, group, 1) {
+			got = append(got, f.L1Of(npu))
+		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("group %v: leaves %v, want %v", group, got, want)
 		}

@@ -65,21 +65,12 @@ func TestCommAlgorithmSelection(t *testing.T) {
 		{"Fred-D", fred(topology.FredD), fredInNetwork, func(w topology.Wafer, alive []int) Schedule {
 			return FredInNetworkAllReduce(w.(*topology.FredFabric), alive, bytes)
 		}},
-		{"fredtree-innet", tree(true),
-			func(w topology.Wafer) []Schedule {
-				tr := w.(*topology.FredTree)
-				return []Schedule{FredTreeInNetworkAllReduce(tr, group, bytes), FredTreeInNetworkReduceScatter(tr, group, bytes),
-					FredTreeInNetworkAllGather(tr, group, bytes), MulticastTree(tr, 0, group, bytes)}
-			},
-			func(w topology.Wafer, alive []int) Schedule {
-				return FredTreeInNetworkAllReduce(w.(*topology.FredTree), alive, bytes)
-			}},
-		{"fredtree-endpoint", tree(false),
-			func(w topology.Wafer) []Schedule {
-				return []Schedule{RingAllReduce(w, group, bytes, true), RingReduceScatter(w, group, bytes, true),
-					RingAllGather(w, group, bytes, true), unicasts(w, 0, group, bytes)}
-			},
-			func(w topology.Wafer, alive []int) Schedule { return RingAllReduce(w, alive, bytes, true) }},
+		{"3-level in-network", tree(true), fredInNetwork, func(w topology.Wafer, alive []int) Schedule {
+			return FredInNetworkAllReduce(w.(*topology.FredFabric), alive, bytes)
+		}},
+		{"3-level endpoint", tree(false), fredEndpoint, func(w topology.Wafer, alive []int) Schedule {
+			return FredEndpointAllReduce(w.(*topology.FredFabric), alive, bytes)
+		}},
 	} {
 		c := NewComm(tc.w)
 		got := []Schedule{c.AllReduce(group, bytes), c.ReduceScatter(group, bytes),

@@ -211,7 +211,7 @@ func (s *Session) BisectionSweep() ([]BisectionRow, *report.Table) {
 	rows := make([]BisectionRow, len(bws))
 	s.forEach("BisectionSweep", len(bws), func(i int, cs *Session) {
 		cfg := topology.FredVariantConfig(topology.FredD)
-		cfg.L1L2BW = bws[i]
+		cfg.LevelBW[1] = bws[i]
 		w := topology.NewFredFabric(netOf(), cfg)
 		r := mustTrain(training.Config{
 			Wafer:               w,

@@ -54,11 +54,11 @@ func (s *Session) CrossoverStudy() ([]CrossoverRow, *report.Table) {
 				collective.TreeAllReduce(m, group, bytes))
 		}
 		{
-			cfg := topology.TreeConfig{
+			cfg := topology.FredConfig{
 				NPUs: n, FanIn: []int{4, (n + 3) / 4}, LevelBW: []float64{3e12, 12e12},
 				IOCs: 18, IOCBW: 128e9, LinkLatency: 20e-9, InNetwork: true,
 			}
-			f := topology.NewFredTree(netsim.New(sim.NewScheduler()), cfg)
+			f := topology.NewFredFabric(netsim.New(sim.NewScheduler()), cfg)
 			row.FredTime = collective.RunToCompletion(f.Network(),
 				collective.NewComm(f).AllReduce(group, bytes))
 		}

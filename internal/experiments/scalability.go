@@ -62,7 +62,7 @@ func (s *Session) ScalabilityStudy() ([]ScalabilityRow, *report.Table) {
 
 		// FRED side: a 2-level fabric up to 36 NPUs; the Section 6.1
 		// hierarchical design grows a third switch level at 64 NPUs.
-		tcfg := topology.TreeConfig{
+		fcfg := topology.FredConfig{
 			NPUs:        n,
 			FanIn:       []int{4, (n + 3) / 4},
 			LevelBW:     []float64{3e12, 12e12},
@@ -74,10 +74,10 @@ func (s *Session) ScalabilityStudy() ([]ScalabilityRow, *report.Table) {
 		if n > 36 {
 			// Three levels: 4 NPUs per leaf, 4 leaves per mid switch,
 			// all mids under one root.
-			tcfg.FanIn = []int{4, 4, (n + 15) / 16}
-			tcfg.LevelBW = []float64{3e12, 12e12, 48e12}
+			fcfg.FanIn = []int{4, 4, (n + 15) / 16}
+			fcfg.LevelBW = []float64{3e12, 12e12, 48e12}
 		}
-		fabric := topology.NewFredTree(netsim.New(sim.NewScheduler()), tcfg)
+		fabric := topology.NewFredFabric(netsim.New(sim.NewScheduler()), fcfg)
 		row.FredLevels = fabric.Levels()
 		row.FredTime = runConcurrent(fabric)
 		row.FredIOUtil = fabric.StreamUtilization()

@@ -9,18 +9,14 @@ import (
 )
 
 // runDigest injects seeded random permutation traffic (two rounds of
-// messages per source, 1–24 flits each), optionally on a mesh with a
-// failed channel, runs it and renders every observable: the cycle
-// count, each message's Injected/Delivered stamps and every channel's
-// busy count.
-func runDigest(t *testing.T, seed int64, fail bool) string {
+// messages per source, 1–24 flits each), runs it and renders every
+// observable: the cycle count, each message's Injected/Delivered stamps
+// and every channel's busy count.
+func runDigest(t *testing.T, seed int64) string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := DefaultConfig()
 	m := New(cfg)
-	if fail {
-		m.FailChannel(6, East)
-	}
 	n := cfg.W * cfg.H
 	var msgs []*Message
 	for round := 0; round < 2; round++ {
@@ -47,24 +43,17 @@ func runDigest(t *testing.T, seed int64, fail bool) string {
 
 // TestRunGolden pins the router's cycle-level behaviour — recorded from
 // the model that scanned every router and re-routed each head flit once
-// per (output, input) pair — on a healthy and a degraded mesh.
+// per (output, input) pair.
 func TestRunGolden(t *testing.T) {
 	want := map[string]string{
-		"seed=1 fail=false": "80:6edeac48bda7a505",
-		"seed=1 fail=true":  "118:48193930479dd62b",
-		"seed=2 fail=false": "65:b9c33349a36ae2f3",
-		"seed=2 fail=true":  "87:06fb4835b3da08bc",
-		"seed=3 fail=false": "82:e78f84e5bceeec25",
-		"seed=3 fail=true":  "80:d656bdc24a4a2e15",
-		"seed=4 fail=false": "95:f9da1b5f16233d0d",
-		"seed=4 fail=true":  "114:6e6b0295348367cc",
+		"seed=1": "80:6edeac48bda7a505",
+		"seed=2": "65:b9c33349a36ae2f3",
+		"seed=3": "82:e78f84e5bceeec25",
+		"seed=4": "95:f9da1b5f16233d0d",
 	}
 	got := map[string]string{}
 	for seed := int64(1); seed <= 4; seed++ {
-		for _, fail := range []bool{false, true} {
-			key := fmt.Sprintf("seed=%d fail=%v", seed, fail)
-			got[key] = runDigest(t, seed, fail)
-		}
+		got[fmt.Sprintf("seed=%d", seed)] = runDigest(t, seed)
 	}
 	for key, g := range got {
 		if want[key] != g {

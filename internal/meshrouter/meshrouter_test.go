@@ -114,6 +114,23 @@ func TestSelfMessageDeliversLocally(t *testing.T) {
 	}
 }
 
+// TestHealthyRoutingUnchangedByFaultMachinery: a message takes the
+// strict X-first path, with no Y-first hop.
+func TestHealthyRoutingUnchangedByFaultMachinery(t *testing.T) {
+	m := New(DefaultConfig())
+	msg := m.Inject(0, 13, 1)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// 3 east, then 2 south (see TestXYRouteMatchesTopology).
+	if got := msg.Delivered - msg.Injected; got != 6 {
+		t.Fatalf("latency = %d, want 6", got)
+	}
+	if m.ChannelBusy(0, South) != 0 {
+		t.Fatal("Y-first hop taken")
+	}
+}
+
 func TestPermutationTrafficDrains(t *testing.T) {
 	// Random permutation traffic must drain without deadlock (X-Y is
 	// deadlock-free), with every message delivered.

@@ -253,7 +253,7 @@ func (s *System) BoundaryNPU(k int) int {
 
 // nodeOf recovers the netsim node of an NPU via its up-link source.
 func nodeOf(f *topology.FredFabric, npu int) netsim.NodeID {
-	return f.Network().Link(f.UpLink(npu)).Src
+	return f.Network().Link(f.UpLink(npu, 0)).Src
 }
 
 // Wafers returns the wafer count.

@@ -265,7 +265,7 @@ func TestLinkNamesMatchFormat(t *testing.T) {
 	net := s.Network()
 	var want []string
 	fc := topology.FredVariantConfig(cfg.Variant)
-	numL1 := (fc.NPUs + fc.NPUsPerL1 - 1) / fc.NPUsPerL1
+	numL1 := (fc.NPUs + fc.FanIn[0] - 1) / fc.FanIn[0]
 	for w := 0; w < cfg.Wafers; w++ {
 		for i := 0; i < numL1; i++ {
 			want = append(want, fmt.Sprintf("l1.%d->l2", i), fmt.Sprintf("l2->l1.%d", i))

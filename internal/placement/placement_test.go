@@ -121,8 +121,8 @@ func TestFigure5PlacementTradeoff(t *testing.T) {
 		perNPULink := map[netsim.LinkID]int{}
 		npuLinks := map[netsim.LinkID]bool{}
 		for npu := 0; npu < fd.NPUCount(); npu++ {
-			npuLinks[fd.UpLink(npu)] = true
-			npuLinks[fd.DownLink(npu)] = true
+			npuLinks[fd.UpLink(npu, 0)] = true
+			npuLinks[fd.DownLink(npu, 0)] = true
 		}
 		for _, g := range groups {
 			if len(g) < 2 {

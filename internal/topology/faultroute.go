@@ -10,8 +10,8 @@ import (
 // avoids failed links. The mesh falls back from X-Y dimension order to
 // a breadth-first detour over the surviving links — real 2D meshes do
 // exactly this with fault-tolerant turn models, at the cost of longer,
-// more congested paths. The FRED fabrics have no link-level detour to
-// fall back to: an L1↔L2 trunk is a bundle of middle-µswitch paths
+// more congested paths. The FRED fabric has no link-level detour to
+// fall back to: a switch trunk is a bundle of middle-µswitch paths
 // whose partial loss is modelled as bandwidth degradation (Clos spare
 // paths re-planned by the conflict-free router, see internal/fred), so
 // a fully failed trunk or NPU port makes the endpoint unreachable.
@@ -120,21 +120,9 @@ func (m *Mesh) detourRoute(src, dst int) ([]netsim.LinkID, error) {
 // inside the switches, see package fred), so a failed link on it means
 // the pair is unreachable.
 func (f *FredFabric) RouteErr(src, dst int) ([]netsim.LinkID, error) {
-	return uniqueRouteErr(f, src, dst)
-}
-
-// RouteErr implements Wafer; like FredFabric, the LCA route is unique
-// per pair.
-func (t *FredTree) RouteErr(src, dst int) ([]netsim.LinkID, error) {
-	return uniqueRouteErr(t, src, dst)
-}
-
-// uniqueRouteErr returns a wafer's only route for the pair when it is
-// alive, else an UnreachableError.
-func uniqueRouteErr(w Wafer, src, dst int) ([]netsim.LinkID, error) {
-	route := w.Route(src, dst)
-	if !routeAlive(w.Network(), route) {
-		return nil, &UnreachableError{Topo: w.Name(), Src: src, Dst: dst}
+	route := f.Route(src, dst)
+	if !routeAlive(f.net, route) {
+		return nil, &UnreachableError{Topo: f.Name(), Src: src, Dst: dst}
 	}
 	return route, nil
 }
@@ -159,17 +147,10 @@ func (m *Mesh) AliveNPUs() []int {
 
 // AliveNPUs implements Wafer: an NPU participates while both
 // directions of its single switch port are alive.
-func (f *FredFabric) AliveNPUs() []int { return alivePorts(f.net, f.npuUp, f.npuDown) }
-
-// AliveNPUs implements Wafer, as for FredFabric.
-func (t *FredTree) AliveNPUs() []int { return alivePorts(t.net, t.npuUp, t.npuDwn) }
-
-// alivePorts returns the NPUs whose up and down port links are both
-// alive, in index order.
-func alivePorts(net *netsim.Network, up, down []netsim.LinkID) []int {
+func (f *FredFabric) AliveNPUs() []int {
 	var alive []int
-	for i := range up {
-		if !net.Link(up[i]).Failed() && !net.Link(down[i]).Failed() {
+	for i := range f.npuUp {
+		if !f.net.Link(f.npuUp[i]).Failed() && !f.net.Link(f.npuDown[i]).Failed() {
 			alive = append(alive, i)
 		}
 	}

@@ -136,7 +136,7 @@ func TestFredTreeRouteValidityUnderRandomFaults(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		net := netsim.New(sim.NewScheduler())
-		ft := NewFredTree(net, TreeConfig{
+		ft := NewFredFabric(net, FredConfig{
 			NPUs: 16, FanIn: []int{4, 2, 2}, LevelBW: []float64{3e12, 1.5e12, 1.5e12},
 			IOCs: 4, IOCBW: 128e9, LinkLatency: 20e-9,
 		})
@@ -167,7 +167,7 @@ func TestAliveNPUs(t *testing.T) {
 
 	net2 := netsim.New(sim.NewScheduler())
 	f := NewFredVariant(net2, FredA)
-	net2.Link(f.UpLink(3)).Fail()
+	net2.Link(f.UpLink(3, 0)).Fail()
 	alive = f.AliveNPUs()
 	if len(alive) != f.NPUCount()-1 {
 		t.Fatalf("fred: %d alive, want %d", len(alive), f.NPUCount()-1)
@@ -175,14 +175,14 @@ func TestAliveNPUs(t *testing.T) {
 
 	// A multi-level tree drops an NPU whose down port failed.
 	net3 := netsim.New(sim.NewScheduler())
-	ft := NewFredTree(net3, TreeConfig{
+	ft := NewFredFabric(net3, FredConfig{
 		NPUs: 16, FanIn: []int{4, 2, 2}, LevelBW: []float64{3e12, 1.5e12, 1.5e12},
 		IOCs: 4, IOCBW: 128e9, LinkLatency: 20e-9,
 	})
 	if got := len(ft.AliveNPUs()); got != ft.NPUCount() {
 		t.Fatalf("healthy tree: %d alive NPUs, want %d", got, ft.NPUCount())
 	}
-	net3.Link(ft.npuDwn[5]).Fail()
+	net3.Link(ft.npuDown[5]).Fail()
 	alive = ft.AliveNPUs()
 	if len(alive) != ft.NPUCount()-1 {
 		t.Fatalf("tree: %d alive, want %d", len(alive), ft.NPUCount()-1)

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -75,7 +77,7 @@ func TestFredRouteSameL1TwoHops(t *testing.T) {
 	if len(r) != 2 {
 		t.Fatalf("same-L1 route has %d links, want 2", len(r))
 	}
-	if r[0] != f.UpLink(0) || r[1] != f.DownLink(3) {
+	if r[0] != f.UpLink(0, 0) || r[1] != f.DownLink(3, 0) {
 		t.Fatal("same-L1 route does not use up/down links")
 	}
 }
@@ -86,7 +88,7 @@ func TestFredRouteCrossL1FourHops(t *testing.T) {
 	if len(r) != 4 {
 		t.Fatalf("cross-L1 route has %d links, want 4", len(r))
 	}
-	want := []netsim.LinkID{f.UpLink(0), f.L1UpLink(0), f.L1DownLink(4), f.DownLink(19)}
+	want := []netsim.LinkID{f.UpLink(0, 0), f.L1UpLink(0), f.L1DownLink(4), f.DownLink(19, 0)}
 	for i := range want {
 		if r[i] != want[i] {
 			t.Fatalf("cross-L1 route hop %d = %v, want %v", i, r[i], want[i])
@@ -277,7 +279,7 @@ func TestRouteLatencies(t *testing.T) {
 	if got := m.RouteLatency(0, 7); got != float64(m.Distance(0, 7))*20e-9 {
 		t.Fatalf("mesh route latency %g", got)
 	}
-	tr := NewFredTree(netsim.New(sim.NewScheduler()), TreeConfig{
+	tr := NewFredFabric(netsim.New(sim.NewScheduler()), FredConfig{
 		NPUs: 16, FanIn: []int{4, 4}, LevelBW: []float64{3e12, 12e12},
 		IOCs: 4, IOCBW: 128e9, LinkLatency: 20e-9,
 	})
@@ -290,3 +292,74 @@ func TestRouteLatencies(t *testing.T) {
 }
 
 func topFredD() FredVariant { return FredD }
+
+// FuzzFredConfig requires Validate to return nil or a *configError,
+// never panic, and every configuration it accepts to build a fabric
+// that routes each NPU pair along connected links and serves each NPU
+// from a controller in range. Levels takes the first 1+nlevels%3 of
+// the fan-ins and bandwidths. A fabric is built only for small accepted
+// configurations, so no input allocates a huge one.
+//
+// Explore with: go test -run='^$' -fuzz=FuzzFredConfig ./internal/topology
+func FuzzFredConfig(f *testing.F) {
+	add := func(c FredConfig) {
+		fan := append(append([]int(nil), c.FanIn...), 0, 0, 0)
+		bw := append(append([]float64(nil), c.LevelBW...), 0, 0, 0)
+		f.Add(c.NPUs, uint8(len(c.FanIn)+2), fan[0], fan[1], fan[2], bw[0], bw[1], bw[2], c.IOCs, c.IOCBW, c.LinkLatency)
+	}
+	add(FredVariantConfig(FredA))
+	d := FredVariantConfig(FredD)
+	add(FredConfig{NPUs: 64, FanIn: []int{4, 4, 4}, LevelBW: []float64{3e12, 12e12, 48e12}, IOCs: 18, IOCBW: 128e9, LinkLatency: 20e-9})
+	add(FredConfig{NPUs: 3, FanIn: []int{4}, LevelBW: []float64{3e12}, IOCs: 2, IOCBW: 1e9})
+	// No controllers: NearestIOC used to divide by zero.
+	d.IOCs = 0
+	add(d)
+	// Bandwidths and latencies that are not finite, or out of range.
+	for _, bw := range []float64{math.NaN(), math.Inf(1), 0, -1} {
+		d = FredVariantConfig(FredD)
+		d.LevelBW[1] = bw
+		add(d)
+		d = FredVariantConfig(FredD)
+		d.IOCBW = bw
+		add(d)
+	}
+	for _, lat := range []float64{math.NaN(), math.Inf(1), -1} {
+		d = FredVariantConfig(FredD)
+		d.LinkLatency = lat
+		add(d)
+	}
+	// A fan-in product that wraps int.
+	add(FredConfig{NPUs: 20, FanIn: []int{4611686018427387905, 4}, LevelBW: []float64{1, 1}, IOCs: 1, IOCBW: 1})
+	f.Fuzz(func(t *testing.T, npus int, nlevels uint8, f0, f1, f2 int, bw0, bw1, bw2 float64, iocs int, iocBW, lat float64) {
+		n := 1 + int(nlevels)%3
+		cfg := FredConfig{NPUs: npus, FanIn: []int{f0, f1, f2}[:n], LevelBW: []float64{bw0, bw1, bw2}[:n],
+			IOCs: iocs, IOCBW: iocBW, LinkLatency: lat}
+		err := cfg.Validate()
+		var ce *configError
+		if err != nil && !errors.As(err, &ce) {
+			t.Fatalf("Validate(%+v) = %v, want nil or *configError", cfg, err)
+		}
+		if err != nil || npus > 64 || iocs > 32 {
+			return
+		}
+		fab := NewFredFabric(netsim.New(sim.NewScheduler()), cfg)
+		net := fab.Network()
+		for src := 0; src < npus; src++ {
+			for dst := 0; dst < npus; dst++ {
+				cur := fab.npus[src]
+				for _, id := range fab.Route(src, dst) {
+					if net.Link(id).Src != cur {
+						t.Fatalf("%+v: route %d->%d is not connected", cfg, src, dst)
+					}
+					cur = net.Link(id).Dst
+				}
+				if cur != fab.npus[dst] {
+					t.Fatalf("%+v: route %d->%d ends at node %d", cfg, src, dst, cur)
+				}
+			}
+			if ioc := fab.NearestIOC(src); ioc < 0 || ioc >= iocs {
+				t.Fatalf("%+v: NearestIOC(%d) = %d, want in [0, %d)", cfg, src, ioc, iocs)
+			}
+		}
+	})
+}

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -8,10 +10,13 @@ import (
 	"github.com/wafernet/fred/internal/sim"
 )
 
-// threeLevel builds a 64-NPU, 3-level tree: 4 NPUs per leaf (16
+// The TestFredTree* tests cover FRED fabrics taller than the Table 5
+// variants' two levels.
+
+// threeLevel builds a 64-NPU, 3-level fabric: 4 NPUs per leaf (16
 // leaves), 4 leaves per mid switch (4 mids), one root.
-func threeLevel() *FredTree {
-	return NewFredTree(netsim.New(sim.NewScheduler()), TreeConfig{
+func threeLevel() *FredFabric {
+	return NewFredFabric(netsim.New(sim.NewScheduler()), FredConfig{
 		NPUs:        64,
 		FanIn:       []int{4, 4, 4},
 		LevelBW:     []float64{3e12, 12e12, 48e12},
@@ -30,21 +35,22 @@ func TestFredTreeShape(t *testing.T) {
 	if tr.NPUCount() != 64 || tr.IOCCount() != 18 {
 		t.Fatalf("NPUs %d, IOCs %d", tr.NPUCount(), tr.IOCCount())
 	}
-	if got := len(tr.levels[0]); got != 16 {
+	if got := tr.L1Count(); got != 16 {
 		t.Fatalf("leaf switches = %d, want 16", got)
 	}
-	if got := len(tr.levels[1]); got != 4 {
+	if got := len(tr.levels[1].up); got != 4 {
 		t.Fatalf("mid switches = %d, want 4", got)
 	}
-	if got := len(tr.levels[2]); got != 1 {
-		t.Fatalf("roots = %d, want 1", got)
+	// 64 NPU, 16 leaf and 4 mid links each way, plus 18 controllers'.
+	if got := tr.Network().NumLinks(); got != 2*(64+16+4+18) {
+		t.Fatalf("%d links, want %d (one root)", got, 2*(64+16+4+18))
 	}
 }
 
 func TestFredTreeTwoLevelMatchesFabric(t *testing.T) {
-	// A 2-level tree with the Fred-D parameters must report the same
-	// bisection as the FredFabric implementation.
-	tr := NewFredTree(netsim.New(sim.NewScheduler()), TreeConfig{
+	// A 2-level fabric spelled out with the Fred-D parameters must
+	// report the same bisection as the Table 5 variant.
+	tr := NewFredFabric(netsim.New(sim.NewScheduler()), FredConfig{
 		NPUs:        20,
 		FanIn:       []int{4, 5},
 		LevelBW:     []float64{3e12, 12e12},
@@ -63,7 +69,11 @@ func TestFredTreeTwoLevelMatchesFabric(t *testing.T) {
 }
 
 func TestFredTreeConfigValidation(t *testing.T) {
-	bad := []TreeConfig{
+	ok := FredConfig{NPUs: 4, FanIn: []int{4}, LevelBW: []float64{1}, IOCs: 1, IOCBW: 1}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("1-level config rejected: %v", err)
+	}
+	bad := []FredConfig{
 		{NPUs: 0, FanIn: []int{4}, LevelBW: []float64{1}},
 		{NPUs: 4, FanIn: []int{4}, LevelBW: []float64{1, 2}},
 		{NPUs: 4, FanIn: nil, LevelBW: nil},
@@ -71,8 +81,26 @@ func TestFredTreeConfigValidation(t *testing.T) {
 		{NPUs: 4, FanIn: []int{0}, LevelBW: []float64{1}},
 	}
 	for i, cfg := range bad {
+		cfg.IOCs, cfg.IOCBW = 1, 1
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d validated: %+v", i, cfg)
+		}
+	}
+	// Variant configurations with one bad field each.
+	for i, mutate := range []func(*FredConfig){
+		func(c *FredConfig) { c.IOCs = 0 }, // NearestIOC would divide by zero
+		func(c *FredConfig) { c.LevelBW[1] = math.NaN() },
+		func(c *FredConfig) { c.LevelBW[0] = math.Inf(1) },
+		func(c *FredConfig) { c.IOCBW = 0 },
+		func(c *FredConfig) { c.LinkLatency = -1 },
+		func(c *FredConfig) { c.LinkLatency = math.Inf(1) },
+		func(c *FredConfig) { c.FanIn = []int{4611686018427387905, 4} }, // product wraps int
+	} {
+		cfg := FredVariantConfig(FredD)
+		mutate(&cfg)
+		var ce *configError
+		if err := cfg.Validate(); !errors.As(err, &ce) {
+			t.Errorf("mutation %d: Validate = %v, want a *configError", i, err)
 		}
 	}
 }
@@ -150,15 +178,32 @@ func TestFredTreeStoreTreeDrainsAll(t *testing.T) {
 
 func TestFredTreeInNetworkAllReduceLinks(t *testing.T) {
 	tr := threeLevel()
+	// treeLinks collects, per level below the group's lowest common
+	// switch, the distinct up and down links of the members' paths:
+	// the links an in-network reduction tree over the group occupies.
+	treeLinks := func(group []int) map[netsim.LinkID]bool {
+		links := map[netsim.LinkID]bool{}
+		for k := 0; k < tr.Levels(); k++ {
+			shared := true
+			for _, m := range group {
+				shared = shared && k > 0 && tr.UpLink(m, k) == tr.UpLink(group[0], k)
+			}
+			if shared {
+				break
+			}
+			for _, m := range group {
+				links[tr.UpLink(m, k)], links[tr.DownLink(m, k)] = true, true
+			}
+		}
+		return links
+	}
 	// Group under one leaf: only NPU links, no switch trunks.
-	links := tr.InNetworkAllReduceLinks([]int{0, 1, 2, 3})
-	if len(links) != 8 {
+	if links := treeLinks([]int{0, 1, 2, 3}); len(links) != 8 {
 		t.Fatalf("leaf-local group uses %d links, want 8", len(links))
 	}
 	// Group across the root: NPU links + leaf and mid trunks both ways.
-	links = tr.InNetworkAllReduceLinks([]int{0, 63})
 	// 2 NPUs × 2 + 2 leaves × 2 + 2 mids × 2 = 12.
-	if len(links) != 12 {
+	if links := treeLinks([]int{0, 63}); len(links) != 12 {
 		t.Fatalf("cross-root pair uses %d links, want 12", len(links))
 	}
 }
@@ -183,5 +228,8 @@ func TestFredTreeIOCRoutesValid(t *testing.T) {
 }
 
 func TestFredTreeIsWafer(t *testing.T) {
-	var _ Wafer = (*FredTree)(nil)
+	var w Wafer = threeLevel()
+	if w.NPUCount() != 64 || w.BisectionBW() != 4*48e12/2 {
+		t.Fatalf("3-level wafer: %d NPUs, bisection %g", w.NPUCount(), w.BisectionBW())
+	}
 }

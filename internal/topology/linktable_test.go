@@ -1,0 +1,46 @@
+package topology
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"github.com/wafernet/fred/internal/netsim"
+	"github.com/wafernet/fred/internal/sim"
+)
+
+// fredLinkTable renders every link of each Table 5 variant: ID, source
+// and destination node names, link name, bandwidth and latency.
+func fredLinkTable() string {
+	var b strings.Builder
+	for _, v := range []FredVariant{FredA, FredB, FredC, FredD} {
+		net := netsim.New(sim.NewScheduler())
+		NewFredVariant(net, v)
+		fmt.Fprintf(&b, "# %s\n", v)
+		for id := 0; id < net.NumLinks(); id++ {
+			l := net.Link(netsim.LinkID(id))
+			fmt.Fprintf(&b, "%d %s %s %s %v %v\n", l.ID, net.NodeName(l.Src), net.NodeName(l.Dst), l.Name, l.Bandwidth, l.Latency)
+		}
+	}
+	return b.String()
+}
+
+// TestFredVariantLinkTableGolden pins the link table of every Table 5
+// variant: link IDs follow the build order, so IDs, endpoints, names,
+// bandwidths and latencies must all stay as recorded.
+func TestFredVariantLinkTableGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/fred-links.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fredLinkTable(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("link table differs at line %d: got %q, want %q", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("link table has %d lines, want %d", len(gl), len(wl))
+	}
+}

@@ -49,15 +49,15 @@ func (c *nameCheck) all() {
 // NPUs per leaf, so indices reach two digits on both sides of a name.
 func TestFredFabricNamesMatchFormat(t *testing.T) {
 	cfg := FredVariantConfig(FredD)
-	cfg.NPUs, cfg.NPUsPerL1 = 36, 12
+	cfg.NPUs, cfg.FanIn = 36, []int{12, 3}
 	net := netsim.New(sim.NewScheduler())
 	f := NewFredFabric(net, cfg)
 	c := newNameCheck(t, net)
-	c.node(f.l2, "fred-l2")
-	for i, l1 := range f.l1s {
-		c.node(l1, "fred-l1.%d", i)
-		c.link(f.l1Up[i], "l1.%d->l2", i)
-		c.link(f.l1Down[i], "l2->l1.%d", i)
+	c.node(net.Link(f.levels[0].up[0]).Dst, "fred-l2")
+	for i := range f.levels[0].up {
+		c.node(net.Link(f.levels[0].up[i]).Src, "fred-l1.%d", i)
+		c.link(f.levels[0].up[i], "l1.%d->l2", i)
+		c.link(f.levels[0].down[i], "l2->l1.%d", i)
 	}
 	for i, npu := range f.npus {
 		c.node(npu, "npu%d", i)
@@ -93,9 +93,11 @@ func TestMeshNamesMatchFormat(t *testing.T) {
 	c.all()
 }
 
+// TestFredTreeNamesMatchFormat extends the 2-level names to a 3-level
+// fabric: every non-root switch carries its index, the root none.
 func TestFredTreeNamesMatchFormat(t *testing.T) {
 	net := netsim.New(sim.NewScheduler())
-	tr := NewFredTree(net, TreeConfig{
+	tr := NewFredFabric(net, FredConfig{
 		NPUs:        144,
 		FanIn:       []int{12, 4, 3},
 		LevelBW:     []float64{3e12, 12e12, 48e12},
@@ -104,24 +106,26 @@ func TestFredTreeNamesMatchFormat(t *testing.T) {
 		LinkLatency: 20e-9,
 	})
 	c := newNameCheck(t, net)
-	for k, level := range tr.levels {
-		for i, n := range level {
-			c.node(n.node, "fredtree-l%d.%d", k+1, i)
-			if k < len(tr.levels)-1 {
-				c.link(n.up, "l%d.%d->l%d.%d", k+1, i, k+2, n.parent)
-				c.link(n.down, "l%d.%d->l%d.%d", k+2, n.parent, k+1, i)
-			}
-		}
+	c.node(net.Link(tr.levels[1].up[0]).Dst, "fred-l3")
+	for i := range tr.levels[1].up {
+		c.node(net.Link(tr.levels[1].up[i]).Src, "fred-l2.%d", i)
+		c.link(tr.levels[1].up[i], "l2.%d->l3", i)
+		c.link(tr.levels[1].down[i], "l3->l2.%d", i)
+	}
+	for i := range tr.levels[0].up {
+		c.node(net.Link(tr.levels[0].up[i]).Src, "fred-l1.%d", i)
+		c.link(tr.levels[0].up[i], "l1.%d->l2.%d", i, i/4)
+		c.link(tr.levels[0].down[i], "l2.%d->l1.%d", i/4, i)
 	}
 	for i, npu := range tr.npus {
 		c.node(npu, "npu%d", i)
-		c.link(tr.npuUp[i], "npu%d->leaf", i)
-		c.link(tr.npuDwn[i], "leaf->npu%d", i)
+		c.link(tr.npuUp[i], "npu%d->l1", i)
+		c.link(tr.npuDown[i], "l1->npu%d", i)
 	}
 	for i, ioc := range tr.iocs {
 		c.node(ioc.node, "ioc%d", i)
-		c.link(ioc.up, "ioc%d->leaf", i)
-		c.link(ioc.down, "leaf->ioc%d", i)
+		c.link(ioc.up, "ioc%d->l1.%d", i, ioc.l1)
+		c.link(ioc.down, "l1.%d->ioc%d", ioc.l1, i)
 	}
 	c.all()
 }

@@ -39,9 +39,9 @@ func (a meshArbiter) submit(_ Class, s collective.Schedule, done func(*collectiv
 // arbiter: it rides dedicated virtual circuits alongside collectives.
 type fredArbiter struct {
 	net     *netsim.Network
-	running map[Class][]*collective.Op
-	paused  map[Class][]*collective.Op
-	pending map[Class][]pendingOp
+	running [numClasses][]*collective.Op
+	paused  [numClasses][]*collective.Op
+	pending [numClasses][]pendingOp
 	active  Class
 	hasWork bool
 }
@@ -49,15 +49,6 @@ type fredArbiter struct {
 type pendingOp struct {
 	s    collective.Schedule
 	done func(*collective.Op)
-}
-
-func newFredArbiter(net *netsim.Network) *fredArbiter {
-	return &fredArbiter{
-		net:     net,
-		running: make(map[Class][]*collective.Op),
-		paused:  make(map[Class][]*collective.Op),
-		pending: make(map[Class][]pendingOp),
-	}
 }
 
 // arbitrated reports whether the class competes for the switch

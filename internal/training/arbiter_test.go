@@ -15,7 +15,7 @@ func newArbiterRig() (*sim.Scheduler, *collective.Comm, *fredArbiter) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched)
 	f := topology.NewFredVariant(net, topology.FredD)
-	return sched, collective.NewComm(f), newFredArbiter(net)
+	return sched, collective.NewComm(f), &fredArbiter{net: net}
 }
 
 func TestArbiterRunsSingleOp(t *testing.T) {

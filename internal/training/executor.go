@@ -84,7 +84,7 @@ func newExecutor(cfg *Config, g *graph) *executor {
 		state: make([]nodeState, len(g.nodes)),
 	}
 	if cfg.Wafer.CircuitSwitched() {
-		x.arb = newFredArbiter(net)
+		x.arb = &fredArbiter{net: net}
 	} else {
 		x.arb = meshArbiter{net: net}
 	}
