@@ -32,8 +32,8 @@ func TestRoutelessTransferFailsOp(t *testing.T) {
 func TestLinkFailureAbortsOp(t *testing.T) {
 	sched := sim.NewScheduler()
 	net := netsim.New(sched)
-	a := net.AddNode("a")
-	b := net.AddNode("b")
+	a := net.AddNode()
+	b := net.AddNode()
 	l := net.AddLink(a, b, 100, 0, "a-b")
 	s := Schedule{Name: "doomed", Phases: []Phase{{Transfer{Links: []netsim.LinkID{l}, Bytes: 1000}}}}
 	var failed *Op
@@ -44,8 +44,9 @@ func TestLinkFailureAbortsOp(t *testing.T) {
 	if failed != op || op.State() != OpFailed {
 		t.Fatalf("op state = %v (failed cb %v), want OpFailed", op.State(), failed)
 	}
-	if op.Err() == nil || !strings.Contains(op.Err().Error(), "aborted by link failure") {
-		t.Fatalf("Err() = %v", op.Err())
+	const want = "collective: doomed: phase 0: flow aborted by link failure"
+	if op.Err() == nil || op.Err().Error() != want {
+		t.Fatalf("Err() = %v, want %q", op.Err(), want)
 	}
 	if op.Finished() != 5 {
 		t.Fatalf("failed at %v, want 5 (the failure instant)", op.Finished())

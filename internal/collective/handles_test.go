@@ -18,7 +18,7 @@ import (
 func TestOpSkipsRecycledFlows(t *testing.T) {
 	s := sim.NewScheduler()
 	net := netsim.New(s)
-	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")
+	a, b, c := net.AddNode(), net.AddNode(), net.AddNode()
 	short := net.AddLink(a, b, 100, 0, "short")
 	long := net.AddLink(a, b, 100, 0, "long")
 	other := net.AddLink(b, c, 100, 0, "other")

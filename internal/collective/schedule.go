@@ -276,10 +276,12 @@ func (op *Op) startPhase() {
 }
 
 // flowEnded is the Done and OnFail callback of the op's flows: the
-// flow's state tells a delivered flow from one a link failure aborted.
+// flow's state tells a delivered flow from one a link failure aborted,
+// which fails the whole collective.
 func (op *Op) flowEnded(f *netsim.Flow) {
 	if f.State() == netsim.FlowFailed {
-		op.flowAborted(f)
+		op.fail(fmt.Errorf("collective: %s: phase %d: flow aborted by link failure",
+			op.schedule.Name, op.phase))
 		return
 	}
 	op.flowDone(f)
@@ -308,7 +310,7 @@ func (op *Op) accountPhase(f *netsim.Flow) {
 	elapsed := now - op.phaseStart
 	b := critpath.Blame{Serial: elapsed}
 	if f != nil {
-		b = critpath.ClampBlame(elapsed, f.ContentionStall(), f.FaultTime())
+		b = critpath.ClampBlame(elapsed, f.ContentionStall())
 	}
 	op.blame.Add(b)
 	if elapsed > op.bindDur {
@@ -334,13 +336,6 @@ func (op *Op) BindLink() string { return op.bindLink }
 
 // CritNode returns the op's DAG node id (0 when recording is off).
 func (op *Op) CritNode() critpath.NodeID { return op.node }
-
-// flowAborted handles one of the op's flows exhausting its retry
-// budget after a link failure: the whole collective fails.
-func (op *Op) flowAborted(f *netsim.Flow) {
-	op.fail(fmt.Errorf("collective: %s: phase %d: flow aborted by link failure after %d retries",
-		op.schedule.Name, op.phase, f.Retries()))
-}
 
 // fail moves the op to OpFailed, cancels its surviving flows, and
 // fires the failure callback. Later failures of an already-failed op

@@ -16,9 +16,9 @@
 //     piecewise-constant rate r(t) this is the integral of
 //     (1 − r(t)/solo) over the flow's active life, accrued exactly at
 //     settlement boundaries by the network simulator;
-//   - fault: time between a fault-induced teardown and the flow's
-//     re-admission (backoff + re-paid route latency), plus the tail of
-//     a collective cancelled by OpFailed.
+//   - fault: the cut-short tail of a collective a link failure
+//     cancelled (OpFailed): a link failure aborts every flow on it, so
+//     fault time is charged to the failed collective, not its flows.
 //
 // Like trace.Tracer, the layer is zero-cost when disabled: every hook
 // point nil-checks its *Recorder before recording, so unobserved runs
@@ -47,8 +47,8 @@ type Blame struct {
 	// Contention is time lost to max-min fair sharing: the interval's
 	// critical flow ran below its solo rate.
 	Contention float64 `json:"contention_s"`
-	// Fault is fault-recovery time: teardown-to-readmission gaps and
-	// cancelled-collective tails.
+	// Fault is fault time: the tails of collectives a link failure
+	// cancelled.
 	Fault float64 `json:"fault_s"`
 }
 
@@ -79,31 +79,18 @@ func (b Blame) Split(w float64) Blame {
 	return Blame{Serial: w - c - f, Contention: c, Fault: f}
 }
 
-// ClampBlame attributes an elapsed interval from measured stall and
-// fault integrals: contention = min(stall, elapsed), fault =
-// min(fault, remainder), serialized = residual. The clamps guard the
-// exact-sum property when the measurements cover a slightly different
-// window than the interval (a flow's stall accrues over its whole
-// active life, which an op phase may subsume or truncate).
-func ClampBlame(elapsed, stall, fault float64) Blame {
+// ClampBlame attributes an elapsed interval from a measured stall
+// integral: contention = min(stall, elapsed), serialized = residual.
+// The clamp guards the exact-sum property when the measurement covers
+// a slightly different window than the interval (a flow's stall
+// accrues over its whole active life, which an op phase may subsume or
+// truncate).
+func ClampBlame(elapsed, stall float64) Blame {
 	if elapsed <= 0 {
 		return Blame{}
 	}
-	c := stall
-	if c < 0 {
-		c = 0
-	}
-	if c > elapsed {
-		c = elapsed
-	}
-	f := fault
-	if f < 0 {
-		f = 0
-	}
-	if f > elapsed-c {
-		f = elapsed - c
-	}
-	return Blame{Serial: elapsed - c - f, Contention: c, Fault: f}
+	c := min(max(stall, 0), elapsed)
+	return Blame{Serial: elapsed - c, Contention: c}
 }
 
 // Kind classifies a DAG node.

@@ -43,19 +43,18 @@ func TestBlameSplitSumsExactly(t *testing.T) {
 
 func TestClampBlame(t *testing.T) {
 	cases := []struct {
-		elapsed, stall, fault float64
-		want                  Blame
+		elapsed, stall float64
+		want           Blame
 	}{
-		{1, 0.25, 0.25, Blame{Serial: 0.5, Contention: 0.25, Fault: 0.25}},
-		{1, 2, 0, Blame{Contention: 1}},                       // stall clamped to elapsed
-		{1, 0.75, 0.75, Blame{Contention: 0.75, Fault: 0.25}}, // fault clamped to remainder
-		{1, -1, -1, Blame{Serial: 1}},                         // negative inputs ignored
-		{0, 5, 5, Blame{}},                                    // empty interval
+		{1, 0.25, Blame{Serial: 0.75, Contention: 0.25}},
+		{1, 2, Blame{Contention: 1}}, // stall clamped to elapsed
+		{1, -1, Blame{Serial: 1}},    // negative stall ignored
+		{0, 5, Blame{}},              // empty interval
 	}
 	for _, c := range cases {
-		got := ClampBlame(c.elapsed, c.stall, c.fault)
+		got := ClampBlame(c.elapsed, c.stall)
 		if got != c.want {
-			t.Errorf("ClampBlame(%v, %v, %v) = %+v, want %+v", c.elapsed, c.stall, c.fault, got, c.want)
+			t.Errorf("ClampBlame(%v, %v) = %+v, want %+v", c.elapsed, c.stall, got, c.want)
 		}
 		if got.Total() != math.Max(c.elapsed, 0) {
 			t.Errorf("ClampBlame(%v, ...) does not sum to elapsed: %v", c.elapsed, got.Total())

@@ -9,6 +9,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -20,8 +21,8 @@ type EventKind int
 
 // Fault event kinds.
 const (
-	// LinkFail permanently removes one link: in-flight flows are torn
-	// down and re-admitted via their retry path, or aborted.
+	// LinkFail permanently removes one link: every flow crossing it
+	// aborts, failing the collective that started it.
 	LinkFail EventKind = iota
 	// LinkDegrade scales a link's bandwidth by Factor; a positive
 	// Recover duration restores the original bandwidth later.
@@ -90,25 +91,31 @@ func (p Plan) Normalize() Plan {
 	return p
 }
 
-// Validate checks event fields: non-negative times, LinkDegrade
-// factors in (0, 1], non-negative recovery.
+// Validate checks event fields: a known kind, finite non-negative
+// times, a non-negative target, LinkDegrade factors in (0, 1] and a
+// finite non-negative recovery. NaN fails every check.
 func (p Plan) Validate() error {
 	for i, e := range p.Events {
-		if e.At < 0 {
-			return fmt.Errorf("faults: event %d: negative time %g", i, float64(e.At))
+		if e.Kind < LinkFail || e.Kind > NPUDrop {
+			return fmt.Errorf("faults: event %d: unknown kind %d", i, int(e.Kind))
+		}
+		if !finiteNonNegative(e.At) {
+			return fmt.Errorf("faults: event %d: time %g not finite and non-negative", i, e.At)
 		}
 		if e.Target < 0 {
 			return fmt.Errorf("faults: event %d: negative target", i)
 		}
-		if e.Kind == LinkDegrade && (e.Factor <= 0 || e.Factor > 1) {
+		if e.Kind == LinkDegrade && !(e.Factor > 0 && e.Factor <= 1) {
 			return fmt.Errorf("faults: event %d: degrade factor %g outside (0,1]", i, e.Factor)
 		}
-		if e.Recover < 0 {
-			return fmt.Errorf("faults: event %d: negative recovery", i)
+		if !finiteNonNegative(e.Recover) {
+			return fmt.Errorf("faults: event %d: recovery %g not finite and non-negative", i, e.Recover)
 		}
 	}
 	return nil
 }
+
+func finiteNonNegative(t sim.Time) bool { return t >= 0 && !math.IsInf(t, 1) }
 
 // PlanSpec parameterizes RandomPlan: how many targets of each class
 // exist, how many events of each kind to draw, and the time horizon

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func testNet() (*sim.Scheduler, *netsim.Network, []netsim.LinkID) {
 	net := netsim.New(s)
 	var nodes []netsim.NodeID
 	for i := 0; i < 4; i++ {
-		nodes = append(nodes, net.AddNode("n"))
+		nodes = append(nodes, net.AddNode())
 	}
 	var links []netsim.LinkID
 	for i := 0; i < 3; i++ {
@@ -46,18 +47,55 @@ func TestRandomPlanDeterministic(t *testing.T) {
 	}
 }
 
+// badEvents are events no network can apply: each fails Validate.
+var badEvents = []Event{
+	{At: -1, Kind: LinkFail},
+	{Kind: LinkFail, Target: -2},
+	{Kind: LinkDegrade, Factor: 0},
+	{Kind: LinkDegrade, Factor: 1.5},
+	{Kind: LinkDegrade, Factor: math.NaN()},
+	{Kind: LinkDegrade, Factor: 0.5, Recover: -1},
+	{Kind: LinkDegrade, Factor: 0.5, Recover: math.NaN()},
+	{Kind: LinkDegrade, Factor: 0.5, Recover: math.Inf(1)},
+	{At: math.NaN(), Kind: LinkFail},
+	{At: math.Inf(1), Kind: NPUDrop},
+	{At: math.Inf(-1), Kind: LinkFail},
+	{Kind: NPUDrop + 1},
+	{Kind: -1},
+}
+
 func TestValidateRejectsBadEvents(t *testing.T) {
-	bad := []Plan{
-		{Events: []Event{{At: -1, Kind: LinkFail}}},
-		{Events: []Event{{Kind: LinkFail, Target: -2}}},
-		{Events: []Event{{Kind: LinkDegrade, Factor: 0}}},
-		{Events: []Event{{Kind: LinkDegrade, Factor: 1.5}}},
-		{Events: []Event{{Kind: LinkDegrade, Factor: 0.5, Recover: -1}}},
-	}
-	for i, p := range bad {
-		if p.Validate() == nil {
-			t.Errorf("plan %d validated", i)
+	for i, e := range badEvents {
+		if (Plan{Events: []Event{e}}).Validate() == nil {
+			t.Errorf("event %d (%v) validated", i, e)
 		}
+	}
+}
+
+// TestScheduleRejectsUnappliableEvents: a link target the network does
+// not have, or a degrade of a contention-free link, fails Schedule
+// before anything is armed.
+func TestScheduleRejectsUnappliableEvents(t *testing.T) {
+	s, net, links := testNet()
+	free := net.AddLink(0, 1, math.Inf(1), 0, "free")
+	n := net.NumLinks()
+	for _, e := range []Event{
+		{At: 1, Kind: LinkFail, Target: n},
+		{At: 1, Kind: LinkDegrade, Target: n + 7, Factor: 0.5},
+		{At: 1, Kind: LinkDegrade, Target: int(free), Factor: 0.5},
+	} {
+		plan := Plan{Events: []Event{{At: 1, Kind: LinkFail, Target: int(links[0])}, e}}
+		if err := NewInjector(net).Schedule(plan); err == nil {
+			t.Errorf("%v scheduled", e)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events armed by rejected plans, want 0", s.Pending())
+	}
+	// In range and on a finite link, the same kinds schedule.
+	ok := Plan{Events: []Event{{At: 1, Kind: LinkFail, Target: n - 1}, {At: 1, Kind: LinkDegrade, Target: 0, Factor: 0.5}}}
+	if err := NewInjector(net).Schedule(ok); err != nil {
+		t.Fatal(err)
 	}
 }
 

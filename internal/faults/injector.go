@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/wafernet/fred/internal/metrics"
 	"github.com/wafernet/fred/internal/netsim"
@@ -61,16 +62,27 @@ func (inj *Injector) SetMetrics(reg *metrics.Registry) *Injector {
 // Applied returns how many events have fired so far.
 func (inj *Injector) Applied() int { return inj.applied }
 
-// Schedule validates the plan and arms one scheduler event per fault
-// event (plus one per recovery). Events at or before the current
-// simulated time apply on the scheduler's next step.
+// Schedule validates the plan against the network — link targets in
+// range, no degrade of a contention-free link, a hook for switch
+// failures — and arms one scheduler event per fault event (plus one
+// per recovery). Events at or before the current simulated time apply
+// on the scheduler's next step.
 func (inj *Injector) Schedule(p Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
-	for _, e := range p.Events {
+	for i, e := range p.Events {
 		if e.Kind == SwitchFail && inj.onSwitchFail == nil {
 			return fmt.Errorf("faults: plan contains switch-fail events but no OnSwitchFail hook is set")
+		}
+		if e.Kind != LinkFail && e.Kind != LinkDegrade {
+			continue
+		}
+		if e.Target >= inj.net.NumLinks() {
+			return fmt.Errorf("faults: event %d: link %d out of range [0, %d)", i, e.Target, inj.net.NumLinks())
+		}
+		if e.Kind == LinkDegrade && math.IsInf(inj.net.Link(netsim.LinkID(e.Target)).Bandwidth, 1) {
+			return fmt.Errorf("faults: event %d: cannot degrade contention-free link %d", i, e.Target)
 		}
 	}
 	now := inj.sched.Now()

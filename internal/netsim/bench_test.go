@@ -21,7 +21,7 @@ func contendedNet(tb testing.TB, e engine, nFlows int) (*sim.Scheduler, *Network
 	s := sim.NewScheduler()
 	net := e.newNet(s)
 	routes := e.routes(net)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	links := make([]LinkID, 16)
 	for i := range links {
 		links[i] = net.AddLink(a, b, 100+float64(i*7), 0, "l")
@@ -106,7 +106,7 @@ func BenchmarkFillReplay(b *testing.B) {
 func groupedNet(tb testing.TB, groups, flowsPer int) (*sim.Scheduler, *Network, []LinkID) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	links := make([]LinkID, 16*groups)
 	for i := range links {
 		links[i] = net.AddLink(a, b, 100+float64(i%16*7), 0, "l")

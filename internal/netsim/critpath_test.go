@@ -73,65 +73,55 @@ func TestCritPathSharedLinkStallExact(t *testing.T) {
 	}
 }
 
-// TestCritPathFaultWindow: a rerouted flow's teardown-to-readmission
-// gap (backoff; zero route latency here) is charged to fault recovery.
+// TestCritPathFaultWindow: a link failure opens no fault window on any
+// flow. The flow it aborts and the survivor whose share it frees both
+// carry zero fault blame; the survivor's contention stall accrues only
+// while the two shared a link.
 func TestCritPathFaultWindow(t *testing.T) {
-	s, net, l1, l2 := twoPath(100, 50)
+	s, net, l1, l2 := twoPath(100, 100)
 	rec := critpath.NewRecorder()
 	net.SetCritPath(rec)
-	f := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return []LinkID{l2}, true },
-		Label:   "survivor",
-	})
+	net.StartFlow(FlowSpec{Links: []LinkID{l1, l2}, Bytes: 100, Latency: 0, Label: "victim"})
+	survivor := net.StartFlow(FlowSpec{Links: []LinkID{l2}, Bytes: 100, Latency: 0, Label: "survivor"})
 	s.At(0.5, func() { net.Link(l1).Fail() })
 	s.RunUntil(10)
-	if f.State() != FlowDone {
-		t.Fatalf("state = %v, want done", f.State())
+	// Both run at 50 on l2 until the failure at t=0.5; the survivor then
+	// drains its last 75 B alone at 100 B/s, finishing at t=1.25.
+	if survivor.State() != FlowDone || !approx(survivor.Finished(), 1.25) {
+		t.Fatalf("survivor: state %v, finished at %g; want done at 1.25", survivor.State(), survivor.Finished())
 	}
-	backoff := net.RetryPolicy().Backoff
-	if got := f.FaultTime(); math.Abs(got-backoff) > 1e-12 {
-		t.Fatalf("fault time = %g, want backoff %g", got, backoff)
-	}
-	n := rec.Node(1)
-	if n.Kind != critpath.KindFlow || n.Failed {
-		t.Fatalf("rerouted flow node wrong: %+v", n)
-	}
-	if math.Abs(n.Blame.Fault-backoff) > 1e-12 {
-		t.Fatalf("fault blame = %g, want %g", n.Blame.Fault, backoff)
-	}
-	if got := n.Blame.Total(); math.Abs(got-n.Duration()) > 1e-9 {
-		t.Fatalf("blame total %g != duration %g", got, n.Duration())
+	for id, want := range map[critpath.NodeID]critpath.Blame{
+		1: {Serial: 0.25, Contention: 0.25},
+		2: {Serial: 1, Contention: 0.25},
+	} {
+		n := rec.Node(id)
+		b := n.Blame
+		if b.Fault != 0 || !approx(b.Serial, want.Serial) || !approx(b.Contention, want.Contention) {
+			t.Errorf("%s blame = %+v, want %+v", n.Label, b, want)
+		}
 	}
 }
 
-// TestCritPathAbortedFlowFailedNode: a flow whose reroute declines
-// after the backoff is recorded as a Failed node whose fault window
-// covers the backoff it waited before giving up.
+// TestCritPathAbortedFlowFailedNode: a flow a link failure aborts is
+// recorded as a Failed node. The failure opens no fault window on the
+// flow (fault blame belongs to the collective it cuts short), so its
+// run up to the abort is all serialized time.
 func TestCritPathAbortedFlowFailedNode(t *testing.T) {
 	s, net, l1, _ := twoPath(100, 100)
 	rec := critpath.NewRecorder()
 	net.SetCritPath(rec)
-	net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return nil, false },
-		Label:   "victim",
-	})
+	net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 100, Latency: 0, Label: "victim"})
 	s.At(0.5, func() { net.Link(l1).Fail() })
 	s.RunUntil(10)
 	if rec.NodeCount() != 1 {
 		t.Fatalf("nodes = %d, want 1", rec.NodeCount())
 	}
 	n := rec.Node(1)
-	if !n.Failed {
+	if !n.Failed || n.Label != "victim" {
 		t.Fatalf("aborted flow not marked Failed: %+v", n)
 	}
-	backoff := net.RetryPolicy().Backoff
-	if math.Abs(n.Blame.Fault-backoff) > 1e-12 {
-		t.Fatalf("fault blame = %g, want backoff %g", n.Blame.Fault, backoff)
-	}
-	if got := n.Blame.Total(); math.Abs(got-n.Duration()) > 1e-9 {
-		t.Fatalf("blame total %g != duration %g", got, n.Duration())
+	if n.Duration() != 0.5 || n.Blame != (critpath.Blame{Serial: 0.5}) {
+		t.Fatalf("duration %g, blame %+v; want 0.5 s, all serial", n.Duration(), n.Blame)
 	}
 }
 

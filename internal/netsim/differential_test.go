@@ -149,8 +149,7 @@ func (e engine) newNet(s *sim.Scheduler) *Network {
 // routeSpecs hands a scenario's flows their routes: link IDs, or under
 // engReplay and engNoReplay one PreparedRoute per distinct route,
 // shared by every flow on it and prepared again after a fabric
-// mutation, as the training executor keeps them. Rerouted flows still
-// take link IDs from their Reroute callbacks.
+// mutation, as the training executor keeps them.
 type routeSpecs struct {
 	net      *Network
 	prepared bool
@@ -187,7 +186,7 @@ func (sc churnScenario) run(e engine) churnRecord {
 	routes := e.routes(net)
 	nodes := make([]NodeID, sc.nNodes)
 	for i := range nodes {
-		nodes[i] = net.AddNode("n")
+		nodes[i] = net.AddNode()
 	}
 	links := make([]LinkID, len(sc.linkBW))
 	for i := range links {
@@ -395,7 +394,7 @@ func TestDifferentialKeptEventTie(t *testing.T) {
 		if reference {
 			net.useReferenceEngine()
 		}
-		a, b := net.AddNode("a"), net.AddNode("b")
+		a, b := net.AddNode(), net.AddNode()
 		l1 := net.AddLink(a, b, 2, 0, "l1")
 		l2 := net.AddLink(a, b, 1, 0, "l2")
 		var order []string
@@ -435,7 +434,7 @@ func TestDifferentialKeptEventTie(t *testing.T) {
 func TestRecomputeSteadyStateZeroAlloc(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	links := make([]LinkID, 8)
 	for i := range links {
 		links[i] = net.AddLink(a, b, 100+float64(i), 0, "l")
@@ -477,7 +476,7 @@ func TestDifferentialActiveSetCompaction(t *testing.T) {
 		if reference {
 			net.useReferenceEngine()
 		}
-		a, b := net.AddNode("a"), net.AddNode("b")
+		a, b := net.AddNode(), net.AddNode()
 		links := []LinkID{
 			net.AddLink(a, b, 100, 0, "l0"),
 			net.AddLink(a, b, 70, 0, "l1"),

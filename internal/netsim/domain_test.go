@@ -121,7 +121,7 @@ func (sc shardScenario) run(e engine) shardRecord {
 	routes := e.routes(net)
 	log := attachLog(nil, net)
 	net.SetCritPath(critpath.NewRecorder())
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	links := make([]LinkID, len(sc.linkBW))
 	failed := make([]bool, len(sc.linkBW))
 	for i := range links {
@@ -310,7 +310,7 @@ func TestDifferentialShardedMultiDomain(t *testing.T) {
 func TestDomainLazySkip(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, 100, 0, "l1")
 	l2 := net.AddLink(a, b, 100, 0, "l2")
 	for i := 0; i < 2; i++ {
@@ -346,7 +346,7 @@ func TestDomainLazySkip(t *testing.T) {
 func TestDomainMergeAndReset(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, 100, 0, "l1")
 	l2 := net.AddLink(a, b, 50, 0, "l2")
 	f1 := net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 1e9})
@@ -389,7 +389,7 @@ func TestDomainMergeAndReset(t *testing.T) {
 func TestDomainMergeStillExactComponents(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, 100, 0, "l1")
 	l2 := net.AddLink(a, b, 60, 0, "l2")
 	net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 1e9})
@@ -416,7 +416,7 @@ func TestDomainMergeStillExactComponents(t *testing.T) {
 func TestDegradeDirtiesOnlyItsDomain(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, 100, 0, "l1")
 	l2 := net.AddLink(a, b, 100, 0, "l2")
 	idle := net.AddLink(a, b, 100, 0, "idle")
@@ -450,7 +450,7 @@ func TestCrossDomainCompletionTie(t *testing.T) {
 		if reference {
 			net.useReferenceEngine()
 		}
-		a, b := net.AddNode("a"), net.AddNode("b")
+		a, b := net.AddNode(), net.AddNode()
 		var order []string
 		for i, bw := range []float64{100, 50, 25, 200} {
 			name := string(rune('A' + i))
@@ -481,7 +481,7 @@ func TestCrossDomainCompletionTie(t *testing.T) {
 func TestForceFullFillMatchesLazy(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, 100, 0, "l1")
 	l2 := net.AddLink(a, b, 70, 0, "l2")
 	f1 := net.StartFlow(FlowSpec{Links: []LinkID{l1, l2}, Bytes: 1e9})

@@ -1,75 +1,36 @@
 package netsim
 
 // Fault layer: links can fail permanently or degrade transiently at
-// simulated time, and flows crossing a failing link are torn down and —
-// when a Reroute is configured — re-admitted after a bounded
-// exponential backoff. Everything here reuses the ordinary flow
-// lifecycle (detach/activate/markDirty), so the incremental filling
-// engine is untouched: a failed link simply no longer carries flows,
-// and a degraded link is just a link whose Bandwidth changed between
+// simulated time. A link failure aborts every flow crossing the link
+// at that instant; recovery is the owning collective's business (it
+// fails, and its caller re-plans over the surviving fabric).
+// Everything here reuses the ordinary flow lifecycle
+// (detach/activate/markDirty), so the incremental filling engine is
+// untouched: a failed link simply no longer carries flows, and a
+// degraded link is just a link whose Bandwidth changed between
 // recomputes. Degrade never toggles a link between finite and infinite
 // bandwidth, which keeps every flow's precomputed finiteLinks subset
 // valid.
 //
-// Determinism: flows crossing a failing link are collected in
-// activation order, and every retry is an ordinary scheduler event, so
-// fault handling inherits the (time, insertion-seq) total order of the
-// scheduler and stays bit-reproducible.
+// Determinism: flows crossing a failing link are collected and aborted
+// in activation order, so fault handling inherits the (time,
+// insertion-seq) total order of the scheduler and stays
+// bit-reproducible.
 
 import (
 	"fmt"
 	"math"
 
 	"github.com/wafernet/fred/internal/critpath"
-	"github.com/wafernet/fred/internal/sim"
 )
-
-// RetryPolicy bounds how a flow with a Reroute callback recovers from
-// link failures: teardown k (1-based) waits Backoff·2^(k-1) before
-// asking Reroute for a fresh route, and after MaxRetries teardowns the
-// flow aborts.
-type RetryPolicy struct {
-	// MaxRetries is the number of link-failure teardowns a flow
-	// survives; the teardown after that aborts it. Zero means abort on
-	// first failure even with a Reroute configured.
-	MaxRetries int
-	// Backoff is the wait before the first retry; each subsequent retry
-	// doubles it.
-	Backoff sim.Time
-}
-
-// DefaultRetryPolicy is the policy installed by New: four retries
-// starting at 1µs of backoff (a circuit re-establishment time scale,
-// comfortably above per-hop link latencies).
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 4, Backoff: 1e-6}
-}
-
-// SetRetryPolicy replaces the retry policy applied to flows torn down
-// by link failures. It affects subsequent teardowns only.
-func (n *Network) SetRetryPolicy(p RetryPolicy) {
-	if p.MaxRetries < 0 {
-		panic(fmt.Sprintf("netsim: negative MaxRetries %d", p.MaxRetries))
-	}
-	if p.Backoff < 0 {
-		panic(fmt.Sprintf("netsim: negative Backoff %g", p.Backoff))
-	}
-	n.retry = p
-}
-
-// RetryPolicy returns the policy applied to flows torn down by link
-// failures.
-func (n *Network) RetryPolicy() RetryPolicy { return n.retry }
 
 // Failed reports whether the link has permanently failed.
 func (l *Link) Failed() bool { return l.failed }
 
 // Fail permanently removes the link from service at the current
-// simulated time. Every flow whose route crosses it — active, paused,
-// or still in its latency stage — is torn down: flows with a Reroute
-// callback enter the retry path (bounded exponential backoff, then
-// re-admission on the route Reroute returns), the rest abort. Failing
-// an already-failed link is a no-op.
+// simulated time. Every flow whose route crosses it aborts: an active
+// flow at once, a flow in its latency stage or paused when it next
+// activates. Failing an already-failed link is a no-op.
 func (l *Link) Fail() {
 	if l.failed {
 		return
@@ -185,7 +146,7 @@ func (n *Network) FailNode(id NodeID) int {
 }
 
 // flowRouteFailed tears the flow off its (now partly dead) route and
-// either schedules a retry or aborts it, per the network's RetryPolicy.
+// aborts it.
 func (n *Network) flowRouteFailed(f *Flow) {
 	switch f.state {
 	case FlowActive:
@@ -199,50 +160,7 @@ func (n *Network) flowRouteFailed(f *Flow) {
 	default:
 		return
 	}
-	f.rate = 0
-	f.retries++
-	if n.crit != nil && !f.inFault {
-		// Open the fault-recovery window; re-admission (activate) or
-		// abort closes it.
-		f.inFault = true
-		f.faultFrom = n.sched.Now()
-	}
-	if f.reroute == nil || f.retries > n.retry.MaxRetries {
-		n.abortFlow(f)
-		return
-	}
-	// Bounded exponential backoff: 1st teardown waits Backoff, each
-	// further teardown doubles it. The reroute callback runs at
-	// retry-fire time, so it sees the fault state of that moment, not
-	// of the teardown.
-	backoff := n.retry.Backoff * float64(int64(1)<<uint(f.retries-1))
-	f.state = FlowLatency
-	f.stageStart = n.sched.Now()
-	f.retrying = true
-	n.sched.Reschedule(&f.latEvent, n.sched.Now()+backoff)
-}
-
-// retryFlow ends a retry backoff (fireLatency): it asks Reroute for a
-// fresh route and re-enters the latency stage on it, or aborts the
-// flow when no route exists.
-func (n *Network) retryFlow(f *Flow) {
-	route, ok := f.reroute(f.retries)
-	if !ok {
-		n.endStage(f, "backoff")
-		n.abortFlow(f)
-		return
-	}
-	if n.wants(EvFlowReroute) {
-		n.notify(Event{Kind: EvFlowReroute, Now: n.sched.Now(), Flow: f})
-	}
-	n.endStage(f, "backoff")
-	n.buildRoute(f, route)
-	lat := 0.0
-	for _, l := range f.links {
-		lat += l.Latency
-	}
-	f.latency = lat
-	n.sched.Reschedule(&f.latEvent, n.sched.Now()+lat)
+	n.abortFlow(f)
 }
 
 // abortFlow marks the flow failed and notifies its OnFail callback. The
@@ -255,16 +173,12 @@ func (n *Network) abortFlow(f *Flow) {
 		n.notify(Event{Kind: EvFlowAbort, Now: f.finished, Flow: f})
 	}
 	if n.crit != nil {
-		if f.inFault {
-			f.faultTime += f.finished - f.faultFrom
-			f.inFault = false
-		}
 		id := n.crit.Add(critpath.Node{
 			Kind:     critpath.KindFlow,
 			Label:    f.label,
 			Start:    f.started,
 			End:      f.finished,
-			Blame:    critpath.ClampBlame(f.finished-f.started, f.stall, f.faultTime),
+			Blame:    critpath.ClampBlame(f.finished-f.started, f.stall),
 			BindLink: f.BindLinkName(),
 			Failed:   true,
 		})

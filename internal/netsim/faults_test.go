@@ -9,18 +9,17 @@ import (
 	"github.com/wafernet/fred/internal/sim"
 )
 
-// twoPath builds the minimal reroutable topology: a → b over primary l1
-// and spare l2.
+// twoPath builds two parallel links l1 and l2 from a to b.
 func twoPath(bw1, bw2 float64) (*sim.Scheduler, *Network, LinkID, LinkID) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, bw1, 0, "l1")
 	l2 := net.AddLink(a, b, bw2, 0, "l2")
 	return s, net, l1, l2
 }
 
-func TestLinkFailAbortsFlowWithoutReroute(t *testing.T) {
+func TestLinkFailAbortsFlow(t *testing.T) {
 	s, net, l1, _ := twoPath(100, 100)
 	log := attachLog(t, net)
 	var failed *Flow
@@ -49,163 +48,56 @@ func TestLinkFailAbortsFlowWithoutReroute(t *testing.T) {
 	if got := f.Remaining(); got != 50 {
 		t.Fatalf("remaining = %v, want 50 (half transferred before the failure)", got)
 	}
-	if f.Retries() != 1 {
-		t.Fatalf("retries = %d, want 1", f.Retries())
-	}
 	if got := log.counts[EvFlowAbort]; got != 1 {
 		t.Fatalf("abort events = %v, want 1", got)
-	}
-}
-
-func TestLinkFailRerouteCompletes(t *testing.T) {
-	s, net, l1, l2 := twoPath(100, 50)
-	log := attachLog(t, net)
-	var attempts []int
-	f := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(attempt int) ([]LinkID, bool) {
-			attempts = append(attempts, attempt)
-			return []LinkID{l2}, true
-		},
-		Label: "survivor",
-	})
-	s.At(0.5, func() { net.Link(l1).Fail() })
-	s.RunUntil(10)
-
-	if f.State() != FlowDone {
-		t.Fatalf("flow state = %v, want done", f.State())
-	}
-	if f.Retries() != 1 || len(attempts) != 1 || attempts[0] != 1 {
-		t.Fatalf("retries = %d, attempts = %v, want one attempt numbered 1", f.Retries(), attempts)
-	}
-	// 50 bytes moved before the failure at t=0.5; the rest drains on l2
-	// at 50 B/s after the first backoff (1µs) and zero route latency.
-	want := 0.5 + net.RetryPolicy().Backoff + 50.0/50.0
-	if got := f.Finished(); got != want {
-		t.Fatalf("finished at %v, want %v", got, want)
-	}
-	if got := log.counts[EvFlowReroute]; got != 1 {
-		t.Fatalf("reroute events = %v, want 1", got)
-	}
-	if got := net.Link(l1).BytesCarried(); got != 50 {
-		t.Fatalf("failed link carried %v bytes, want 50", got)
-	}
-	if got := net.Link(l2).BytesCarried(); got != 50 {
-		t.Fatalf("spare link carried %v bytes, want 50", got)
-	}
-}
-
-func TestRetryBudgetExhausted(t *testing.T) {
-	s, net, l1, _ := twoPath(100, 100)
-	net.SetRetryPolicy(RetryPolicy{MaxRetries: 2, Backoff: 1e-6})
-	failCount := 0
-	// The reroute stubbornly returns the dead link, so every retry tears
-	// down again at activation until the budget runs out.
-	f := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return []LinkID{l1}, true },
-		OnFail:  func(*Flow) { failCount++ },
-	})
-	s.At(0.25, func() { net.Link(l1).Fail() })
-	s.RunUntil(10)
-
-	if f.State() != FlowFailed {
-		t.Fatalf("flow state = %v, want failed", f.State())
-	}
-	// Teardowns: the failure itself, then two budgeted retries that land
-	// back on the dead link; the third teardown exceeds MaxRetries=2.
-	if f.Retries() != 3 {
-		t.Fatalf("retries = %d, want 3", f.Retries())
-	}
-	if failCount != 1 {
-		t.Fatalf("OnFail ran %d times, want 1", failCount)
-	}
-}
-
-func TestRerouteDeclining(t *testing.T) {
-	s, net, l1, _ := twoPath(100, 100)
-	f := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return nil, false },
-	})
-	s.At(0.5, func() { net.Link(l1).Fail() })
-	s.RunUntil(10)
-	if f.State() != FlowFailed {
-		t.Fatalf("flow state = %v, want failed after reroute declined", f.State())
-	}
-	// The decline happens at retry-fire time, after one backoff.
-	if want := 0.5 + net.RetryPolicy().Backoff; f.Finished() != want {
-		t.Fatalf("finished at %v, want %v", f.Finished(), want)
-	}
-}
-
-func TestExponentialBackoffDoubling(t *testing.T) {
-	s, net, l1, _ := twoPath(100, 100)
-	net.SetRetryPolicy(RetryPolicy{MaxRetries: 3, Backoff: 0.5})
-	var fireTimes []sim.Time
-	f := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) {
-			fireTimes = append(fireTimes, s.Now())
-			return []LinkID{l1}, true // still dead: forces the next backoff
-		},
-	})
-	_ = f
-	s.At(1.0, func() { net.Link(l1).Fail() })
-	s.RunUntil(100)
-	// Teardown at t=1 → retry 1 fires at +0.5; re-activation at the same
-	// time tears down again → retry 2 at +1.0; then retry 3 at +2.0.
-	want := []sim.Time{1.5, 2.5, 4.5}
-	if len(fireTimes) != len(want) {
-		t.Fatalf("reroute fired %d times at %v, want %d", len(fireTimes), fireTimes, len(want))
-	}
-	for i := range want {
-		if fireTimes[i] != want[i] {
-			t.Fatalf("retry %d fired at %v, want %v (backoff must double)", i+1, fireTimes[i], want[i])
-		}
 	}
 }
 
 func TestFailCatchesLatencyStageFlow(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, 100, 1.0, "l1")
-	l2 := net.AddLink(a, b, 100, 0, "l2")
+	aborted := false
 	f := net.StartFlow(FlowSpec{
 		Links: []LinkID{l1}, Bytes: 100, Latency: -1,
-		Reroute: func(int) ([]LinkID, bool) { return []LinkID{l2}, true },
+		OnFail: func(*Flow) { aborted = true },
 	})
 	// Fail while the flow is still paying its 1s route latency: it must
-	// be diverted at activation, not attach to the dead link.
+	// abort at activation, not attach to the dead link.
 	s.At(0.5, func() { net.Link(l1).Fail() })
 	s.RunUntil(10)
-	if f.State() != FlowDone {
-		t.Fatalf("flow state = %v, want done", f.State())
+	if f.State() != FlowFailed || !aborted {
+		t.Fatalf("flow state = %v, OnFail ran %v; want failed with OnFail", f.State(), aborted)
+	}
+	if f.Finished() != 1 || f.Remaining() != 100 {
+		t.Fatalf("aborted at %v with %v bytes left, want at 1 with 100", f.Finished(), f.Remaining())
 	}
 	if got := net.Link(l1).BytesCarried(); got != 0 {
 		t.Fatalf("dead link carried %v bytes, want 0", got)
 	}
-	if got := net.Link(l2).BytesCarried(); got != 100 {
-		t.Fatalf("spare carried %v bytes, want 100", got)
-	}
 }
 
 func TestFailCatchesPausedFlowOnResume(t *testing.T) {
-	s, net, l1, l2 := twoPath(100, 100)
-	f := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 100, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return []LinkID{l2}, true },
-	})
+	s, net, l1, _ := twoPath(100, 100)
+	f := net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 100, Latency: 0})
 	s.At(0.2, func() { f.Pause() })
-	s.At(0.3, func() { net.Link(l1).Fail() })
+	s.At(0.3, func() {
+		net.Link(l1).Fail()
+		if f.State() != FlowPaused {
+			t.Errorf("paused flow state = %v after the failure, want paused until it resumes", f.State())
+		}
+	})
 	s.At(0.4, func() { f.Resume() })
 	s.RunUntil(10)
-	if f.State() != FlowDone {
-		t.Fatalf("flow state = %v, want done", f.State())
+	if f.State() != FlowFailed {
+		t.Fatalf("flow state = %v, want failed", f.State())
 	}
-	if got := net.Link(l2).BytesCarried(); got != 80 {
-		t.Fatalf("spare carried %v bytes, want the 80 remaining after the pause", got)
+	if f.Finished() != 0.4 || f.Remaining() != 80 {
+		t.Fatalf("aborted at %v with %v bytes left, want at 0.4 with the 80 remaining after the pause", f.Finished(), f.Remaining())
+	}
+	if got := net.Link(l1).BytesCarried(); got != 20 {
+		t.Fatalf("dead link carried %v bytes, want the 20 sent before the pause", got)
 	}
 }
 
@@ -250,7 +142,7 @@ func TestDegradePanics(t *testing.T) {
 	}
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, 100, 0, "l")
 	inf := net.AddLink(a, b, math.Inf(1), 0, "inf")
 	mustPanic("factor 0", func() { net.Link(l).Degrade(0) })
@@ -264,10 +156,10 @@ func TestDegradePanics(t *testing.T) {
 func TestFailNode(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	hub := net.AddNode("hub")
+	hub := net.AddNode()
 	var spokes []NodeID
 	for i := 0; i < 4; i++ {
-		spokes = append(spokes, net.AddNode("s"))
+		spokes = append(spokes, net.AddNode())
 	}
 	var in, out []LinkID
 	for _, sp := range spokes {
@@ -309,29 +201,24 @@ func TestCancelAndPauseAfterAbortAreNoops(t *testing.T) {
 }
 
 func TestFailureRedistributesBandwidth(t *testing.T) {
-	// Two flows share l1; a third rides l2. When l1 fails, its surviving
-	// competitor reroutes onto l2 and the max-min share there halves.
+	// f1 spans both links, f2 rides l1, f3 rides l2: every link carries
+	// two flows at 50. When l1 fails, f1 and f2 abort, and f3, the
+	// survivor on l2, takes the bandwidth f1 freed.
 	s, net, l1, l2 := twoPath(100, 100)
-	f1 := net.StartFlow(FlowSpec{
-		Links: []LinkID{l1}, Bytes: 1e9, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return []LinkID{l2}, true },
-	})
+	f1 := net.StartFlow(FlowSpec{Links: []LinkID{l1, l2}, Bytes: 1e9, Latency: 0})
 	f2 := net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 1e9, Latency: 0})
 	f3 := net.StartFlow(FlowSpec{Links: []LinkID{l2}, Bytes: 1e9, Latency: 0})
 	s.RunUntil(1)
-	if f1.Rate() != 50 || f2.Rate() != 50 || f3.Rate() != 100 {
-		t.Fatalf("healthy rates = %v, %v, %v", f1.Rate(), f2.Rate(), f3.Rate())
+	if f1.Rate() != 50 || f2.Rate() != 50 || f3.Rate() != 50 {
+		t.Fatalf("healthy rates = %v, %v, %v, want 50 each", f1.Rate(), f2.Rate(), f3.Rate())
 	}
 	net.Link(l1).Fail()
 	s.RunUntil(2)
-	if f1.State() != FlowActive || f1.Rate() != 50 {
-		t.Fatalf("rerouted flow: state %v rate %v, want active at 50", f1.State(), f1.Rate())
+	if f1.State() != FlowFailed || f2.State() != FlowFailed {
+		t.Fatalf("flows on the failed link: states %v, %v, want failed", f1.State(), f2.State())
 	}
-	if f2.State() != FlowFailed {
-		t.Fatalf("unprotected flow state = %v, want failed", f2.State())
-	}
-	if f3.Rate() != 50 {
-		t.Fatalf("incumbent rate = %v, want 50 after the reroute joins l2", f3.Rate())
+	if f3.State() != FlowActive || f3.Rate() != 100 {
+		t.Fatalf("survivor: state %v rate %v, want active at 100", f3.State(), f3.Rate())
 	}
 }
 
@@ -360,11 +247,8 @@ type faultScenario struct {
 	flowRoute [][]int
 	flowBytes []float64
 	flowStart []sim.Time
-	// spares[i] holds flow i's precomputed retry routes, consumed one
-	// per attempt; a flow with no spares aborts on first failure.
-	spares [][][]int
-	ops    []faultOp
-	probes []sim.Time
+	ops       []faultOp
+	probes    []sim.Time
 }
 
 func makeFaultScenario(seed int64) faultScenario {
@@ -392,13 +276,6 @@ func makeFaultScenario(seed int64) faultScenario {
 		sc.flowRoute = append(sc.flowRoute, route())
 		sc.flowBytes = append(sc.flowBytes, roundOr(rng, 100, 5000))
 		sc.flowStart = append(sc.flowStart, sim.Time(rng.Intn(8)))
-		var sp [][]int
-		if rng.Intn(3) != 0 { // two thirds of flows are survivable
-			for k := 1 + rng.Intn(4); k > 0; k-- {
-				sp = append(sp, route())
-			}
-		}
-		sc.spares = append(sc.spares, sp)
 	}
 	nOps := 6 + rng.Intn(14)
 	for i := 0; i < nOps; i++ {
@@ -439,7 +316,6 @@ type faultRecord struct {
 	states      []FlowState
 	remaining   []float64
 	finished    []sim.Time
-	retries     []int
 	finishOrder []uint64
 	failOrder   []uint64
 	rateSamples []float64
@@ -455,7 +331,7 @@ func (sc faultScenario) run(e engine) faultRecord {
 	routes := e.routes(net)
 	nodes := make([]NodeID, sc.nNodes)
 	for i := range nodes {
-		nodes[i] = net.AddNode("n")
+		nodes[i] = net.AddNode()
 	}
 	links := make([]LinkID, len(sc.linkBW))
 	for i := range links {
@@ -474,20 +350,11 @@ func (sc faultScenario) run(e engine) faultRecord {
 	for i := range sc.flowRoute {
 		i := i
 		s.At(sc.flowStart[i], func() {
-			spec := routes.with(FlowSpec{
+			flows[i] = net.StartFlow(routes.with(FlowSpec{
 				Bytes: sc.flowBytes[i], Latency: -1,
 				Done:   func(f *Flow) { rec.finishOrder = append(rec.finishOrder, f.ID()) },
 				OnFail: func(f *Flow) { rec.failOrder = append(rec.failOrder, f.ID()) },
-			}, ids(sc.flowRoute[i]))
-			if sp := sc.spares[i]; len(sp) > 0 {
-				spec.Reroute = func(attempt int) ([]LinkID, bool) {
-					if attempt > len(sp) {
-						return nil, false
-					}
-					return ids(sp[attempt-1]), true
-				}
-			}
-			flows[i] = net.StartFlow(spec)
+			}, ids(sc.flowRoute[i])))
 		})
 	}
 	for _, op := range sc.ops {
@@ -536,7 +403,6 @@ func (sc faultScenario) run(e engine) faultRecord {
 		rec.states = append(rec.states, f.State())
 		rec.remaining = append(rec.remaining, f.remaining)
 		rec.finished = append(rec.finished, f.finished)
-		rec.retries = append(rec.retries, f.Retries())
 	}
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())
@@ -559,9 +425,6 @@ func compareFaultRecords(t *testing.T, tag string, opt, ref faultRecord) {
 		}
 		if opt.finished[i] != ref.finished[i] {
 			t.Errorf("%s: flow %d finished %v != reference %v", tag, i, opt.finished[i], ref.finished[i])
-		}
-		if opt.retries[i] != ref.retries[i] {
-			t.Errorf("%s: flow %d retries %d != reference %d", tag, i, opt.retries[i], ref.retries[i])
 		}
 	}
 	if len(opt.finishOrder) != len(ref.finishOrder) {
@@ -617,7 +480,7 @@ func TestDifferentialFaultChurnBitIdentical(t *testing.T) {
 func TestRecomputeFaultChurnZeroAlloc(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	links := make([]LinkID, 8)
 	for i := range links {
 		links[i] = net.AddLink(a, b, 100+float64(i), 0, "l")
@@ -628,7 +491,7 @@ func TestRecomputeFaultChurnZeroAlloc(t *testing.T) {
 		})
 	}
 	s.RunUntil(0)
-	// Fail one link: its flows abort (no reroute), the rest keep going.
+	// Fail one link: its flows abort, the rest keep going.
 	net.Link(links[7]).Fail()
 	s.RunUntil(1)
 	if net.ActiveFlows() == 0 || net.ActiveFlows() == 32 {

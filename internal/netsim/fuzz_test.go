@@ -10,7 +10,7 @@ import (
 // and requires bit-identical behaviour. The fuzz input is interpreted
 // as a byte-coded op sequence over a fixed 5-node, 10-link topology:
 // each 3-byte chunk (op, a, b) first advances the injection clock, then
-// starts a flow (plain or survivable), fails/degrades/restores a link,
+// starts a flow (op kinds 0 and 1), fails/degrades/restores a link,
 // or pauses/resumes/cancels an earlier flow. The interpreter is total —
 // every input decodes to a valid program — so the fuzzer explores the
 // engine state space rather than a parser.
@@ -55,7 +55,7 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 	const nNodes, nLinks = 5, 10
 	nodes := make([]NodeID, nNodes)
 	for i := range nodes {
-		nodes[i] = net.AddNode("n")
+		nodes[i] = net.AddNode()
 	}
 	links := make([]LinkID, nLinks)
 	for i := range links {
@@ -89,7 +89,6 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 	type doneSnap struct {
 		ok                  bool
 		remaining, finished float64
-		retries             int
 	}
 	snaps := make([]doneSnap, 0, slot)
 	at := sim.Time(0)
@@ -102,26 +101,16 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 			flows = append(flows, nil) // slot reserved in program order
 			ids = append(ids, 0)
 			snaps = append(snaps, doneSnap{})
-			primary := route(a, b)
-			spare := route(a+3, b+5)
+			links := route(a, b)
 			s.At(t, func() {
-				spec := FlowSpec{
-					Links: primary, Bytes: 25 * float64(1+int(b)%32), Latency: -1,
+				flows[idx] = net.StartFlow(FlowSpec{
+					Links: links, Bytes: 25 * float64(1+int(b)%32), Latency: -1,
 					Done: func(g *Flow) {
 						rec.finishOrder = append(rec.finishOrder, g.ID())
-						snaps[idx] = doneSnap{true, g.remaining, g.finished, g.Retries()}
+						snaps[idx] = doneSnap{true, g.remaining, g.finished}
 					},
 					OnFail: func(g *Flow) { rec.failOrder = append(rec.failOrder, g.ID()) },
-				}
-				if kind == 1 {
-					spec.Reroute = func(attempt int) ([]LinkID, bool) {
-						if attempt > 2 {
-							return nil, false
-						}
-						return spare, true
-					}
-				}
-				flows[idx] = net.StartFlow(spec)
+				})
 				ids[idx] = flows[idx].ID()
 			})
 		case 2:
@@ -165,20 +154,17 @@ func runFuzzProgram(data []byte, reference bool) faultRecord {
 			rec.states = append(rec.states, FlowLatency)
 			rec.remaining = append(rec.remaining, -1)
 			rec.finished = append(rec.finished, -1)
-			rec.retries = append(rec.retries, -1)
 			continue
 		}
 		if sn := snaps[i]; sn.ok {
 			rec.states = append(rec.states, FlowDone)
 			rec.remaining = append(rec.remaining, sn.remaining)
 			rec.finished = append(rec.finished, sn.finished)
-			rec.retries = append(rec.retries, sn.retries)
 			continue
 		}
 		rec.states = append(rec.states, g.State())
 		rec.remaining = append(rec.remaining, g.remaining)
 		rec.finished = append(rec.finished, g.finished)
-		rec.retries = append(rec.retries, g.Retries())
 	}
 	for _, id := range links {
 		rec.linkBytes = append(rec.linkBytes, net.Link(id).BytesCarried())

@@ -66,7 +66,7 @@ func TestLinkUtilHistogram(t *testing.T) {
 func TestLinkUtilDistributionFractional(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")
+	a, b, c := net.AddNode(), net.AddNode(), net.AddNode()
 	l0 := net.AddLink(a, b, 100, 0, "shared")
 	l1 := net.AddLink(b, c, 100, 0, "down")
 	reg := metrics.NewRegistry()

@@ -144,8 +144,7 @@ const (
 	FlowPaused
 	// FlowDone means the flow completed (or was canceled).
 	FlowDone
-	// FlowFailed means the flow was aborted by a link failure after
-	// exhausting its retry budget (or with no reroute path configured).
+	// FlowFailed means a link failure on the flow's route aborted it.
 	// Its Done callback never ran; OnFail did.
 	FlowFailed
 )
@@ -181,15 +180,8 @@ type FlowSpec struct {
 	// Done is called when the final byte is delivered. It may start new
 	// flows or schedule events.
 	Done func(*Flow)
-	// Reroute, when non-nil, makes the flow survivable: after a link on
-	// its route fails, the flow is torn down (keeping its remaining byte
-	// count) and re-admitted on the route Reroute returns, after a
-	// bounded exponential backoff (see RetryPolicy). attempt is the
-	// 1-based retry count. Returning ok=false — no alternative route
-	// exists — aborts the flow. A nil Reroute aborts on first failure.
-	Reroute func(attempt int) ([]LinkID, bool)
-	// OnFail is called when the flow is aborted by a link failure (its
-	// Done callback never runs). It may start new flows.
+	// OnFail is called when a link failure on the flow's route aborts
+	// it (its Done callback never runs). It may start new flows.
 	OnFail func(*Flow)
 	// Prepared, when non-nil, supplies the route pre-resolved by
 	// PrepareRoute: StartFlow skips deduplication and latency summation
@@ -244,11 +236,9 @@ type Flow struct {
 	// the reference engine (the sharded engine times completions on the
 	// calendar below instead); detach cancels it.
 	complete *sim.Event
-	// latEvent times the latency stage (and a fault retry's backoff).
-	// It is embedded and bound once per Flow object to fireLatency;
-	// retrying selects the backoff branch.
+	// latEvent times the latency stage. It is embedded and bound once
+	// per Flow object to activate.
 	latEvent   sim.Event
-	retrying   bool
 	activeIdx  int    // index in net.active; -1 while not active
 	fillFrozen bool   // progressive-filling scratch
 	actSeq     uint64 // activation sequence (assigned per activate)
@@ -275,19 +265,13 @@ type Flow struct {
 	etaValid   bool
 	calIdx     int
 	stageStart sim.Time // start of the current lifecycle stage (EvFlowStage)
-	reroute    func(attempt int) ([]LinkID, bool)
 	onFail     func(*Flow)
-	retries    int // link-failure teardowns suffered so far
 
 	// Critpath bookkeeping, only touched while the network has a
 	// recorder (SetCritPath): stall is the exact contention integral
-	// ∫(1 − rate/solo)dt over the flow's active life, faultTime the
-	// summed teardown-to-readmission windows, bindLink the last link
-	// that froze the flow in the waterfiller's bottleneck ordering.
+	// ∫(1 − rate/solo)dt over the flow's active life, bindLink the last
+	// link that froze the flow in the waterfiller's bottleneck ordering.
 	stall      float64
-	faultTime  float64
-	inFault    bool
-	faultFrom  sim.Time
 	bindLink   *Link
 	critParent critpath.NodeID
 }
@@ -312,11 +296,6 @@ func (f *Flow) Remaining() float64 {
 // Rate returns the flow's current max-min fair rate in bytes/second.
 func (f *Flow) Rate() float64 { return f.rate }
 
-// Retries returns how many times the flow has been torn down by a link
-// failure (each teardown either re-admits the flow via Reroute or, once
-// the retry budget is exhausted, aborts it).
-func (f *Flow) Retries() int { return f.retries }
-
 // Label returns the flow's tag.
 func (f *Flow) Label() string { return f.label }
 
@@ -337,16 +316,6 @@ func (f *Flow) Finished() sim.Time { return f.finished }
 // (SetCritPath); zero otherwise.
 func (f *Flow) ContentionStall() float64 { return f.stall }
 
-// FaultTime returns the summed fault-recovery windows (teardown to
-// re-admission: backoff plus the re-paid route latency) the flow has
-// suffered. Only accumulated while critpath recording is enabled.
-func (f *Flow) FaultTime() float64 {
-	if f.inFault {
-		return f.faultTime + (f.net.sched.Now() - f.faultFrom)
-	}
-	return f.faultTime
-}
-
 // BindLinkName names the saturated link that last froze this flow in
 // the progressive-filling bottleneck ordering — its binding
 // constraint. Empty when the flow was never frozen by a saturated link
@@ -361,7 +330,7 @@ func (f *Flow) BindLinkName() string {
 // Network is a collection of nodes and links carrying flows.
 type Network struct {
 	sched *sim.Scheduler
-	nodes []string
+	nodes int
 	links []*Link
 	// linkChunk is the unused tail of the chunk AddLink carves Links
 	// from: one allocation per chunk instead of one per link.
@@ -443,12 +412,10 @@ type Network struct {
 	want           uint32
 	util, prevUtil []float64
 
-	// Fault bookkeeping (faults.go): the retry policy applied to flows
-	// torn down by link failures, and a reused scratch slice for
+	// Fault bookkeeping (faults.go): a reused scratch slice for
 	// collecting the flows crossing a failing link. stateEpoch counts
 	// fabric mutations (Fail/Degrade/Restore); schedule caches key on
 	// it so stale routes are never replayed (see StateEpoch).
-	retry       RetryPolicy
 	failScratch []*Flow
 	stateEpoch  uint64
 
@@ -463,7 +430,7 @@ type Network struct {
 
 // New creates an empty network driven by the given scheduler.
 func New(s *sim.Scheduler) *Network {
-	n := &Network{sched: s, retry: DefaultRetryPolicy(), partVersion: 1}
+	n := &Network{sched: s, partVersion: 1}
 	n.recomputeFn = n.recompute
 	if referenceEverywhere {
 		n.useReferenceEngine()
@@ -492,16 +459,13 @@ func (n *Network) SetCritPath(rec *critpath.Recorder) {
 func (n *Network) CritPath() *critpath.Recorder { return n.crit }
 
 // AddNode registers a node and returns its ID.
-func (n *Network) AddNode(name string) NodeID {
-	n.nodes = append(n.nodes, name)
-	return NodeID(len(n.nodes) - 1)
+func (n *Network) AddNode() NodeID {
+	n.nodes++
+	return NodeID(n.nodes - 1)
 }
 
-// NodeName returns the name given to AddNode.
-func (n *Network) NodeName(id NodeID) string { return n.nodes[id] }
-
 // NumNodes returns the number of registered nodes.
-func (n *Network) NumNodes() int { return len(n.nodes) }
+func (n *Network) NumNodes() int { return n.nodes }
 
 // NumLinks returns the number of registered links.
 func (n *Network) NumLinks() int { return len(n.links) }
@@ -552,7 +516,6 @@ func (n *Network) StartFlow(spec FlowSpec) *Flow {
 	f.total = spec.Bytes
 	f.remaining = spec.Bytes
 	f.done = spec.Done
-	f.reroute = spec.Reroute
 	f.onFail = spec.OnFail
 	f.started = n.sched.Now()
 	f.stageStart = f.started
@@ -602,7 +565,7 @@ func (n *Network) newFlow() *Flow {
 		return f
 	}
 	f := &Flow{net: n, activeIdx: -1, calIdx: -1}
-	f.latEvent.Bind(f.fireLatency)
+	f.latEvent.Bind(f.activate)
 	return f
 }
 
@@ -610,20 +573,8 @@ func (n *Network) newFlow() *Flow {
 // returned. It drops the flow's callbacks, so a queued flow pins
 // nothing of its owner; newFlow resets the rest on reuse.
 func (n *Network) release(f *Flow) {
-	f.done, f.onFail, f.reroute = nil, nil, nil
+	f.done, f.onFail = nil, nil
 	n.freeFlows = append(n.freeFlows, f)
-}
-
-// fireLatency is the flow's latency-event callback: the end of a
-// latency stage activates the flow; the end of a retry backoff asks
-// for a fresh route.
-func (f *Flow) fireLatency() {
-	if f.retrying {
-		f.retrying = false
-		f.net.retryFlow(f)
-		return
-	}
-	f.net.activate(f)
 }
 
 // buildRoute resolves the route into the flow's link slices, reusing
@@ -705,22 +656,19 @@ func (n *Network) endStage(f *Flow, stage string) {
 	f.stageStart = now
 }
 
-func (n *Network) activate(f *Flow) {
+// activate is the flow's latency-event callback: the end of the
+// latency stage puts the flow on its links.
+func (f *Flow) activate() {
+	n := f.net
 	n.endStage(f, "latency")
 	// A route link may have failed while the flow waited out its
-	// latency (or while it was paused): divert to the retry path
-	// instead of occupying a dead link.
+	// latency (or while it was paused): abort instead of occupying a
+	// dead link.
 	for _, l := range f.links {
 		if l.failed {
 			n.flowRouteFailed(f)
 			return
 		}
-	}
-	if n.crit != nil && f.inFault {
-		// Re-admission closes the fault-recovery window opened at
-		// teardown: backoff plus the re-paid route latency.
-		f.faultTime += n.sched.Now() - f.faultFrom
-		f.inFault = false
 	}
 	if f.remaining <= 0 {
 		f.state = FlowActive // momentarily, for finish bookkeeping
@@ -775,7 +723,6 @@ func (f *Flow) Resume() {
 	n := f.net
 	n.endStage(f, "paused")
 	f.state = FlowLatency
-	f.retrying = false
 	n.sched.Reschedule(&f.latEvent, n.sched.Now()+f.latency)
 }
 
@@ -869,7 +816,7 @@ func (n *Network) finish(f *Flow) {
 			Label:    f.label,
 			Start:    f.started,
 			End:      f.finished,
-			Blame:    critpath.ClampBlame(f.finished-f.started, f.stall, f.faultTime),
+			Blame:    critpath.ClampBlame(f.finished-f.started, f.stall),
 			BindLink: f.BindLinkName(),
 		})
 		n.crit.Edge(critpath.EdgeExpand, f.critParent, id)

@@ -50,7 +50,7 @@ func TestDuplicateLinksDeduplicated(t *testing.T) {
 func TestCancelDuringLatencyStage(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, 100, 5, "l")
 	called := false
 	f := net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 100, Latency: -1, Done: func(*Flow) { called = true }})
@@ -83,15 +83,18 @@ func TestFlowAccessors(t *testing.T) {
 	}
 }
 
+// TestNodeNameAndCounts: nodes carry no name, only the ID AddNode
+// hands out in order; the network counts nodes and links.
 func TestNodeNameAndCounts(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	id := net.AddNode("hello")
-	if net.NodeName(id) != "hello" {
-		t.Fatal("NodeName")
+	a, b := net.AddNode(), net.AddNode()
+	if a != 0 || b != 1 {
+		t.Fatalf("node IDs %d, %d, want 0, 1", a, b)
 	}
-	if net.NumNodes() != 1 || net.NumLinks() != 0 {
-		t.Fatal("counts")
+	net.AddLink(a, b, 1, 0, "l")
+	if net.NumNodes() != 2 || net.NumLinks() != 1 {
+		t.Fatalf("counts: %d nodes, %d links, want 2 and 1", net.NumNodes(), net.NumLinks())
 	}
 }
 
@@ -121,7 +124,7 @@ func TestThreeWayBottleneckFairness(t *testing.T) {
 func TestNegativeLatencyLinkPanics(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic")

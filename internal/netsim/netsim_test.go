@@ -34,7 +34,7 @@ func line(s *sim.Scheduler, n int, bw float64) (*Network, []LinkID) {
 	net := New(s)
 	ids := make([]NodeID, n)
 	for i := range ids {
-		ids[i] = net.AddNode("n")
+		ids[i] = net.AddNode()
 	}
 	links := make([]LinkID, n-1)
 	for i := 0; i < n-1; i++ {
@@ -57,7 +57,7 @@ func TestSingleFlowTransferTime(t *testing.T) {
 func TestLatencyAddsToCompletion(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, 100, 2.0, "lat")
 	var done sim.Time = -1
 	net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 100, Latency: -1, Done: func(f *Flow) { done = s.Now() }})
@@ -70,7 +70,7 @@ func TestLatencyAddsToCompletion(t *testing.T) {
 func TestExplicitLatencyOverride(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, 100, 50.0, "lat")
 	var done sim.Time = -1
 	net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 100, Latency: 0.5, Done: func(f *Flow) { done = s.Now() }})
@@ -117,7 +117,7 @@ func TestMaxMinUnevenBottlenecks(t *testing.T) {
 	// f2 is limited to 30 by B; f1 then gets 70 on A.
 	s := sim.NewScheduler()
 	net := New(s)
-	n0, n1, n2 := net.AddNode("0"), net.AddNode("1"), net.AddNode("2")
+	n0, n1, n2 := net.AddNode(), net.AddNode(), net.AddNode()
 	la := net.AddLink(n0, n1, 100, 0, "A")
 	lb := net.AddLink(n1, n2, 30, 0, "B")
 	f1 := net.StartFlow(FlowSpec{Links: []LinkID{la}, Bytes: 1e9, Latency: -1})
@@ -137,7 +137,7 @@ func TestMaxMinUnevenBottlenecks(t *testing.T) {
 func TestInfiniteBandwidthLinksIgnored(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")
+	a, b, c := net.AddNode(), net.AddNode(), net.AddNode()
 	l1 := net.AddLink(a, b, math.Inf(1), 0, "inf")
 	l2 := net.AddLink(b, c, 100, 0, "cap")
 	var done sim.Time
@@ -151,7 +151,7 @@ func TestInfiniteBandwidthLinksIgnored(t *testing.T) {
 func TestFlowOnOnlyInfiniteLinksCompletesImmediately(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, math.Inf(1), 0, "inf")
 	var done sim.Time = -1
 	net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 1e12, Latency: -1, Done: func(f *Flow) { done = s.Now() }})
@@ -167,7 +167,7 @@ func TestFlowOnOnlyInfiniteLinksCompletesImmediately(t *testing.T) {
 func TestZeroByteFlowCompletesAfterLatency(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, 100, 3, "l")
 	var done sim.Time = -1
 	net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 0, Latency: -1, Done: func(f *Flow) { done = s.Now() }})
@@ -182,7 +182,7 @@ func TestMulticastTreeFlowOccupiesAllEdges(t *testing.T) {
 	// link, so each streams at half the trunk rate.
 	s := sim.NewScheduler()
 	net := New(s)
-	src, mid, d1, d2 := net.AddNode("s"), net.AddNode("m"), net.AddNode("d1"), net.AddNode("d2")
+	src, mid, d1, d2 := net.AddNode(), net.AddNode(), net.AddNode(), net.AddNode()
 	trunk := net.AddLink(src, mid, 100, 0, "trunk")
 	b1 := net.AddLink(mid, d1, 1000, 0, "b1")
 	b2 := net.AddLink(mid, d2, 1000, 0, "b2")
@@ -241,7 +241,7 @@ func TestPauseFreesBandwidthForOthers(t *testing.T) {
 func TestPauseDuringLatencyStage(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	l := net.AddLink(a, b, 100, 2, "l")
 	var done sim.Time = -1
 	f := net.StartFlow(FlowSpec{Links: []LinkID{l}, Bytes: 100, Latency: -1, Done: func(fl *Flow) { done = s.Now() }})
@@ -323,7 +323,7 @@ func TestNegativeBytesPanics(t *testing.T) {
 func TestBadLinkPanics(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero bandwidth did not panic")
@@ -339,7 +339,7 @@ func TestManyFlowsCrossTraffic(t *testing.T) {
 	net := New(s)
 	n := make([]NodeID, 4)
 	for i := range n {
-		n[i] = net.AddNode("n")
+		n[i] = net.AddNode()
 	}
 	fw := make([]LinkID, 4) // i -> i+1
 	for i := 0; i < 4; i++ {
@@ -365,7 +365,7 @@ func TestPropertyMaxMinInvariants(t *testing.T) {
 		net := New(s)
 		nodes := make([]NodeID, 6)
 		for i := range nodes {
-			nodes[i] = net.AddNode("n")
+			nodes[i] = net.AddNode()
 		}
 		nLinks := 8
 		links := make([]LinkID, nLinks)

@@ -13,11 +13,10 @@ type EventKind int
 // EvFlowDone or EvFlowAbort.
 const (
 	EvFlowStart   EventKind = iota // StartFlow admitted Flow
-	EvFlowStage                    // Flow left stage Stage ("latency", "active", "paused", "backoff"), entered at Start
+	EvFlowStage                    // Flow left stage Stage ("latency", "active", "paused"), entered at Start
 	EvFlowDone                     // Flow delivered its last byte
 	EvFlowCancel                   // Flow was canceled
-	EvFlowAbort                    // a link failure tore Flow down for good
-	EvFlowReroute                  // Flow survived a link failure on a fresh route
+	EvFlowAbort                    // a link failure on its route aborted Flow
 	EvPass                         // a rate recompute finished; Util, Prev and Active are set
 	EvLinkFail                     // Link failed
 	EvLinkDegrade                  // Link was degraded to Factor of its healthy bandwidth

@@ -18,7 +18,7 @@ type eventLog struct {
 
 // allKinds lists every event kind.
 var allKinds = []EventKind{EvFlowStart, EvFlowStage, EvFlowDone, EvFlowCancel, EvFlowAbort,
-	EvFlowReroute, EvPass, EvLinkFail, EvLinkDegrade, EvLinkRestore, EvRunEnd}
+	EvPass, EvLinkFail, EvLinkDegrade, EvLinkRestore, EvRunEnd}
 
 func attachLog(t *testing.T, net *Network) *eventLog {
 	l := &eventLog{t: t}

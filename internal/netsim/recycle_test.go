@@ -10,8 +10,8 @@ import (
 // TestRecycledFlowStartsClean: once a flow's Done returns, its Flow
 // object is recycled by the next StartFlow. The recycled flow carries
 // a fresh ID (the handle's generation stamp), and nothing of the
-// finished transfer — rate, remaining bytes, contention stall, fault
-// time, binding link, retries, latency event — leaks into it.
+// finished transfer — rate, remaining bytes, contention stall, binding
+// link, latency event — leaks into it.
 func TestRecycledFlowStartsClean(t *testing.T) {
 	s := sim.NewScheduler()
 	net, links := line(s, 2, 100)
@@ -38,11 +38,10 @@ func TestRecycledFlowStartsClean(t *testing.T) {
 		t.Fatalf("recycled flow ID %d, want a fresh one (old %d, latest %d)", f.ID(), firstID, net.flowSeq-1)
 	}
 	if f.State() != FlowLatency || f.Rate() != 0 || f.Remaining() != 50 || f.Label() != "new" ||
-		f.ContentionStall() != 0 || f.FaultTime() != 0 || f.BindLinkName() != "" || f.Retries() != 0 ||
-		f.Started() != s.Now() || f.Finished() != 0 {
-		t.Fatalf("recycled flow leaks old state: state %v rate %v remaining %v label %q stall %v fault %v bind %q retries %d started %v finished %v",
-			f.State(), f.Rate(), f.Remaining(), f.Label(), f.ContentionStall(), f.FaultTime(), f.BindLinkName(),
-			f.Retries(), f.Started(), f.Finished())
+		f.ContentionStall() != 0 || f.BindLinkName() != "" || f.Started() != s.Now() || f.Finished() != 0 {
+		t.Fatalf("recycled flow leaks old state: state %v rate %v remaining %v label %q stall %v bind %q started %v finished %v",
+			f.State(), f.Rate(), f.Remaining(), f.Label(), f.ContentionStall(), f.BindLinkName(),
+			f.Started(), f.Finished())
 	}
 	if !f.latEvent.Pending() || f.latEvent.When() != s.Now()+0.5 {
 		t.Fatalf("latency event pending %v at %v, want pending at %v", f.latEvent.Pending(), f.latEvent.When(), s.Now()+0.5)

@@ -14,8 +14,9 @@ package netsim
 // under the network's StateEpoch (every Fail, Degrade and Restore
 // bumps it, and nothing else changes a bandwidth). A domain replays
 // only when every flow in it rides a PreparedRoute: a flow started on
-// FlowSpec.Links, or rerouted after a failure, has serial 0, and its
-// domain always fills. The stored value is each flow's rate, the
+// FlowSpec.Links has serial 0, and its domain always fills. A link
+// failure aborts the flows on it and bumps StateEpoch, so no stored
+// fill outlives it. The stored value is each flow's rate, the
 // index of its binding link in finiteLinks, and the component count,
 // so a replay leaves the flows and FillStats exactly as the fill did.
 //

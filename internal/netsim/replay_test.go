@@ -71,7 +71,7 @@ type replayRig struct {
 func newReplayRig(e engine) *replayRig {
 	s := sim.NewScheduler()
 	net := e.newNet(s)
-	a, b := net.AddNode("a"), net.AddNode("b")
+	a, b := net.AddNode(), net.AddNode()
 	r := &replayRig{s: s, net: net}
 	r.l0 = net.AddLink(a, b, 100, 0, "l0")
 	r.l1 = net.AddLink(a, b, 60, 0, "l1")
@@ -135,21 +135,16 @@ func TestFillReplayRefillsAfterFabricChange(t *testing.T) {
 	check("after Fail", first)
 }
 
-// TestFillReplayReroutedFlowRefills: a flow rerouted after a failure
+// TestFillReplayUnpreparedFlowRefills: a flow started on link IDs
 // rides no prepared route, so every fill of a domain holding it
-// recomputes. With the rerouted flow canceled, the same churn
-// replays: each short flow's fill, but not the emptied domain's.
-func TestFillReplayReroutedFlowRefills(t *testing.T) {
+// recomputes. With that flow canceled, the same churn replays: each
+// short flow's fill, but not the emptied domain's.
+func TestFillReplayUnpreparedFlowRefills(t *testing.T) {
 	r := newReplayRig(engReplay)
-	long := r.net.StartFlow(FlowSpec{
-		Prepared: r.net.PrepareRoute([]LinkID{r.l2}), Bytes: 1e9, Latency: 0,
-		Reroute: func(int) ([]LinkID, bool) { return []LinkID{r.l1}, true },
-	})
+	long := r.net.StartFlow(FlowSpec{Links: []LinkID{r.l1}, Bytes: 1e9, Latency: 0})
 	r.s.RunUntil(1)
-	r.net.Link(r.l2).Fail()
-	r.s.RunUntil(2)
-	if long.State() != FlowActive || long.Retries() != 1 || long.routeID != 0 {
-		t.Fatalf("long flow: state %v, retries %d, route serial %d; want active on its reroute", long.State(), long.Retries(), long.routeID)
+	if long.State() != FlowActive || long.routeID != 0 {
+		t.Fatalf("long flow: state %v, route serial %d; want active on serial 0", long.State(), long.routeID)
 	}
 	churn := func() (filled, hits uint64) {
 		filled0, hits0 := r.net.FillStats().DomainsFilled, r.net.replay.hits
@@ -162,7 +157,7 @@ func TestFillReplayReroutedFlowRefills(t *testing.T) {
 		return r.net.FillStats().DomainsFilled - filled0, r.net.replay.hits - hits0
 	}
 	if filled, hits := churn(); filled == 0 || hits != 0 {
-		t.Fatalf("with the rerouted flow: %d of %d fills replayed, want none of some", hits, filled)
+		t.Fatalf("with the unprepared flow: %d of %d fills replayed, want none of some", hits, filled)
 	}
 	long.Cancel()
 	churn()

@@ -46,7 +46,7 @@ func TestResolveRouteMatchesOracle(t *testing.T) {
 	for _, mix := range []string{"finite", "infinite", "mixed"} {
 		s := sim.NewScheduler()
 		net := New(s)
-		a, b := net.AddNode("a"), net.AddNode("b")
+		a, b := net.AddNode(), net.AddNode()
 		pool := make([]LinkID, 12)
 		for i := range pool {
 			bw := 100 + float64(i)

@@ -15,7 +15,7 @@ import (
 func TestInfiniteLinkFlowsFreezeAtInf(t *testing.T) {
 	s := sim.NewScheduler()
 	net := New(s)
-	a, b, c := net.AddNode("a"), net.AddNode("b"), net.AddNode("c")
+	a, b, c := net.AddNode(), net.AddNode(), net.AddNode()
 	inf1 := net.AddLink(a, b, math.Inf(1), 0, "inf1")
 	inf2 := net.AddLink(b, c, math.Inf(1), 0, "inf2")
 	fin := net.AddLink(a, c, 100, 0, "fin")
@@ -67,7 +67,7 @@ func TestWaterfillInvariantsRandomized(t *testing.T) {
 
 		nodes := make([]NodeID, 2+rng.Intn(8))
 		for i := range nodes {
-			nodes[i] = net.AddNode("n")
+			nodes[i] = net.AddNode()
 		}
 		nLinks := 1 + rng.Intn(12)
 		links := make([]LinkID, nLinks)
@@ -113,7 +113,7 @@ func TestWaterfillInvariantsAfterChurn(t *testing.T) {
 
 		nodes := make([]NodeID, 2+rng.Intn(8))
 		for i := range nodes {
-			nodes[i] = net.AddNode("n")
+			nodes[i] = net.AddNode()
 		}
 		nLinks := 2 + rng.Intn(12)
 		links := make([]LinkID, nLinks)

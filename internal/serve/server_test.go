@@ -163,6 +163,20 @@ func TestServerRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestServerFaultedAllReduceFails: a fault plan whose link failure
+// lands while the all-reduce is in flight aborts the flows on that
+// link, which fails the collective; the job answers 422 with the
+// collective's error, naming the schedule and the phase it reached.
+func TestServerFaultedAllReduceFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	status, body, _ := postStudy(t, ts.URL, &StudyRequest{Kind: KindAllReduce, Bytes: 64 << 20,
+		Faults: &FaultSpec{Seed: 5, LinkFails: 2, HorizonS: 100e-6}})
+	const want = `{"error":"collective: fred-innet-allreduce(20): phase 0: flow aborted by link failure","status":422}` + "\n"
+	if status != http.StatusUnprocessableEntity || string(body) != want {
+		t.Fatalf("status %d, body %q; want 422, %q", status, body, want)
+	}
+}
+
 // TestServerPanicIsolation pins the blast-radius contract: a poison
 // job fails with 500 and a captured panic message, the worker
 // survives, the next study on the same server succeeds, and the

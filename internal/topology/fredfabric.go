@@ -177,7 +177,7 @@ func NewFredFabric(net *netsim.Network, cfg FredConfig) *FredFabric {
 	}
 	var nm namer
 	top := len(f.levels) - 1
-	parents := []netsim.NodeID{net.AddNode(nm.s("fred-").sw(f, top, 0).done())}
+	parents := []netsim.NodeID{net.AddNode()}
 	for k := top - 1; k >= 0; k-- {
 		lv := &f.levels[k]
 		n := (cfg.NPUs + lv.span - 1) / lv.span
@@ -185,7 +185,7 @@ func NewFredFabric(net *netsim.Network, cfg FredConfig) *FredFabric {
 		lv.up, lv.down = make([]netsim.LinkID, n), make([]netsim.LinkID, n)
 		for i := range nodes {
 			p := i / cfg.FanIn[k+1]
-			nodes[i] = net.AddNode(nm.s("fred-").sw(f, k, i).done())
+			nodes[i] = net.AddNode()
 			lv.up[i] = net.AddLink(nodes[i], parents[p], cfg.LevelBW[k+1], cfg.LinkLatency, nm.sw(f, k, i).s("->").sw(f, k+1, p).done())
 			lv.down[i] = net.AddLink(parents[p], nodes[i], cfg.LevelBW[k+1], cfg.LinkLatency, nm.sw(f, k+1, p).s("->").sw(f, k, i).done())
 		}
@@ -193,7 +193,7 @@ func NewFredFabric(net *netsim.Network, cfg FredConfig) *FredFabric {
 	}
 	l1s := parents
 	for i := 0; i < cfg.NPUs; i++ {
-		npu := net.AddNode(nm.s("npu").i(i).done())
+		npu := net.AddNode()
 		f.npus = append(f.npus, npu)
 		l1 := l1s[i/cfg.FanIn[0]]
 		f.npuUp = append(f.npuUp, net.AddLink(npu, l1, cfg.LevelBW[0], cfg.LinkLatency, nm.s("npu").i(i).s("->l1").done()))
@@ -201,7 +201,7 @@ func NewFredFabric(net *netsim.Network, cfg FredConfig) *FredFabric {
 	}
 	for i := 0; i < cfg.IOCs; i++ {
 		l1 := i % len(l1s)
-		node := net.AddNode(nm.s("ioc").i(i).done())
+		node := net.AddNode()
 		f.iocs = append(f.iocs, fredIOC{
 			l1:   l1,
 			node: node,
@@ -260,15 +260,6 @@ func (f *FredFabric) L1Count() int { return (len(f.npus) + f.levels[0].span - 1)
 
 // L1Of returns the leaf switch index of an NPU.
 func (f *FredFabric) L1Of(npu int) int { return npu / f.levels[0].span }
-
-// NPUsUnder returns the NPU indices attached to a leaf switch.
-func (f *FredFabric) NPUsUnder(l1 int) []int {
-	var out []int
-	for i := l1 * f.cfg.FanIn[0]; i < (l1+1)*f.cfg.FanIn[0] && i < f.cfg.NPUs; i++ {
-		out = append(out, i)
-	}
-	return out
-}
 
 // UpLink returns the up link at a level of an NPU's path to the root:
 // level 0 is the NPU→L1 link, level k the link from its level-k switch
@@ -426,19 +417,17 @@ func (f *FredFabric) NPUToIOC(npu, ioc int) []netsim.LinkID {
 func (f *FredFabric) position(c *fredIOC) int { return c.l1 * f.levels[0].span }
 
 // NearestIOC implements Wafer: controllers under the NPU's own L1,
-// spread round-robin.
+// spread round-robin (the (npu mod n)-th of the L1's n controllers);
+// any controller, round-robin, when the L1 has none.
 func (f *FredFabric) NearestIOC(npu int) int {
-	l1 := f.L1Of(npu)
-	var candidates []int
-	for i, c := range f.iocs {
-		if c.l1 == l1 {
-			candidates = append(candidates, i)
-		}
-	}
-	if len(candidates) == 0 {
+	// NewFredFabric hangs controller i under L1 i mod L1Count, so L1
+	// l1 holds controllers l1, l1+L1Count, ... below len(f.iocs).
+	l1, leaves := f.L1Of(npu), f.L1Count()
+	n := (len(f.iocs) - l1 + leaves - 1) / leaves
+	if n == 0 {
 		return npu % len(f.iocs)
 	}
-	return candidates[npu%len(candidates)]
+	return l1 + npu%n*leaves
 }
 
 // BisectionBW implements Wafer: half the aggregate capacity into the

@@ -58,17 +58,6 @@ func TestFredL1Assignment(t *testing.T) {
 			t.Fatalf("L1Of(%d) = %d, want %d", npu, got, want)
 		}
 	}
-	for l1 := 0; l1 < 5; l1++ {
-		under := f.NPUsUnder(l1)
-		if len(under) != 4 {
-			t.Fatalf("L1 %d has %d NPUs", l1, len(under))
-		}
-		for _, npu := range under {
-			if f.L1Of(npu) != l1 {
-				t.Fatalf("NPU %d not under L1 %d", npu, l1)
-			}
-		}
-	}
 }
 
 func TestFredRouteSameL1TwoHops(t *testing.T) {
@@ -186,6 +175,43 @@ func TestFredNearestIOCUnderOwnL1(t *testing.T) {
 		if f.iocs[ioc].l1 != f.L1Of(npu) {
 			t.Fatalf("NearestIOC(%d) = %d under L1 %d, want L1 %d",
 				npu, ioc, f.iocs[ioc].l1, f.L1Of(npu))
+		}
+	}
+}
+
+// TestFredNearestIOCMatchesCandidateList checks NearestIOC against the
+// list-based rule it replaced (collect the L1's controllers, index the
+// list by npu mod its length; any controller when the list is empty)
+// on every NPU of the Table 5 variants, a 3-level fabric and a Fred-D
+// with L1s left without a controller, and that it allocates nothing.
+func TestFredNearestIOCMatchesCandidateList(t *testing.T) {
+	want := func(f *FredFabric, npu int) int {
+		var candidates []int
+		for i, c := range f.iocs {
+			if c.l1 == f.L1Of(npu) {
+				candidates = append(candidates, i)
+			}
+		}
+		if len(candidates) == 0 {
+			return npu % len(f.iocs)
+		}
+		return candidates[npu%len(candidates)]
+	}
+	sparse := FredVariantConfig(FredD)
+	sparse.IOCs = 2
+	fabrics := []*FredFabric{threeLevel(), NewFredFabric(netsim.New(sim.NewScheduler()), sparse)}
+	for _, v := range []FredVariant{FredA, FredB, FredC, FredD} {
+		fabrics = append(fabrics, newTestFabric(v))
+	}
+	for _, f := range fabrics {
+		for npu := 0; npu < f.NPUCount(); npu++ {
+			if got, w := f.NearestIOC(npu), want(f, npu); got != w {
+				t.Fatalf("%s: NearestIOC(%d) = %d, want %d", f.Name(), npu, got, w)
+			}
+		}
+		last := f.NPUCount() - 1
+		if allocs := testing.AllocsPerRun(100, func() { f.NearestIOC(last) }); allocs != 0 {
+			t.Fatalf("%s: NearestIOC allocates %v objects per call, want 0", f.Name(), allocs)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func NewMesh(net *netsim.Network, cfg MeshConfig) *Mesh {
 	var nm namer
 	for y := 0; y < cfg.H; y++ {
 		for x := 0; x < cfg.W; x++ {
-			m.npus = append(m.npus, net.AddNode(nm.s("npu(").i(x).s(",").i(y).s(")").done()))
+			m.npus = append(m.npus, net.AddNode())
 		}
 	}
 	addPair := func(a, b int) {
@@ -90,7 +90,7 @@ func NewMesh(net *netsim.Network, cfg MeshConfig) *Mesh {
 	// I/O controllers: left and right edges get row-type channels, top
 	// and bottom edges column-type channels; corners host one of each.
 	add := func(kind iocKind, x, y int, east, south bool) {
-		node := net.AddNode(nm.s("ioc").i(len(m.iocs)).done())
+		node := net.AddNode()
 		npu := m.npus[m.Index(x, y)]
 		ioc := meshIOC{kind: kind, x: x, y: y, east: east, south: south, node: node}
 		ioc.toNPU = net.AddLink(node, npu, cfg.IOCBW, cfg.LinkLatency, nm.s("ioc").i(len(m.iocs)).s("->npu").done())

@@ -67,12 +67,12 @@ func TestMeshXYRouteGoesXFirst(t *testing.T) {
 	net := m.Network()
 	// First two hops traverse X (dst node changes column), last two Y.
 	l0 := net.Link(route[0])
-	if net.NodeName(l0.Dst) != "npu(1,0)" {
-		t.Fatalf("first hop lands on %s, want npu(1,0)", net.NodeName(l0.Dst))
+	if want := m.npus[m.Index(1, 0)]; l0.Dst != want {
+		t.Fatalf("first hop lands on node %d, want npu(1,0), node %d", l0.Dst, want)
 	}
 	l2 := net.Link(route[2])
-	if net.NodeName(l2.Dst) != "npu(2,1)" {
-		t.Fatalf("third hop lands on %s, want npu(2,1)", net.NodeName(l2.Dst))
+	if want := m.npus[m.Index(2, 1)]; l2.Dst != want {
+		t.Fatalf("third hop lands on node %d, want npu(2,1), node %d", l2.Dst, want)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestPropertyXYRouteValid(t *testing.T) {
 		cur := src
 		for _, id := range route {
 			l := net.Link(id)
-			if net.NodeName(l.Src) != net.NodeName(m.npus[cur]) {
+			if l.Src != m.npus[cur] {
 				return false
 			}
 			// Find the NPU index of l.Dst.
@@ -159,7 +159,7 @@ func TestMeshLoadTreeIsTree(t *testing.T) {
 		}
 		for node, c := range in {
 			if c > 1 {
-				t.Fatalf("ioc %d tree enters %s %d times", ioc, net.NodeName(node), c)
+				t.Fatalf("ioc %d tree enters node %d %d times", ioc, node, c)
 			}
 		}
 	}
@@ -184,8 +184,8 @@ func TestMeshStoreTreeMirrorsLoadTree(t *testing.T) {
 		for _, id := range store {
 			l := net.Link(id)
 			if !loadSet[pair{l.Dst, l.Src}] {
-				t.Fatalf("ioc %d: store edge %s->%s has no mirrored load edge",
-					ioc, net.NodeName(l.Src), net.NodeName(l.Dst))
+				t.Fatalf("ioc %d: store edge %d->%d has no mirrored load edge",
+					ioc, l.Src, l.Dst)
 			}
 		}
 	}

@@ -8,10 +8,11 @@ import (
 	"github.com/wafernet/fred/internal/sim"
 )
 
-// The builders name nodes and links with a reused byte buffer instead
-// of fmt.Sprintf. These tests rebuild every name with the format
+// The builders name links with a reused byte buffer instead of
+// fmt.Sprintf. These tests rebuild every link name with the format
 // strings the builders used before and require byte equality, and
-// that every link of the network was checked.
+// that every link of the network was checked. Nodes carry no names;
+// the tests check that each is numbered in build order instead.
 
 type nameCheck struct {
 	t       *testing.T
@@ -31,10 +32,10 @@ func (c *nameCheck) link(id netsim.LinkID, format string, args ...any) {
 	c.checked[id] = true
 }
 
-func (c *nameCheck) node(id netsim.NodeID, format string, args ...any) {
+func (c *nameCheck) node(id netsim.NodeID, want int) {
 	c.t.Helper()
-	if got, want := c.net.NodeName(id), fmt.Sprintf(format, args...); got != want {
-		c.t.Errorf("node %d named %q, want %q", id, got, want)
+	if int(id) != want {
+		c.t.Errorf("node %d, want %d", id, want)
 	}
 }
 
@@ -53,19 +54,21 @@ func TestFredFabricNamesMatchFormat(t *testing.T) {
 	net := netsim.New(sim.NewScheduler())
 	f := NewFredFabric(net, cfg)
 	c := newNameCheck(t, net)
-	c.node(net.Link(f.levels[0].up[0]).Dst, "fred-l2")
+	// Build order: the root, the L1s, the NPUs, the controllers.
+	l1s := len(f.levels[0].up)
+	c.node(net.Link(f.levels[0].up[0]).Dst, 0)
 	for i := range f.levels[0].up {
-		c.node(net.Link(f.levels[0].up[i]).Src, "fred-l1.%d", i)
+		c.node(net.Link(f.levels[0].up[i]).Src, 1+i)
 		c.link(f.levels[0].up[i], "l1.%d->l2", i)
 		c.link(f.levels[0].down[i], "l2->l1.%d", i)
 	}
 	for i, npu := range f.npus {
-		c.node(npu, "npu%d", i)
+		c.node(npu, 1+l1s+i)
 		c.link(f.npuUp[i], "npu%d->l1", i)
 		c.link(f.npuDown[i], "l1->npu%d", i)
 	}
 	for i, ioc := range f.iocs {
-		c.node(ioc.node, "ioc%d", i)
+		c.node(ioc.node, 1+l1s+len(f.npus)+i)
 		c.link(ioc.up, "ioc%d->l1.%d", i, ioc.l1)
 		c.link(ioc.down, "l1.%d->ioc%d", ioc.l1, i)
 	}
@@ -78,15 +81,15 @@ func TestMeshNamesMatchFormat(t *testing.T) {
 	net := netsim.New(sim.NewScheduler())
 	m := NewMesh(net, cfg)
 	c := newNameCheck(t, net)
+	// Build order: the NPUs by index (row-major), then the controllers.
 	for i, npu := range m.npus {
-		x, y := m.Coord(i)
-		c.node(npu, "npu(%d,%d)", x, y)
+		c.node(npu, i)
 	}
 	for pair, id := range m.links {
 		c.link(id, "mesh %d->%d", pair[0], pair[1])
 	}
 	for i, ioc := range m.iocs {
-		c.node(ioc.node, "ioc%d", i)
+		c.node(ioc.node, len(m.npus)+i)
 		c.link(ioc.toNPU, "ioc%d->npu", i)
 		c.link(ioc.fromNPU, "npu->ioc%d", i)
 	}
@@ -106,24 +109,27 @@ func TestFredTreeNamesMatchFormat(t *testing.T) {
 		LinkLatency: 20e-9,
 	})
 	c := newNameCheck(t, net)
-	c.node(net.Link(tr.levels[1].up[0]).Dst, "fred-l3")
+	// Build order: the root, the L2s, the L1s, the NPUs, the
+	// controllers.
+	l2s, l1s := len(tr.levels[1].up), len(tr.levels[0].up)
+	c.node(net.Link(tr.levels[1].up[0]).Dst, 0)
 	for i := range tr.levels[1].up {
-		c.node(net.Link(tr.levels[1].up[i]).Src, "fred-l2.%d", i)
+		c.node(net.Link(tr.levels[1].up[i]).Src, 1+i)
 		c.link(tr.levels[1].up[i], "l2.%d->l3", i)
 		c.link(tr.levels[1].down[i], "l3->l2.%d", i)
 	}
 	for i := range tr.levels[0].up {
-		c.node(net.Link(tr.levels[0].up[i]).Src, "fred-l1.%d", i)
+		c.node(net.Link(tr.levels[0].up[i]).Src, 1+l2s+i)
 		c.link(tr.levels[0].up[i], "l1.%d->l2.%d", i, i/4)
 		c.link(tr.levels[0].down[i], "l2.%d->l1.%d", i/4, i)
 	}
 	for i, npu := range tr.npus {
-		c.node(npu, "npu%d", i)
+		c.node(npu, 1+l2s+l1s+i)
 		c.link(tr.npuUp[i], "npu%d->l1", i)
 		c.link(tr.npuDown[i], "l1->npu%d", i)
 	}
 	for i, ioc := range tr.iocs {
-		c.node(ioc.node, "ioc%d", i)
+		c.node(ioc.node, 1+l2s+l1s+len(tr.npus)+i)
 		c.link(ioc.up, "ioc%d->l1.%d", i, ioc.l1)
 		c.link(ioc.down, "l1.%d->ioc%d", ioc.l1, i)
 	}

@@ -62,11 +62,11 @@ type nodeState struct {
 	left    int32    // operations or flows still in flight
 	start   sim.Time // launch time
 	// What completed the node, for the blame of the waits it releases:
-	// its last operation, or its last flow's contention and fault
-	// integrals (and binding link, for a chain I/O node).
-	op           *collective.Op
-	stall, fault float64
-	bind         string
+	// its last operation, or its last flow's contention integral (and
+	// binding link, for a chain I/O node).
+	op    *collective.Op
+	stall float64
+	bind  string
 }
 
 func newExecutor(cfg *Config, g *graph) *executor {
@@ -205,7 +205,7 @@ func (x *executor) startFlows(i int, n *node) {
 		if st.left--; st.left > 0 {
 			return
 		}
-		st.stall, st.fault = f.ContentionStall(), f.FaultTime()
+		st.stall = f.ContentionStall()
 		if n.chain && x.crit != nil {
 			st.bind = f.BindLinkName()
 		}
@@ -285,7 +285,7 @@ func (x *executor) waitSeg(tl *timeline, i int, t0, t1 sim.Time, own bool) {
 		return
 	}
 	tl.segs.add(critpath.KindWait, n.class.String(), n.label, t0, t1,
-		critpath.ClampBlame(t1-t0, st.stall, st.fault), st.bind, 0)
+		critpath.ClampBlame(t1-t0, st.stall), st.bind, 0)
 }
 
 // report attributes the finished iteration. The critical timeline is
