@@ -27,7 +27,7 @@ func TestCompareDetectsRegression(t *testing.T) {
 	dir := t.TempDir()
 	ref := writeArtifact(t, dir, "ref.json", func(r *metrics.Registry) {
 		r.Gauge("bench/Recompute/ns_per_op", "ns/op").SetBetter("lower").Set(8780)
-		r.Gauge("bench/Recompute/allocs_per_op", "allocs/op").SetBetter("lower").SetTolerance(0.25).Set(0)
+		r.Gauge("bench/Recompute/allocs_per_op", "allocs/op").SetBetter("lower").Set(0)
 		r.Counter("net/flows_started", "").Add(348)
 	})
 	cand := writeArtifact(t, dir, "cand.json", func(r *metrics.Registry) {
@@ -57,7 +57,7 @@ func TestCompareMissingDirectedSeriesFails(t *testing.T) {
 	dir := t.TempDir()
 	ref := writeArtifact(t, dir, "ref.json", func(r *metrics.Registry) {
 		r.Gauge("bench/Kept/ns_per_op", "ns/op").SetBetter("lower").Set(1000)
-		r.Gauge("bench/Gone/allocs_per_op", "allocs/op").SetBetter("lower").SetTolerance(0.25).Set(0)
+		r.Gauge("bench/Gone/allocs_per_op", "allocs/op").SetBetter("lower").Set(0)
 		r.Gauge("bench/Context/ns_per_op", "ns/op").Set(5)
 	})
 	cand := writeArtifact(t, dir, "cand.json", func(r *metrics.Registry) {

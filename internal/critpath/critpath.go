@@ -272,18 +272,6 @@ func (r *Recorder) Node(id NodeID) Node {
 	return *r.node(id)
 }
 
-// Nodes returns a copy of the recorded nodes in creation order.
-func (r *Recorder) Nodes() []Node {
-	out := make([]Node, 0, r.count)
-	for _, c := range r.chunks {
-		out = append(out, c[:min(nodeChunk, r.count-len(out))]...)
-	}
-	return out
-}
-
-// Edges returns the recorded edges in creation order.
-func (r *Recorder) Edges() []Edge { return r.edges }
-
 // NodeCount returns the number of recorded nodes.
 func (r *Recorder) NodeCount() int { return r.count }
 

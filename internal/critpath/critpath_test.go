@@ -96,8 +96,8 @@ func TestRecorderOpenCloseFail(t *testing.T) {
 		t.Fatalf("Fail wrong: %+v", nb)
 	}
 	r.Edge(EdgeExpand, a, b)
-	if r.EdgeCount() != 1 || r.Edges()[0] != (Edge{Kind: EdgeExpand, From: a, To: b}) {
-		t.Fatalf("Edge wrong: %+v", r.Edges())
+	if r.EdgeCount() != 1 || r.edges[0] != (Edge{Kind: EdgeExpand, From: a, To: b}) {
+		t.Fatalf("Edge wrong: %+v", r.edges)
 	}
 }
 
@@ -264,13 +264,9 @@ func TestRecorderArenaAcrossChunks(t *testing.T) {
 	if r.NodeCount() != n {
 		t.Fatalf("NodeCount = %d, want %d", r.NodeCount(), n)
 	}
-	nodes := r.Nodes()
-	if len(nodes) != n {
-		t.Fatalf("Nodes() has %d nodes, want %d", len(nodes), n)
-	}
-	for i, nd := range nodes {
-		if nd.ID != NodeID(i+1) || nd.Start != float64(i+1) || nd != r.Node(nd.ID) {
-			t.Fatalf("node %d out of order or differs from Node(): %+v", i+1, nd)
+	for i := 1; i <= n; i++ {
+		if nd := r.Node(NodeID(i)); nd.ID != NodeID(i) || nd.Start != float64(i) {
+			t.Fatalf("node %d out of order: %+v", i, nd)
 		}
 	}
 	if nd := r.Node(nodeChunk + 1); nd.End != nodeChunk+3 || nd.BindLink != "l" || nd.Blame.Serial != 2 {

@@ -97,8 +97,8 @@ func (s *Session) fredDegradedBW(k int) (float64, critpath.Blame) {
 
 	inj := faults.NewInjector(net).SetMetrics(netobs.Registry(net))
 	inj.OnSwitchFail(func(l1 int) {
-		// One µswitch down inside this trunk's Fred_m interconnect: the
-		// failed middle's color is banned, the trunk keeps (m−1)/m.
+		// One µswitch down inside this trunk's Fred_m interconnect takes
+		// its middle subnetwork out of service: the trunk keeps (m−1)/m.
 		factor := float64(fredMiddles-1) / fredMiddles
 		net.Link(f.L1UpLink(l1)).Degrade(factor)
 		net.Link(f.L1DownLink(l1)).Degrade(factor)

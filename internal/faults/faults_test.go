@@ -129,9 +129,6 @@ func TestInjectorAppliesEventsAtTime(t *testing.T) {
 	if !net.Link(links[2]).Failed() {
 		t.Fatal("NPU drop did not fail its links")
 	}
-	if inj.Applied() != 3 {
-		t.Fatalf("applied = %d, want 3", inj.Applied())
-	}
 	for name, want := range map[string]float64{
 		"fault/links_failed":    1,
 		"fault/links_degraded":  1,
@@ -184,9 +181,6 @@ func TestInjectorRedundantFaultsAreNoops(t *testing.T) {
 	}
 	if got := reg.Lookup("fault/links_degraded").Value(); got != 0 {
 		t.Fatalf("links_degraded = %g, want 0", got)
-	}
-	if inj.Applied() != 3 {
-		t.Fatalf("applied = %d (all events fire, redundant ones no-op)", inj.Applied())
 	}
 }
 

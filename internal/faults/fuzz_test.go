@@ -12,10 +12,9 @@ import (
 
 // FuzzPlan feeds arbitrary fault plans to the injector: every plan
 // either fails Validate or Schedule, or schedules and runs to the end
-// on a small mesh carrying traffic, without panicking and with every
-// event applied. The input is a sequence of fixed-size event records
-// (see decodePlan); At, Factor and Recover are raw float64 bits, so
-// NaN and ±Inf are reachable.
+// on a small mesh carrying traffic without panicking. The input is a
+// sequence of fixed-size event records (see decodePlan); At, Factor
+// and Recover are raw float64 bits, so NaN and ±Inf are reachable.
 //
 // Run the seed corpus with the ordinary test suite, or explore with:
 // go test -run='^$' -fuzz=FuzzPlan ./internal/faults
@@ -104,7 +103,4 @@ func runPlanOnMesh(t *testing.T, p Plan) {
 		return
 	}
 	s.Run()
-	if err := s.Err(); err == nil && inj.Applied() != len(p.Events) {
-		t.Fatalf("applied %d of %d events", inj.Applied(), len(p.Events))
-	}
 }

@@ -25,8 +25,6 @@ type Injector struct {
 	mLinksRestored  *metrics.Series
 	mSwitchesFailed *metrics.Series
 	mNPUsDropped    *metrics.Series
-
-	applied int
 }
 
 // NewInjector returns an injector for the network.
@@ -58,9 +56,6 @@ func (inj *Injector) SetMetrics(reg *metrics.Registry) *Injector {
 	inj.mNPUsDropped = reg.Counter("fault/npus_dropped", "")
 	return inj
 }
-
-// Applied returns how many events have fired so far.
-func (inj *Injector) Applied() int { return inj.applied }
 
 // Schedule validates the plan against the network — link targets in
 // range, no degrade of a contention-free link, a hook for switch
@@ -108,7 +103,6 @@ func count(s *metrics.Series) {
 // random plans (an NPU drop racing a link failure on the same port)
 // stay valid.
 func (inj *Injector) apply(e Event) {
-	inj.applied++
 	switch e.Kind {
 	case LinkFail:
 		l := inj.net.Link(netsim.LinkID(e.Target))

@@ -32,10 +32,6 @@ type Interconnect struct {
 	elements []*Element
 	root     *stage
 	inWire   []Wire
-	// failed flags elements taken out of service, indexed by element
-	// ID; nil while the interconnect is healthy (only the tests fail
-	// elements, with FailElement).
-	failed []bool
 	// pending collects one Route call's connections before they are
 	// grouped into the plan's per-element configuration (routing.go).
 	pending []elemConn

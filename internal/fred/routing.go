@@ -19,17 +19,9 @@ type ConflictError struct {
 	Flows []int
 	// M is the number of available colors (middle subnetworks).
 	M int
-	// FailedMiddles counts middle subnetworks out of service at the
-	// failing level (see faults.go); the palette really had
-	// M − FailedMiddles colors.
-	FailedMiddles int
 }
 
 func (e *ConflictError) Error() string {
-	if e.FailedMiddles > 0 {
-		return fmt.Sprintf("fred: routing conflict at level %d: flows %v cannot be %d-colored (%d of %d middles failed)",
-			e.Level, e.Flows, e.M-e.FailedMiddles, e.FailedMiddles, e.M)
-	}
 	return fmt.Sprintf("fred: routing conflict at level %d: flows %v cannot be %d-colored",
 		e.Level, e.Flows, e.M)
 }
@@ -207,9 +199,6 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 		return nil
 	}
 	if st.base != nil {
-		if ic.ElementFailed(st.base.ID) {
-			return &DeadSwitchError{Level: level, Element: st.base.Label, Flows: flowIDs(flows)}
-		}
 		for _, f := range flows {
 			ic.addConn(st.base, Connection{In: f.ips, Out: f.ops, Flow: f.id})
 		}
@@ -234,36 +223,6 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 		inSW[i], inArena, oddIn[i] = st.switchUses(f.ips, inArena)
 		outSW[i], outArena, oddOut[i] = st.switchUses(f.ops, outArena)
 	}
-	// A failed input/output µswitch (or odd-port mux/demux) owns its
-	// external ports outright — no middle-stage spare path can bypass
-	// it — so flows wired through one are dead, not re-plannable.
-	if ic.failed != nil {
-		for s, e := range st.inputs {
-			if ic.failed[e.ID] {
-				if ids := flowsUsingSwitch(flows, inSW, s); len(ids) > 0 {
-					return &DeadSwitchError{Level: level, Element: e.Label, Flows: ids}
-				}
-			}
-		}
-		for s, e := range st.outputs {
-			if ic.failed[e.ID] {
-				if ids := flowsUsingSwitch(flows, outSW, s); len(ids) > 0 {
-					return &DeadSwitchError{Level: level, Element: e.Label, Flows: ids}
-				}
-			}
-		}
-		if st.odd && ic.failed[st.demux.ID] {
-			if ids := flowsWithOdd(flows, oddIn); len(ids) > 0 {
-				return &DeadSwitchError{Level: level, Element: st.demux.Label, Flows: ids}
-			}
-		}
-		if st.odd && ic.failed[st.mux.ID] {
-			if ids := flowsWithOdd(flows, oddOut); len(ids) > 0 {
-				return &DeadSwitchError{Level: level, Element: st.mux.Label, Flows: ids}
-			}
-		}
-	}
-
 	adj := make([][]bool, n)
 	cells := make([]bool, n*n)
 	for i := range adj {
@@ -278,19 +237,9 @@ func (ic *Interconnect) routeStage(st *stage, flows []localFlow, plan *Plan, lev
 		}
 	}
 
-	// Clos spare paths: a middle subnetwork with an internal failure is
-	// banned from the palette, and the coloring re-plans over the
-	// survivors.
-	banned := ic.bannedMiddles(st)
-	colors, ok := colorGraph(adj, ic.m, banned)
+	colors, ok := colorGraph(adj, ic.m)
 	if !ok {
-		nBanned := 0
-		for _, b := range banned {
-			if b {
-				nBanned++
-			}
-		}
-		return &ConflictError{Level: level, Flows: flowIDs(flows), M: ic.m, FailedMiddles: nBanned}
+		return &ConflictError{Level: level, Flows: flowIDs(flows), M: ic.m}
 	}
 
 	// Configure this level and project sub-flows per middle subnetwork.
@@ -423,39 +372,12 @@ func flowIDs(flows []localFlow) []int {
 	return ids
 }
 
-// flowsUsingSwitch returns the original IDs of flows that use
-// first/last-stage µswitch s.
-func flowsUsingSwitch(flows []localFlow, sw [][]swUse, s int) []int {
-	var ids []int
-	for i := range flows {
-		for _, u := range sw[i] {
-			if u.sw == s {
-				ids = append(ids, flows[i].id)
-				break
-			}
-		}
-	}
-	return ids
-}
-
-// flowsWithOdd returns the original IDs of flows using the odd port.
-func flowsWithOdd(flows []localFlow, odd []bool) []int {
-	var ids []int
-	for i := range flows {
-		if odd[i] {
-			ids = append(ids, flows[i].id)
-		}
-	}
-	return ids
-}
-
 // colorGraph finds a proper coloring of the conflict graph with at
 // most m colors via exact backtracking, visiting vertices in
-// descending-degree order. banned (optional) removes colors whose
-// middle subnetwork is out of service. Conflict graphs are small (one
-// node per concurrent flow), so exact search is cheap and — unlike
-// greedy — never reports a spurious conflict.
-func colorGraph(adj [][]bool, m int, banned []bool) ([]int, bool) {
+// descending-degree order. Conflict graphs are small (one node per
+// concurrent flow), so exact search is cheap and — unlike greedy —
+// never reports a spurious conflict.
+func colorGraph(adj [][]bool, m int) ([]int, bool) {
 	n := len(adj)
 	// One backing array: colors, then the visit order, then degrees.
 	buf := make([]int, 3*n)
@@ -472,7 +394,7 @@ func colorGraph(adj [][]bool, m int, banned []bool) ([]int, bool) {
 		}
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(deg[b], deg[a]) })
-	g := coloring{adj: adj, m: m, banned: banned, order: order, colors: colors}
+	g := coloring{adj: adj, m: m, order: order, colors: colors}
 	if !g.assign(0) {
 		return nil, false
 	}
@@ -483,7 +405,6 @@ func colorGraph(adj [][]bool, m int, banned []bool) ([]int, bool) {
 type coloring struct {
 	adj    [][]bool
 	m      int
-	banned []bool
 	order  []int // vertices in descending-degree order
 	colors []int // per vertex; -1 while uncolored
 }
@@ -495,23 +416,15 @@ func (g *coloring) assign(k int) bool {
 	}
 	v := g.order[k]
 	// Symmetry breaking: the first vertex can take color 0 only; later
-	// vertices may only use colors 0..(max used + 1). Banned colors
-	// break the palette's symmetry, so the pruning is only sound on a
-	// healthy interconnect.
-	limit := g.m - 1
-	if g.banned == nil {
-		maxUsed := -1
-		for _, u := range g.order[:k] {
-			if g.colors[u] > maxUsed {
-				maxUsed = g.colors[u]
-			}
+	// vertices may only use colors 0..(max used + 1).
+	maxUsed := -1
+	for _, u := range g.order[:k] {
+		if g.colors[u] > maxUsed {
+			maxUsed = g.colors[u]
 		}
-		limit = min(maxUsed+1, g.m-1)
 	}
+	limit := min(maxUsed+1, g.m-1)
 	for c := 0; c <= limit; c++ {
-		if g.banned != nil && g.banned[c] {
-			continue
-		}
 		ok := true
 		for u, edge := range g.adj[v] {
 			if edge && g.colors[u] == c {

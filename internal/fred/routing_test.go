@@ -214,10 +214,10 @@ func TestColorGraphExactness(t *testing.T) {
 		adj[i][j] = true
 		adj[j][i] = true
 	}
-	if _, ok := colorGraph(adj, 2, nil); ok {
+	if _, ok := colorGraph(adj, 2); ok {
 		t.Fatal("2-colored an odd cycle")
 	}
-	colors, ok := colorGraph(adj, 3, nil)
+	colors, ok := colorGraph(adj, 3)
 	if !ok {
 		t.Fatal("failed to 3-color a 5-cycle")
 	}

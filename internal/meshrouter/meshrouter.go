@@ -117,7 +117,7 @@ type Mesh struct {
 	delivered []int // flits delivered per message
 	cycles    int
 	// channel utilization: busy cycles per output channel, indexed
-	// node*numPorts + direction.
+	// node*numPorts + direction (read by the tests' ChannelBusy).
 	busy []int
 	// moves and injections are step's per-cycle plans, kept here so
 	// their backing arrays are reused from cycle to cycle.
@@ -238,18 +238,6 @@ func (m *Mesh) Run() (int, error) {
 		m.cycles++
 	}
 	return m.cycles, nil
-}
-
-// Cycles returns the simulated cycle count so far.
-func (m *Mesh) Cycles() int { return m.cycles }
-
-// ChannelBusy returns the busy-cycle count of the output channel at
-// node in direction d.
-func (m *Mesh) ChannelBusy(node int, d Direction) int {
-	if node < 0 || node >= len(m.routers) || d < 0 || d >= numPorts {
-		return 0
-	}
-	return m.busy[node*int(numPorts)+int(d)]
 }
 
 func (m *Mesh) done() bool {

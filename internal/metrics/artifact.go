@@ -144,11 +144,10 @@ func (r *Registry) Export(m Manifest) *Artifact {
 	a := &Artifact{Schema: Schema, Manifest: m.Stamp()}
 	for _, s := range r.series {
 		d := SeriesData{
-			Name:      s.name,
-			Kind:      s.kind.String(),
-			Unit:      s.unit,
-			Better:    s.better,
-			Tolerance: s.tolerance,
+			Name:   s.name,
+			Kind:   s.kind.String(),
+			Unit:   s.unit,
+			Better: s.better,
 		}
 		switch s.kind {
 		case KindCounter, KindGauge:

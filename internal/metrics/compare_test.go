@@ -8,14 +8,25 @@ func artifactOf(build func(r *Registry)) *Artifact {
 	return r.Export(Manifest{Tool: "test"})
 }
 
+// withTolerance gives the named series its own tolerance, as a
+// committed reference artifact (BENCH_netsim.json) carries one.
+func withTolerance(a *Artifact, name string, tol float64) *Artifact {
+	for i := range a.Series {
+		if a.Series[i].Name == name {
+			a.Series[i].Tolerance = tol
+		}
+	}
+	return a
+}
+
 func TestCompareVerdicts(t *testing.T) {
-	ref := artifactOf(func(r *Registry) {
+	ref := withTolerance(artifactOf(func(r *Registry) {
 		r.Gauge("lat", "s").SetBetter("lower").Set(100)
 		r.Gauge("tput", "").SetBetter("higher").Set(50)
 		r.Gauge("info", "").Set(1)
-		r.Gauge("tight", "").SetBetter("lower").SetTolerance(0.01).Set(100)
+		r.Gauge("tight", "").SetBetter("lower").Set(100)
 		r.Gauge("gone", "").Set(3)
-	})
+	}), "tight", 0.01)
 	cand := artifactOf(func(r *Registry) {
 		r.Gauge("lat", "s").Set(150)    // +50% → regression at 10%
 		r.Gauge("tput", "").Set(49)     // −2% → ok at 10%
@@ -76,9 +87,9 @@ func TestCompareImprovedAndHigher(t *testing.T) {
 // A zero reference (the zero-allocation gate) compares absolutely: any
 // increase beyond the tolerance regresses, and staying at zero is ok.
 func TestCompareZeroBaseline(t *testing.T) {
-	ref := artifactOf(func(r *Registry) {
-		r.Gauge("allocs", "").SetBetter("lower").SetTolerance(0.25).Set(0)
-	})
+	ref := withTolerance(artifactOf(func(r *Registry) {
+		r.Gauge("allocs", "").SetBetter("lower").Set(0)
+	}), "allocs", 0.25)
 	still := artifactOf(func(r *Registry) { r.Gauge("allocs", "").Set(0) })
 	if d := Compare(ref, still, 0.10)[0]; d.Verdict != VerdictOK || !d.AbsBase {
 		t.Fatalf("0→0 delta = %+v, want ok/absolute", d)
@@ -108,9 +119,9 @@ func TestCompareExactlyAtTolerancePasses(t *testing.T) {
 	}
 	// The boundary also holds for a per-series tolerance and in absolute
 	// mode (zero reference).
-	refAbs := artifactOf(func(r *Registry) {
-		r.Gauge("allocs", "").SetBetter("lower").SetTolerance(2).Set(0)
-	})
+	refAbs := withTolerance(artifactOf(func(r *Registry) {
+		r.Gauge("allocs", "").SetBetter("lower").Set(0)
+	}), "allocs", 2)
 	edge := artifactOf(func(r *Registry) { r.Gauge("allocs", "").Set(2) })
 	if d := Compare(refAbs, edge, 0.10)[0]; d.Verdict != VerdictOK || !d.AbsBase {
 		t.Fatalf("0→2 at absolute tolerance 2 = %+v, want ok/absolute", d)

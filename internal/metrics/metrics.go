@@ -65,11 +65,10 @@ func (k Kind) String() string {
 // Series is one named metric. The zero value is not useful; obtain
 // series from a Registry.
 type Series struct {
-	name      string
-	kind      Kind
-	unit      string
-	better    string  // "", "lower" or "higher": regression direction
-	tolerance float64 // relative comparison tolerance; 0 = comparator default
+	name   string
+	kind   Kind
+	unit   string
+	better string // "", "lower" or "higher": regression direction
 
 	// Counter / gauge state.
 	value float64
@@ -106,13 +105,6 @@ func (s *Series) SetBetter(dir string) *Series {
 		panic(fmt.Sprintf("metrics: better direction %q (want lower/higher/empty)", dir))
 	}
 	s.better = dir
-	return s
-}
-
-// SetTolerance sets the series' relative comparison tolerance,
-// overriding fredreport's global threshold for this series.
-func (s *Series) SetTolerance(t float64) *Series {
-	s.tolerance = t
 	return s
 }
 
@@ -175,14 +167,6 @@ func (s *Series) Min() float64 { return s.min }
 // Max returns the largest observed value (0 when empty).
 func (s *Series) Max() float64 { return s.max }
 
-// Mean returns the weighted mean (0 when empty).
-func (s *Series) Mean() float64 {
-	if s.count <= 0 {
-		return 0
-	}
-	return s.sum / s.count
-}
-
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket
 // weights: the upper bound of the bucket where the cumulative weight
 // crosses q×total, clamped to the observed [min, max]. The estimate is
@@ -215,10 +199,6 @@ func (s *Series) Quantile(q float64) float64 {
 	}
 	return s.max
 }
-
-// Weights returns the histogram's bucket weights, one per bound plus a
-// final overflow bucket (aliased, do not mutate).
-func (s *Series) Weights() []float64 { return s.weights }
 
 // Registry is an ordered collection of series. It is not safe for
 // concurrent use: each experiment cell owns a private registry (the
@@ -342,9 +322,6 @@ func (r *Registry) Merge(o *Registry) {
 func (s *Series) copyMeta(o *Series) *Series {
 	if s.better == "" {
 		s.better = o.better
-	}
-	if s.tolerance == 0 {
-		s.tolerance = o.tolerance
 	}
 	return s
 }

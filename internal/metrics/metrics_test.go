@@ -65,7 +65,7 @@ func TestHistogramStats(t *testing.T) {
 		t.Fatalf("count = %g, want 10", got)
 	}
 	wantMean := (0.5*6 + 0.9*3 + 0.05*1) / 10
-	if got := h.Mean(); math.Abs(got-wantMean) > 1e-12 {
+	if got := h.Sum() / h.Count(); math.Abs(got-wantMean) > 1e-12 {
 		t.Fatalf("mean = %g, want %g", got, wantMean)
 	}
 	if h.Min() != 0.05 || h.Max() != 0.9 {
@@ -91,7 +91,7 @@ func TestHistogramStats(t *testing.T) {
 func TestHistogramEmptyAndOverflow(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("h", "", []float64{1, 10})
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Observe(0.5, 0) // zero weight ignored
@@ -99,7 +99,7 @@ func TestHistogramEmptyAndOverflow(t *testing.T) {
 		t.Fatal("zero-weight observation counted")
 	}
 	h.Observe(100, 1) // overflow bucket
-	if got := h.Weights()[2]; got != 1 {
+	if got := h.weights[2]; got != 1 {
 		t.Fatalf("overflow weight = %g, want 1", got)
 	}
 	if got := h.Quantile(0.99); got != 100 {

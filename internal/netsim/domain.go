@@ -76,17 +76,6 @@ type FillStats struct {
 // FillStats returns the engine's cumulative work counters.
 func (n *Network) FillStats() FillStats { return n.stats }
 
-// ForceFullFill marks every contention domain dirty and synchronously
-// runs a full rate recomputation — the exported test hook replacing
-// direct pokes at private fill state (benchmarks and differential
-// tests previously set fillNeeded by hand). Production code never
-// needs it: the per-domain dirty bits already cover every path that
-// can change a rate.
-func (n *Network) ForceFullFill() {
-	n.allDirty = true
-	n.recomputeFn()
-}
-
 // fillScratch is the reusable state of a domain fill, so the steady
 // state performs no allocation.
 type fillScratch struct {
@@ -228,27 +217,12 @@ func (n *Network) domRootOf(l *Link) *Link {
 	return n.domFind(l)
 }
 
-// collectDirtyDomains resolves the queued dirty roots (and, under
-// ForceFullFill, every live domain) into the deduplicated procRoots
-// work list, clearing the dirty queue. Runs sequentially before the
-// parallel fill phase — find's path compression is not thread-safe.
+// collectDirtyDomains resolves the queued dirty roots into the
+// deduplicated procRoots work list, clearing the dirty queue.
 func (n *Network) collectDirtyDomains() {
 	n.seenEpoch++
 	seen := n.seenEpoch
 	n.procRoots = n.procRoots[:0]
-	if n.allDirty {
-		n.allDirty = false
-		for _, f := range n.active {
-			if f == nil || len(f.finiteLinks) == 0 {
-				continue
-			}
-			r := n.domFind(f.finiteLinks[0])
-			if r.domSeen != seen {
-				r.domSeen = seen
-				n.procRoots = append(n.procRoots, r)
-			}
-		}
-	}
 	for _, l := range n.dirtyRoots {
 		if l.domVersion != n.partVersion {
 			continue // queued before a partition reset

@@ -145,21 +145,17 @@ func (n *Network) FailNode(id NodeID) int {
 	return failed
 }
 
-// flowRouteFailed tears the flow off its (now partly dead) route and
-// aborts it.
+// flowRouteFailed tears an active flow off its (now partly dead) route
+// and aborts it. A victim that an earlier victim's OnFail already
+// stopped is left alone.
 func (n *Network) flowRouteFailed(f *Flow) {
-	switch f.state {
-	case FlowActive:
-		// settle already ran (Fail settles before collecting victims).
-		n.detach(f)
-		n.endStage(f, "active")
-		n.markDirty()
-	case FlowLatency:
-		n.sched.Cancel(&f.latEvent)
-		n.endStage(f, "latency")
-	default:
+	if f.state != FlowActive {
 		return
 	}
+	// settle already ran (Fail settles before collecting victims).
+	n.detach(f)
+	n.endStage(f, "active")
+	n.markDirty()
 	n.abortFlow(f)
 }
 

@@ -78,6 +78,30 @@ func TestFailCatchesLatencyStageFlow(t *testing.T) {
 	}
 }
 
+// TestLatencyStageAbortClosesStageOnce: a flow whose route fails during
+// its latency stage reports that stage once, closed at activation, and
+// then its abort — no second, zero-length latency span.
+func TestLatencyStageAbortClosesStageOnce(t *testing.T) {
+	s := sim.NewScheduler()
+	net := New(s)
+	a, b := net.AddNode(), net.AddNode()
+	l1 := net.AddLink(a, b, 100, 1.0, "l1")
+	var got []string
+	net.AddObserver(observerFunc(func(ev Event) {
+		if ev.Kind == EvFlowStage {
+			got = append(got, fmt.Sprintf("%s %g→%g", ev.Stage, ev.Start, ev.Now))
+		} else {
+			got = append(got, fmt.Sprintf("abort %g", ev.Now))
+		}
+	}), EvFlowStage, EvFlowAbort)
+	net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 100, Latency: -1})
+	s.At(0.5, func() { net.Link(l1).Fail() })
+	s.Run()
+	if want := []string{"latency 0→1", "abort 1"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("flow events %q, want %q", got, want)
+	}
+}
+
 func TestFailCatchesPausedFlowOnResume(t *testing.T) {
 	s, net, l1, _ := twoPath(100, 100)
 	f := net.StartFlow(FlowSpec{Links: []LinkID{l1}, Bytes: 100, Latency: 0})

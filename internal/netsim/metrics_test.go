@@ -30,7 +30,7 @@ func TestLinkUtilHistogram(t *testing.T) {
 	if got := h.Count(); !approx(got, 15) {
 		t.Fatalf("total weighted time = %g, want the 15s horizon", got)
 	}
-	if got := h.Mean(); !approx(got, 10.0/15) {
+	if got := h.Sum() / h.Count(); !approx(got, 10.0/15) {
 		t.Fatalf("time-weighted mean util = %g, want 2/3", got)
 	}
 	if h.Min() != 0 || h.Max() != 1 {
@@ -88,7 +88,7 @@ func TestLinkUtilDistributionFractional(t *testing.T) {
 	if got := h.Count(); !approx(got, 15) {
 		t.Fatalf("downstream weighted time = %g, want 15", got)
 	}
-	if got := h.Mean(); !approx(got, (0.5*10+1.0*5)/15) {
+	if got := h.Sum() / h.Count(); !approx(got, (0.5*10+1.0*5)/15) {
 		t.Fatalf("downstream mean util = %g, want 2/3", got)
 	}
 	// p50 falls in the 0.5 interval (10 of 15 seconds); the estimator

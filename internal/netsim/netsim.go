@@ -363,13 +363,11 @@ type Network struct {
 	// filling pass. partVersion stamps link partition state (bumped to
 	// reset the partition in O(1) whenever partActive — active flows
 	// with finite links — drains to zero), dirtyRoots queues dirty
-	// domain roots, allDirty is the ForceFullFill escape hatch, and
-	// seenEpoch dedupes roots during collection.
+	// domain roots, and seenEpoch dedupes roots during collection.
 	partVersion uint64
 	partActive  int
 	actSeqNext  uint64
 	dirtyRoots  []*Link
-	allDirty    bool
 	seenEpoch   uint64
 	freePending []*Flow
 
@@ -463,9 +461,6 @@ func (n *Network) AddNode() NodeID {
 	n.nodes++
 	return NodeID(n.nodes - 1)
 }
-
-// NumNodes returns the number of registered nodes.
-func (n *Network) NumNodes() int { return n.nodes }
 
 // NumLinks returns the number of registered links.
 func (n *Network) NumLinks() int { return len(n.links) }
@@ -663,10 +658,10 @@ func (f *Flow) activate() {
 	n.endStage(f, "latency")
 	// A route link may have failed while the flow waited out its
 	// latency (or while it was paused): abort instead of occupying a
-	// dead link.
+	// dead link. The latency stage is closed and its event has fired.
 	for _, l := range f.links {
 		if l.failed {
-			n.flowRouteFailed(f)
+			n.abortFlow(f)
 			return
 		}
 	}
@@ -957,20 +952,4 @@ func (n *Network) ensureRateSum() {
 	for len(n.rateSum) < len(n.links) {
 		n.rateSum = append(n.rateSum, 0)
 	}
-}
-
-// LinkRates returns each active flow's rate summed per link, primarily
-// for tests and diagnostics.
-func (n *Network) LinkRates() map[LinkID]float64 {
-	n.settle()
-	out := make(map[LinkID]float64)
-	for _, f := range n.active {
-		if f == nil {
-			continue
-		}
-		for _, l := range f.links {
-			out[l.ID] += f.rate
-		}
-	}
-	return out
 }

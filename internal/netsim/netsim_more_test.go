@@ -93,8 +93,8 @@ func TestNodeNameAndCounts(t *testing.T) {
 		t.Fatalf("node IDs %d, %d, want 0, 1", a, b)
 	}
 	net.AddLink(a, b, 1, 0, "l")
-	if net.NumNodes() != 2 || net.NumLinks() != 1 {
-		t.Fatalf("counts: %d nodes, %d links, want 2 and 1", net.NumNodes(), net.NumLinks())
+	if net.nodes != 2 || net.NumLinks() != 1 {
+		t.Fatalf("counts: %d nodes, %d links, want 2 and 1", net.nodes, net.NumLinks())
 	}
 }
 

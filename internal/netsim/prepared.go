@@ -50,9 +50,6 @@ func (n *Network) PrepareRoute(route []LinkID) *PreparedRoute {
 // of link latencies over the raw route, duplicates included.
 func (p *PreparedRoute) Latency() float64 { return p.latency }
 
-// Hops returns the number of distinct links on the prepared route.
-func (p *PreparedRoute) Hops() int { return len(p.links) }
-
 // StateEpoch returns the network's fabric-state epoch: a counter
 // bumped by every Link.Fail, Link.Degrade and Link.Restore (FailNode
 // bumps once per link it fails). Schedule caches include it in their

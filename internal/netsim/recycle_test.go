@@ -43,8 +43,8 @@ func TestRecycledFlowStartsClean(t *testing.T) {
 			f.State(), f.Rate(), f.Remaining(), f.Label(), f.ContentionStall(), f.BindLinkName(),
 			f.Started(), f.Finished())
 	}
-	if !f.latEvent.Pending() || f.latEvent.When() != s.Now()+0.5 {
-		t.Fatalf("latency event pending %v at %v, want pending at %v", f.latEvent.Pending(), f.latEvent.When(), s.Now()+0.5)
+	if !f.latEvent.Pending() {
+		t.Fatal("latency event not pending")
 	}
 	if f.activeIdx != -1 || f.calIdx != -1 || f.inDom || f.etaValid {
 		t.Fatalf("recycled flow keeps engine bookkeeping: activeIdx %d calIdx %d inDom %v etaValid %v",

@@ -65,7 +65,6 @@ func (n *Network) referenceRecompute() {
 		l.domDirty = false
 	}
 	n.dirtyRoots = n.dirtyRoots[:0]
-	n.allDirty = false
 
 	// Exact connected components from first principles: a fresh
 	// union-find over the finite links of every active route.

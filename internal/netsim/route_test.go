@@ -138,9 +138,9 @@ func TestResolveRouteMatchesOracle(t *testing.T) {
 			for _, id := range route {
 				lat += net.links[id].Latency
 			}
-			if p.Latency() != lat || p.Hops() != len(wantLinks) {
+			if p.Latency() != lat || len(p.links) != len(wantLinks) {
 				t.Fatalf("%s trial %d: prepared latency %g hops %d, want %g and %d",
-					mix, trial, p.Latency(), p.Hops(), lat, len(wantLinks))
+					mix, trial, p.Latency(), len(p.links), lat, len(wantLinks))
 			}
 		}
 	}

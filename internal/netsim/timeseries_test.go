@@ -19,6 +19,16 @@ func attachRecorder(s *sim.Scheduler, net *Network) *timeseries.Recorder {
 	return rec
 }
 
+// seriesByName returns the recorder's (time, value) samples per probe
+// name, as its artifact cell holds them.
+func seriesByName(rec *timeseries.Recorder) map[string][][2]float64 {
+	out := map[string][][2]float64{}
+	for _, sd := range rec.Snapshot().Series {
+		out[sd.Name] = sd.Samples
+	}
+	return out
+}
+
 // TestTimeseriesProbes: the recorder's network probes track flow
 // activity, completions, delivered bytes and fill work over the run.
 func TestTimeseriesProbes(t *testing.T) {
@@ -31,23 +41,20 @@ func TestTimeseriesProbes(t *testing.T) {
 	s.Run()
 	net.EndRun() // the recorder's closing sample
 
-	idx := map[string]int{}
-	for i, p := range rec.Probes() {
-		idx[p.Name] = i
-	}
+	series := seriesByName(rec)
 	for _, name := range []string{
 		"sched/pending", "sched/fired", "net/active_flows",
 		"net/flows_completed", "net/bytes_delivered",
 		"net/fill/recomputes", "net/fill/domains_filled", "net/fill/flows_filled",
 		"net/util/max", "net/util/topk_mean",
 	} {
-		if _, ok := idx[name]; !ok {
-			t.Fatalf("probe %q not registered (have %v)", name, idx)
+		if _, ok := series[name]; !ok {
+			t.Fatalf("probe %q not registered", name)
 		}
 	}
 	last := func(name string) float64 {
-		v := rec.Values(idx[name])
-		return v[len(v)-1]
+		v := series[name]
+		return v[len(v)-1][1]
 	}
 	if got := last("net/flows_completed"); got != 2 {
 		t.Errorf("final flows_completed = %g, want 2", got)
@@ -63,16 +70,15 @@ func TestTimeseriesProbes(t *testing.T) {
 	}
 	// Two 500 B flows sharing one 100 B/s link: both at rate 50 until
 	// t=10. The sample at t=1 must see the saturated link.
-	util := rec.Values(idx["net/util/max"])
-	times := rec.Times()
+	util := series["net/util/max"]
 	sawSaturated := false
-	for i, ts := range times {
-		if ts >= 1 && ts < 10 && approx(util[i], 1) {
+	for _, s := range util {
+		if s[0] >= 1 && s[0] < 10 && approx(s[1], 1) {
 			sawSaturated = true
 		}
 	}
 	if !sawSaturated {
-		t.Errorf("net/util/max never sampled 1.0 mid-run: times %v utils %v", times, util)
+		t.Errorf("net/util/max never sampled 1.0 mid-run: (time, util) samples %v", util)
 	}
 }
 
@@ -88,17 +94,12 @@ func TestTimeseriesCritProbes(t *testing.T) {
 	end := s.Run()
 	rec.Finish(end)
 
-	idx := map[string]int{}
-	for i, p := range rec.Probes() {
-		idx[p.Name] = i
-	}
-	i, ok := idx["crit/serial_s"]
+	v, ok := seriesByName(rec)["crit/serial_s"]
 	if !ok {
-		t.Fatalf("crit probes missing (have %v)", idx)
+		t.Fatal("crit probes missing")
 	}
-	v := rec.Values(i)
 	// The solo flow closes at t=2 with 2s of serialized blame.
-	if got := v[len(v)-1]; !approx(got, 2) {
+	if got := v[len(v)-1][1]; !approx(got, 2) {
 		t.Errorf("final crit/serial_s = %g, want 2", got)
 	}
 }

@@ -591,23 +591,10 @@ func (s *Server) Close() {
 	s.stop()
 }
 
-// CacheSnapshot copies the result cache (insertion order preserved in
-// the returned slice of keys) for persistence across restarts.
-func (s *Server) CacheSnapshot() (keys []string, bodies map[string][]byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bodies = make(map[string][]byte, len(s.cache))
-	keys = append(keys, s.cacheFIFO...)
-	for k, v := range s.cache {
-		bodies[k] = append([]byte(nil), v...)
-	}
-	return keys, bodies
-}
-
-// CacheLoad warm-starts the result cache (used with a persisted
-// snapshot). Entries beyond the configured bound are dropped oldest
-// first. Bodies are trusted verbatim: the cache key embeds the engine
-// revision, so a snapshot from an older engine simply never hits.
+// CacheLoad warm-starts the result cache with the given bodies, keys in
+// insertion order. Entries beyond the configured bound are dropped
+// oldest first. Bodies are trusted verbatim: the cache key embeds the
+// engine revision, so a body from an older engine simply never hits.
 func (s *Server) CacheLoad(keys []string, bodies map[string][]byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

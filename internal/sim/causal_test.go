@@ -4,11 +4,11 @@ import "testing"
 
 func TestCausalTrackingDepth(t *testing.T) {
 	s := NewScheduler()
-	if s.CausalTracking() {
+	if s.causal {
 		t.Fatal("causal tracking on by default")
 	}
 	s.EnableCausalTracking()
-	if !s.CausalTracking() {
+	if !s.causal {
 		t.Fatal("EnableCausalTracking did not stick")
 	}
 	// A chain of events each scheduling the next: depth grows by one per

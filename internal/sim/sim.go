@@ -74,9 +74,6 @@ type Event struct {
 	depth uint32
 }
 
-// When reports the time the event is scheduled to fire.
-func (e *Event) When() Time { return e.when }
-
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.cancel }
 
@@ -224,12 +221,11 @@ func (q *eventQueue) release(e *Event, slot int32) {
 // Scheduler is a discrete-event scheduler with a virtual clock.
 // The zero value is ready to use at time 0.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	queue  eventQueue
-	fired  uint64
-	halted bool
-	hooks  []func(now Time, fired uint64)
+	now   Time
+	seq   uint64
+	queue eventQueue
+	fired uint64
+	hooks []func(now Time, fired uint64)
 
 	// Causal tracking (EnableCausalTracking): which event scheduled
 	// which, as a per-event depth. Off by default — the hot paths pay
@@ -284,7 +280,6 @@ func (s *Scheduler) unreachable(t Time) bool {
 		s.err = fmt.Errorf("sim: event at t=%g is past the simulated clock's range (now t=%g after %d events)",
 			t, s.now, s.fired)
 	}
-	s.halted = true
 	return true
 }
 
@@ -295,9 +290,6 @@ func (s *Scheduler) unreachable(t Time) bool {
 // Tracking cannot be disabled once enabled (depths already assigned
 // would be inconsistent); it is per-Scheduler and off by default.
 func (s *Scheduler) EnableCausalTracking() { s.causal = true }
-
-// CausalTracking reports whether causal tracking is enabled.
-func (s *Scheduler) CausalTracking() bool { return s.causal }
 
 // MaxCausalDepth returns the deepest causal chain observed so far
 // (0 when tracking is off or no chained event has been scheduled).
@@ -425,13 +417,11 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	if s.err != nil {
-		s.halted = true
 		return false
 	}
 	if s.ctx != nil && s.fired%s.ctxEvery == 0 {
 		if cause := s.ctx.Err(); cause != nil {
 			s.err = &CanceledError{At: s.now, Fired: s.fired, Cause: cause}
-			s.halted = true
 			return false
 		}
 	}
@@ -454,8 +444,7 @@ func (s *Scheduler) Step() bool {
 // Run executes events until the queue drains and returns the final
 // clock value.
 func (s *Scheduler) Run() Time {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 	return s.now
 }
@@ -463,19 +452,14 @@ func (s *Scheduler) Run() Time {
 // RunUntil executes every event with a timestamp ≤ deadline and then
 // advances the clock to the deadline, whether or not later events
 // remain queued, so the returned time always equals the deadline (or
-// the current clock, if it is already past it). A Halt from within an
-// event callback stops execution immediately, leaving the clock at the
-// halting event.
+// the current clock, if it is already past it). A run stopped by an
+// error (see Err) leaves the clock at the last executed event.
 func (s *Scheduler) RunUntil(deadline Time) Time {
-	s.halted = false
-	for !s.halted && len(s.queue.heap) > 0 && s.queue.heap[0].when <= deadline {
+	for s.err == nil && len(s.queue.heap) > 0 && s.queue.heap[0].when <= deadline {
 		s.Step()
 	}
-	if !s.halted && s.now < deadline {
+	if s.err == nil && s.now < deadline {
 		s.now = deadline
 	}
 	return s.now
 }
-
-// Halt stops a Run in progress after the current event returns.
-func (s *Scheduler) Halt() { s.halted = true }

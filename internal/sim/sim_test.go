@@ -216,6 +216,9 @@ func TestRunUntilAdvancesClockWhenIdle(t *testing.T) {
 	}
 }
 
+// TestHaltStopsRun: an event that stops the run with an error (here,
+// one scheduling past the clock's range) halts Run after it returns,
+// leaving the later events queued.
 func TestHaltStopsRun(t *testing.T) {
 	s := NewScheduler()
 	count := 0
@@ -223,13 +226,13 @@ func TestHaltStopsRun(t *testing.T) {
 		s.At(Time(i), func() {
 			count++
 			if count == 4 {
-				s.Halt()
+				s.At(math.Inf(1), func() {})
 			}
 		})
 	}
 	s.Run()
-	if count != 4 {
-		t.Fatalf("Halt: executed %d events, want 4", count)
+	if count != 4 || s.Err() == nil {
+		t.Fatalf("halt: executed %d events with error %v, want 4 and an error", count, s.Err())
 	}
 	if s.Pending() != 6 {
 		t.Fatalf("Pending() = %d after halt, want 6", s.Pending())
@@ -371,7 +374,7 @@ func TestRunUntilAdvancesClockWithPendingEvents(t *testing.T) {
 
 func TestRunUntilHaltLeavesClockAtEvent(t *testing.T) {
 	s := NewScheduler()
-	s.At(2, func() { s.Halt() })
+	s.At(2, func() { s.At(math.Inf(1), func() {}) })
 	s.At(3, func() {})
 	if got := s.RunUntil(9); got != 2 {
 		t.Fatalf("halted RunUntil(9) = %g, want clock left at halting event 2", got)
@@ -579,8 +582,8 @@ func TestBoundEmbeddedEvent(t *testing.T) {
 	o.ev.Bind(func() { order = append(order, "bound") })
 	s.At(1, func() { order = append(order, "at") })
 	s.Reschedule(&o.ev, 1) // same time, later sequence: fires second
-	if !o.ev.Pending() || o.ev.When() != 1 {
-		t.Fatalf("armed event pending %v at %v, want pending at 1", o.ev.Pending(), o.ev.When())
+	if !o.ev.Pending() || o.ev.when != 1 {
+		t.Fatalf("armed event pending %v at %v, want pending at 1", o.ev.Pending(), o.ev.when)
 	}
 	s.Run()
 	if len(order) != 2 || order[0] != "at" || order[1] != "bound" {

@@ -227,14 +227,5 @@ func (r *Recorder) decimate() {
 // Len returns the number of retained samples.
 func (r *Recorder) Len() int { return len(r.times) }
 
-// Times returns the shared sample timestamps (aliased, do not mutate).
-func (r *Recorder) Times() []float64 { return r.times }
-
-// Values returns probe i's retained samples (aliased, do not mutate).
-func (r *Recorder) Values(i int) []float64 { return r.vals[i] }
-
-// Probes returns the registered probes in registration order.
-func (r *Recorder) Probes() []Probe { return r.probes }
-
 // Decimations returns how many times the ring halved.
 func (r *Recorder) Decimations() int { return r.decimations }

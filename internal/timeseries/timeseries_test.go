@@ -26,12 +26,12 @@ func TestTickSamplesBoundaries(t *testing.T) {
 	wantT := []float64{0, 1, 2, 3, 4}
 	wantV := []float64{10, 20, 20, 30, 30}
 	if r.Len() != len(wantT) {
-		t.Fatalf("Len = %d, want %d (times %v)", r.Len(), len(wantT), r.Times())
+		t.Fatalf("Len = %d, want %d (times %v)", r.Len(), len(wantT), r.times)
 	}
 	for i := range wantT {
-		if r.Times()[i] != wantT[i] || r.Values(0)[i] != wantV[i] {
+		if r.times[i] != wantT[i] || r.vals[0][i] != wantV[i] {
 			t.Errorf("sample %d = (%g, %g), want (%g, %g)",
-				i, r.Times()[i], r.Values(0)[i], wantT[i], wantV[i])
+				i, r.times[i], r.vals[0][i], wantT[i], wantV[i])
 		}
 	}
 }
@@ -45,7 +45,7 @@ func TestFinishClosingSample(t *testing.T) {
 	r.Finish(2.5)
 	r.Finish(9) // frozen: must not extend
 	want := []float64{0, 1, 2, 2.5}
-	if got := r.Times(); len(got) != len(want) {
+	if got := r.times; len(got) != len(want) {
 		t.Fatalf("times = %v, want %v", got, want)
 	} else {
 		for i := range want {
@@ -80,7 +80,7 @@ func TestDecimation(t *testing.T) {
 	if want := math.Pow(2, float64(r.Decimations())); iv != want {
 		t.Errorf("interval = %g after %d decimations, want %g", iv, r.Decimations(), want)
 	}
-	times := r.Times()
+	times := r.times
 	if times[0] != 0 {
 		t.Errorf("first retained sample at %g, want 0", times[0])
 	}
@@ -157,10 +157,10 @@ func TestAttachScheduler(t *testing.T) {
 		t.Fatal("no samples recorded off the scheduler hook")
 	}
 	// Probe 0 is sched/pending, probe 1 is sched/fired.
-	if got := r.Probes()[1].Name; got != "sched/fired" {
+	if got := r.probes[1].Name; got != "sched/fired" {
 		t.Fatalf("probe 1 = %q, want sched/fired", got)
 	}
-	fired := r.Values(1)
+	fired := r.vals[1]
 	if last := fired[len(fired)-1]; last != 5 {
 		t.Errorf("final sched/fired sample = %g, want 5", last)
 	}

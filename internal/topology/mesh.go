@@ -151,21 +151,6 @@ func (m *Mesh) NeighborLink(from, to int) netsim.LinkID {
 	return id
 }
 
-// Degree returns the number of mesh ports of an NPU (2 at corners, 3
-// on edges, 4 inside) — the corner-NPU limit that caps the baseline's
-// effective collective bandwidth (Section 8.1).
-func (m *Mesh) Degree(i int) int {
-	x, y := m.Coord(i)
-	d := 4
-	if x == 0 || x == m.cfg.W-1 {
-		d--
-	}
-	if y == 0 || y == m.cfg.H-1 {
-		d--
-	}
-	return d
-}
-
 // Route implements Wafer using X-Y dimension-order routing: traverse
 // the X dimension first, then Y, as in real mesh systems (Section 7.2).
 func (m *Mesh) Route(src, dst int) []netsim.LinkID {

@@ -182,12 +182,22 @@ func TestSegRecorderNilSafe(t *testing.T) {
 // TestSetCritPathEnablesCausal: attaching a recorder turns causal
 // event tracking on for the wafer's scheduler.
 func TestSetCritPathEnablesCausal(t *testing.T) {
-	net := netsim.New(sim.NewScheduler())
-	if net.Scheduler().CausalTracking() {
+	// depth runs one event that schedules another: a depth-1 chain when
+	// causal tracking is on, an untracked 0 when it is off.
+	depth := func(attach bool) uint64 {
+		s := sim.NewScheduler()
+		net := netsim.New(s)
+		if attach {
+			net.SetCritPath(critpath.NewRecorder())
+		}
+		s.After(0, func() { s.After(1, func() {}) })
+		s.Run()
+		return s.MaxCausalDepth()
+	}
+	if depth(false) != 0 {
 		t.Fatal("causal tracking on by default")
 	}
-	net.SetCritPath(critpath.NewRecorder())
-	if !net.Scheduler().CausalTracking() {
+	if depth(true) != 1 {
 		t.Fatal("SetCritPath did not enable causal tracking")
 	}
 }

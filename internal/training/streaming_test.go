@@ -21,7 +21,7 @@ func TestStreamingT1TLoadBoundOnFred(t *testing.T) {
 		Strategy:            parallelism.Strategy{MP: 1, DP: 20, PP: 1},
 		MinibatchPerReplica: 16,
 	})
-	ideal := 2 * m.ModelBytes() / (18 * 128e9)
+	ideal := 2 * m.TotalParams() * workload.FP16Bytes / (18 * 128e9)
 	if r.Total < ideal {
 		t.Fatalf("total %g below the streaming bound %g", r.Total, ideal)
 	}
@@ -41,7 +41,7 @@ func TestStreamingT1TBaselineHotspotFactor(t *testing.T) {
 		Strategy:            parallelism.Strategy{MP: 1, DP: 20, PP: 1},
 		MinibatchPerReplica: 16,
 	})
-	atHotspotRate := 2 * m.ModelBytes() / (18 * 128e9 * 0.651)
+	atHotspotRate := 2 * m.TotalParams() * workload.FP16Bytes / (18 * 128e9 * 0.651)
 	if r.Total < atHotspotRate*0.98 {
 		t.Fatalf("baseline total %g below the hotspot-rate bound %g", r.Total, atHotspotRate)
 	}
@@ -61,7 +61,11 @@ func TestStreamingGPT3WaveStructure(t *testing.T) {
 	// Ideal (bubble-free) critical-path compute: fwd+bwd = 3 × fwd
 	// FLOPs, divided over the MP×PP workers of a perfect pipeline, at
 	// the calibrated throughput, for the 16-sample replica batch.
-	ideal := 3 * m.TotalFwdFLOPs() * 16 / (2 * 2) / (m.EffectiveTFLOPs * 1e12)
+	fwd := 0.0
+	for _, l := range m.Layers {
+		fwd += l.FwdFLOPs
+	}
+	ideal := 3 * fwd * 16 / (2 * 2) / (m.EffectiveTFLOPs * 1e12)
 	withBubbles := ideal * 1.5
 	if math.Abs(r.Breakdown.Compute-withBubbles)/withBubbles > 0.01 {
 		t.Fatalf("compute %g, want %g (1.5x bubble factor)", r.Breakdown.Compute, withBubbles)
@@ -153,7 +157,7 @@ func TestPreparedRoutesFollowStateEpoch(t *testing.T) {
 	if trees.get(0) != first {
 		t.Fatal("prepared route not reused within one fabric state")
 	}
-	if first.Hops() == 0 {
+	if first.Latency() == 0 {
 		t.Fatal("empty prepared load tree")
 	}
 	net.Link(w.IOCLoadTree(0)[0]).Degrade(0.5)

@@ -330,7 +330,7 @@ func TestCommStatsInvariants(t *testing.T) {
 	if dp.Ops == 0 {
 		t.Fatal("no DP ops recorded")
 	}
-	wantDP := m.GradientBytes()
+	wantDP := m.TotalParams() * workload.FP16Bytes // FP16 gradients, as large as the parameters
 	if math.Abs(dp.Bytes-wantDP)/wantDP > 1e-9 {
 		t.Errorf("DP injected %g bytes, want gradient volume %g", dp.Bytes, wantDP)
 	}
@@ -366,7 +366,7 @@ func TestCommStatsEndpointTrafficFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2.0 * 19 * m.GradientBytes()
+	want := 2.0 * 19 * m.TotalParams() * workload.FP16Bytes
 	got := r.Comm[ClassDP].Bytes
 	if math.Abs(got-want)/want > 1e-9 {
 		t.Errorf("mesh DP traffic %g, want 2(N-1)/N x grads = %g", got, want)

@@ -117,22 +117,6 @@ func (m *Model) TotalParams() float64 {
 	return total
 }
 
-// TotalFwdFLOPs returns the forward FLOPs for one sample.
-func (m *Model) TotalFwdFLOPs() float64 {
-	total := 0.0
-	for _, l := range m.Layers {
-		total += l.FwdFLOPs
-	}
-	return total
-}
-
-// ModelBytes returns the FP16 size of the parameters.
-func (m *Model) ModelBytes() float64 { return m.TotalParams() * FP16Bytes }
-
-// GradientBytes returns the FP16 size of the gradients (equal to the
-// parameter bytes; Section 7.3: FP16 gradient precision).
-func (m *Model) GradientBytes() float64 { return m.ModelBytes() }
-
 // String identifies the model.
 func (m *Model) String() string {
 	return fmt.Sprintf("%s (%.3gB params, %s)", m.Name, m.TotalParams()/1e9, m.Mode)

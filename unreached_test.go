@@ -21,8 +21,10 @@ const modulePath = "github.com/wafernet/fred"
 // module. It fails on any exported top-level func, type, const or var
 // declared in a non-test file under internal/ that no non-test file in
 // the tree (cmd/, examples/, this package, bench/) names, apart from its
-// own declaration. Such an export is checked only by its own tests:
-// delete it, move it into a _test.go file, or reach it from a study.
+// own declaration, and on any exported method there whose name no
+// non-test file selects, uses as a composite-literal key or declares in
+// an interface. Such an export is checked only by its own tests: delete
+// it, move it into a _test.go file, or reach it from a study.
 func TestNoUnreachedExports(t *testing.T) {
 	unreached, declared, err := unreachedExports(os.DirFS("."))
 	if err != nil {
@@ -38,7 +40,10 @@ func TestNoUnreachedExports(t *testing.T) {
 }
 
 // TestUnreachedExportsRule pins the matching rule on a tiny tree, so
-// the scan above cannot go blind and pass on everything.
+// the scan above cannot go blind and pass on everything. Of T's and G's
+// methods, Method is selected, Iface declared in an interface and Keyed
+// used as a composite-literal key; String is exempt, and Tested, which
+// only a test and the skipped directories call, is reported.
 func TestUnreachedExportsRule(t *testing.T) {
 	src := func(s string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(s)} }
 	tree := fstest.MapFS{
@@ -50,21 +55,31 @@ func Field() {}
 func Method() {}
 func Test() {}
 var _ = Bare
+type G[X any] struct{}
+func (T) Iface() {}
+func (*T) Keyed() {}
+func (T) String() string { return "" }
+func (*G[X]) Tested() {}
 `),
 		"internal/a/a_test.go": src(`package a
-var _ = Unused + Test`),
+var _ = Unused + Test
+func init() { new(G[int]).Tested() }`),
 		"cmd/x/main.go": src(`package main
 import "github.com/wafernet/fred/internal/a"
 var _ = a.Selected
 var _ a.T
 func main() { var t a.T; t.Method() }
+type I interface{ Iface() }
+var _ = struct{ Keyed int }{Keyed: 1}
 `),
 		".hidden/h.go": src(`package h
 import "github.com/wafernet/fred/internal/a"
-var _ = a.Unused`),
+var _ = a.Unused
+func init() { new(a.G[int]).Tested() }`),
 		"internal/a/testdata/d.go": src(`package d
 import "github.com/wafernet/fred/internal/a"
-var _ = a.Unused`),
+var _ = a.Unused
+func init() { new(a.G[int]).Tested() }`),
 	}
 	unreached, declared, err := unreachedExports(tree)
 	if err != nil {
@@ -75,21 +90,25 @@ var _ = a.Unused`),
 		"internal/a/a.go:5:6: " + modulePath + "/internal/a.Field",
 		"internal/a/a.go:6:6: " + modulePath + "/internal/a.Method",
 		"internal/a/a.go:7:6: " + modulePath + "/internal/a.Test",
+		"internal/a/a.go:13:14: " + modulePath + "/internal/a.G.Tested",
 	}
-	if declared != 7 || fmt.Sprint(unreached) != fmt.Sprint(want) {
-		t.Fatalf("declared %d, unreached\n\t%s\nwant 7,\n\t%s",
+	if declared != 12 || fmt.Sprint(unreached) != fmt.Sprint(want) {
+		t.Fatalf("declared %d, unreached\n\t%s\nwant 12,\n\t%s",
 			declared, strings.Join(unreached, "\n\t"), strings.Join(want, "\n\t"))
 	}
 }
 
 // unreachedExports parses every non-test Go file in fsys, skipping
 // hidden directories and testdata, and returns the exported top-level
-// declarations under internal/ that no non-test file names, as sorted
-// "file:line:col: importpath.Name" lines, with the number of exports it
-// judged. Another package names an export by selecting it through its
+// declarations and methods under internal/ that no non-test file names,
+// as sorted "file:line:col: importpath.Name" lines (importpath.Type.Name
+// for a method), with the number of exports it judged. Another package names an export by selecting it through its
 // import path; its own package names it as a bare identifier. Methods
-// are not judged: interface satisfaction makes that unreliable without
-// go/types.
+// are judged by name alone, since without go/types a selector's
+// receiver is unknown: a method is reached when any non-test file
+// selects its name, keys a composite literal with it or declares it in
+// an interface (which covers interface satisfaction). exemptMethods
+// lists the names the standard library calls.
 func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) {
 	type file struct {
 		pkg string // import path of the file's package
@@ -127,8 +146,10 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 	}
 
 	// Declarations: exported top-level names of non-test files under
-	// internal/, keyed by import path and name.
+	// internal/, keyed by import path and name, and their exported
+	// methods, keyed by import path, receiver type and name.
 	decls := map[string]*ast.Ident{}
+	methods := map[string]*ast.Ident{}
 	notUse := map[*ast.Ident]bool{} // identifiers that name no package-level object
 	for _, f := range files {
 		if !strings.HasPrefix(f.pkg, modulePath+"/internal/") {
@@ -145,6 +166,8 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 			case *ast.FuncDecl:
 				if d.Recv == nil {
 					declare(d.Name)
+				} else if d.Name.IsExported() && !exemptMethods[d.Name.Name] {
+					methods[f.pkg+"."+recvName(d.Recv)+"."+d.Name.Name] = d.Name
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
@@ -163,8 +186,11 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 
 	// Uses: pkg.Name through an import, or a bare Name in its own
 	// package. Selected fields and methods, declared fields and method
-	// names are not uses of a package-level name.
+	// names are not uses of a package-level name. A method name is used
+	// wherever it is selected, keys a composite literal or is declared
+	// in an interface, whatever the receiver.
 	used := map[string]bool{}
+	methodUsed := map[string]bool{}
 	for _, f := range files {
 		imports := map[string]string{}
 		for _, im := range f.ast.Imports {
@@ -179,6 +205,7 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 			switch n := n.(type) {
 			case *ast.SelectorExpr:
 				notUse[n.Sel] = true
+				methodUsed[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok {
 					if p, ok := imports[x.Name]; ok {
 						used[p+"."+n.Sel.Name] = true
@@ -187,6 +214,20 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 			case *ast.Field:
 				for _, id := range n.Names {
 					notUse[id] = true
+				}
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							methodUsed[id.Name] = true
+						}
+					}
+				}
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, id := range m.Names {
+						methodUsed[id.Name] = true
+					}
 				}
 			case *ast.FuncDecl:
 				if n.Recv != nil {
@@ -201,15 +242,49 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 		})
 	}
 
-	var names []string
-	for name := range decls {
+	unused := map[string]*ast.Ident{}
+	for name, id := range decls {
 		if !used[name] {
-			names = append(names, name)
+			unused[name] = id
 		}
 	}
-	sort.Slice(names, func(i, j int) bool { return decls[names[i]].Pos() < decls[names[j]].Pos() })
-	for _, name := range names {
-		unreached = append(unreached, fmt.Sprintf("%s: %s", fset.Position(decls[name].Pos()), name))
+	for name, id := range methods {
+		if !methodUsed[id.Name] {
+			unused[name] = id
+		}
 	}
-	return unreached, len(decls), nil
+	names := make([]string, 0, len(unused))
+	for name := range unused {
+		names = append(names, name)
+	}
+	sort.Slice(names, func(i, j int) bool { return unused[names[i]].Pos() < unused[names[j]].Pos() })
+	for _, name := range names {
+		unreached = append(unreached, fmt.Sprintf("%s: %s", fset.Position(unused[name].Pos()), name))
+	}
+	return unreached, len(decls) + len(methods), nil
+}
+
+// exemptMethods are method names that a standard-library interface
+// calls (fmt, errors, net/http, sort, container/heap, encoding/json, io),
+// so no file of the tree need name them.
+var exemptMethods = map[string]bool{
+	"String": true, "Error": true, "ServeHTTP": true,
+	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+	"MarshalJSON": true, "Unwrap": true, "Read": true, "Write": true, "Close": true,
+}
+
+// recvName returns the name of a method's receiver type, without
+// pointer or type parameters.
+func recvName(recv *ast.FieldList) string {
+	t := recv.List[0].Type
+	if s, ok := t.(*ast.StarExpr); ok {
+		t = s.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	return t.(*ast.Ident).Name
 }
