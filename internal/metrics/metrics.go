@@ -214,9 +214,6 @@ func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*Series)}
 }
 
-// Len returns the number of registered series.
-func (r *Registry) Len() int { return len(r.series) }
-
 // Series returns the registered series in registration order (aliased,
 // do not mutate).
 func (r *Registry) Series() []*Series { return r.series }

@@ -125,7 +125,7 @@ func TestTimeseriesObserverEffectFree(t *testing.T) {
 		end := s.Run()
 		if observe {
 			rec.Finish(end)
-			if rec.Len() == 0 {
+			if len(rec.Snapshot().Series[0].Samples) == 0 {
 				t.Fatal("observed run recorded nothing")
 			}
 		}

@@ -6,92 +6,49 @@ import (
 	"time"
 )
 
+// The retry schedule: attempt n (0-based) waits
+// backoffBase·backoffFactor^n, clamped to backoffMax; Retry makes at
+// most backoffAttempts tries.
+const (
+	backoffBase     = 50 * time.Millisecond
+	backoffFactor   = 2
+	backoffMax      = 2 * time.Second
+	backoffJitter   = 0.5
+	backoffAttempts = 8
+)
+
 // Backoff computes bounded exponential retry delays with seeded
 // jitter. It is the client-side half of the server's load-shedding
 // contract: a 429 or 503 means "come back later", and the backoff
 // spreads the retries out so the thundering herd does not re-form on
 // the same tick.
 //
-// The schedule for attempt n (0-based) is Base·Factor^n, clamped to
-// Max, then jittered downward by up to Jitter·delay. Jitter is
-// subtractive on purpose: Max stays a hard upper bound on any delay
-// the schedule can produce.
+// A backoff with an rng jitters each delay downward by up to
+// backoffJitter·delay; the zero Backoff is the deterministic schedule.
+// Jitter is subtractive on purpose: backoffMax stays a hard upper
+// bound on any delay the schedule can produce.
 type Backoff struct {
-	// Base is the attempt-0 delay (default 50ms).
-	Base time.Duration
-	// Factor multiplies the delay each attempt (default 2).
-	Factor float64
-	// Max caps the delay; no jittered or un-jittered delay exceeds it
-	// (default 2s).
-	Max time.Duration
-	// Jitter in [0,1] is the maximum fraction subtracted at random
-	// (default 0.5). Zero disables jitter, making Delay deterministic.
-	Jitter float64
-	// Attempts bounds the retry loop for Retry (default 8).
-	Attempts int
-
 	rng *rand.Rand
 }
 
-// NewBackoff returns the default schedule with jitter drawn from the
-// given seed — the same seed replays the same delays, which is what
-// lets the swarm driver be deterministic end to end.
+// NewBackoff returns the schedule with jitter drawn from the given
+// seed — the same seed replays the same delays, which is what lets the
+// swarm driver be deterministic end to end.
 func NewBackoff(seed int64) *Backoff {
-	return &Backoff{
-		Base:     50 * time.Millisecond,
-		Factor:   2,
-		Max:      2 * time.Second,
-		Jitter:   0.5,
-		Attempts: 8,
-		rng:      rand.New(rand.NewSource(seed)),
-	}
-}
-
-func (b *Backoff) base() time.Duration {
-	if b.Base > 0 {
-		return b.Base
-	}
-	return 50 * time.Millisecond
-}
-
-func (b *Backoff) factor() float64 {
-	if b.Factor > 1 {
-		return b.Factor
-	}
-	return 2
-}
-
-func (b *Backoff) max() time.Duration {
-	if b.Max > 0 {
-		return b.Max
-	}
-	return 2 * time.Second
-}
-
-func (b *Backoff) attempts() int {
-	if b.Attempts > 0 {
-		return b.Attempts
-	}
-	return 8
+	return &Backoff{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Delay returns the jittered delay before retry attempt n (0-based).
 func (b *Backoff) Delay(attempt int) time.Duration {
-	d := float64(b.base())
-	f := b.factor()
-	m := float64(b.max())
+	d, m := float64(backoffBase), float64(backoffMax)
 	for i := 0; i < attempt && d < m; i++ {
-		d *= f
+		d *= backoffFactor
 	}
 	if d > m {
 		d = m
 	}
-	if b.Jitter > 0 && b.rng != nil {
-		j := b.Jitter
-		if j > 1 {
-			j = 1
-		}
-		d -= j * d * b.rng.Float64()
+	if b.rng != nil {
+		d -= backoffJitter * d * b.rng.Float64()
 	}
 	return time.Duration(d)
 }
@@ -121,7 +78,7 @@ func (b *Backoff) Retry(ctx context.Context, sleep func(time.Duration), fn func(
 	}
 	var err error
 	var again bool
-	for attempt := 0; attempt < b.attempts(); attempt++ {
+	for attempt := 0; attempt < backoffAttempts; attempt++ {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
@@ -129,7 +86,7 @@ func (b *Backoff) Retry(ctx context.Context, sleep func(time.Duration), fn func(
 		if err == nil || !again {
 			return err
 		}
-		if attempt+1 < b.attempts() {
+		if attempt+1 < backoffAttempts {
 			sleep(b.Delay(attempt))
 		}
 	}

@@ -8,16 +8,19 @@ import (
 )
 
 // TestBackoffScheduleDeterministic pins the un-jittered schedule:
-// Base·Factor^n clamped at Max, on a fake clock — no real sleeping.
+// backoffBase·backoffFactor^n clamped at backoffMax, on a fake clock —
+// no real sleeping.
 func TestBackoffScheduleDeterministic(t *testing.T) {
-	b := &Backoff{Base: 50 * time.Millisecond, Factor: 2, Max: 400 * time.Millisecond, Jitter: 0, Attempts: 6}
+	var b Backoff
 	want := []time.Duration{
 		50 * time.Millisecond,
 		100 * time.Millisecond,
 		200 * time.Millisecond,
 		400 * time.Millisecond,
-		400 * time.Millisecond, // clamped
-		400 * time.Millisecond,
+		800 * time.Millisecond,
+		1600 * time.Millisecond,
+		2 * time.Second, // clamped
+		2 * time.Second,
 	}
 	for n, w := range want {
 		if got := b.Delay(n); got != w {
@@ -27,21 +30,20 @@ func TestBackoffScheduleDeterministic(t *testing.T) {
 }
 
 // TestBackoffJitterBounded pins the two jitter invariants: delays
-// never exceed the un-jittered value (Max stays a hard bound) and
-// never drop below (1-Jitter) of it.
+// never exceed the un-jittered value (backoffMax stays a hard bound)
+// and never drop below (1-backoffJitter) of it.
 func TestBackoffJitterBounded(t *testing.T) {
 	b := NewBackoff(7)
-	b.Max = time.Second
 	for n := 0; n < 20; n++ {
-		pure := (&Backoff{Base: b.Base, Factor: b.Factor, Max: b.Max, Jitter: 0}).Delay(n)
+		pure := (&Backoff{}).Delay(n)
 		d := b.Delay(n)
 		if d > pure {
 			t.Fatalf("Delay(%d) = %v exceeds un-jittered %v", n, d, pure)
 		}
-		if d > b.Max {
-			t.Fatalf("Delay(%d) = %v exceeds Max %v", n, d, b.Max)
+		if d > backoffMax {
+			t.Fatalf("Delay(%d) = %v exceeds backoffMax %v", n, d, backoffMax)
 		}
-		if min := time.Duration(float64(pure) * (1 - b.Jitter)); d < min {
+		if min := time.Duration(float64(pure) * (1 - backoffJitter)); d < min {
 			t.Fatalf("Delay(%d) = %v below floor %v", n, d, min)
 		}
 	}
@@ -62,7 +64,7 @@ func TestBackoffSeedReplays(t *testing.T) {
 // three retriable failures then success, with the slept durations
 // matching the schedule exactly and zero real time passing.
 func TestRetryFakeClock(t *testing.T) {
-	b := &Backoff{Base: 10 * time.Millisecond, Factor: 2, Max: time.Second, Jitter: 0, Attempts: 8}
+	var b Backoff
 	var slept []time.Duration
 	clock := func(d time.Duration) { slept = append(slept, d) }
 	calls := 0
@@ -79,7 +81,7 @@ func TestRetryFakeClock(t *testing.T) {
 	if calls != 4 {
 		t.Fatalf("fn called %d times, want 4", calls)
 	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
+	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
 	if len(slept) != len(want) {
 		t.Fatalf("slept %v, want %v", slept, want)
 	}
@@ -91,20 +93,27 @@ func TestRetryFakeClock(t *testing.T) {
 }
 
 // TestRetryBudgetExhausted pins that a persistently retriable error
-// surfaces after exactly Attempts tries, with Attempts-1 sleeps.
+// surfaces after exactly backoffAttempts tries, with one sleep fewer,
+// each the schedule's delay for its attempt.
 func TestRetryBudgetExhausted(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Factor: 2, Max: time.Second, Jitter: 0, Attempts: 5}
-	sleeps, calls := 0, 0
+	var b Backoff
+	var slept []time.Duration
+	calls := 0
 	wantErr := errors.New("still shedding")
-	err := b.Retry(context.Background(), func(time.Duration) { sleeps++ }, func(int) (bool, error) {
+	err := b.Retry(context.Background(), func(d time.Duration) { slept = append(slept, d) }, func(int) (bool, error) {
 		calls++
 		return true, wantErr
 	})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
-	if calls != 5 || sleeps != 4 {
-		t.Fatalf("calls=%d sleeps=%d, want 5 and 4", calls, sleeps)
+	if calls != backoffAttempts || len(slept) != backoffAttempts-1 {
+		t.Fatalf("calls=%d sleeps=%d, want %d and %d", calls, len(slept), backoffAttempts, backoffAttempts-1)
+	}
+	for n, d := range slept {
+		if want := b.Delay(n); d != want {
+			t.Fatalf("sleep %d = %v, want %v", n, d, want)
+		}
 	}
 }
 
@@ -126,7 +135,7 @@ func TestRetryNonRetriableStops(t *testing.T) {
 // TestRetryContextCanceled pins that a canceled context stops the
 // loop before the next attempt.
 func TestRetryContextCanceled(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Attempts: 10}
+	var b Backoff
 	ctx, cancel := context.WithCancel(context.Background())
 	calls := 0
 	err := b.Retry(ctx, func(time.Duration) {}, func(int) (bool, error) {

@@ -74,9 +74,6 @@ type Event struct {
 	depth uint32
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.cancel }
-
 // Pending reports whether the event is currently queued to fire. An
 // event that has fired, or been canceled, is not pending (it may be
 // re-armed with Reschedule).

@@ -144,8 +144,8 @@ func TestCancelPreventsFiring(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !e.cancel {
+		t.Fatal("cancel flag unset after Cancel")
 	}
 }
 
@@ -427,7 +427,7 @@ func TestRescheduleRearmsFiredAndCanceledEvents(t *testing.T) {
 	}
 	s.Cancel(e)
 	s.Reschedule(e, 3)
-	if e.Canceled() {
+	if e.cancel {
 		t.Fatal("Reschedule left the cancel flag set")
 	}
 	s.Run()
@@ -594,7 +594,7 @@ func TestBoundEmbeddedEvent(t *testing.T) {
 	}
 	s.Reschedule(&o.ev, 3)
 	s.Cancel(&o.ev)
-	if o.ev.Pending() || !o.ev.Canceled() || s.Pending() != 0 {
+	if o.ev.Pending() || !o.ev.cancel || s.Pending() != 0 {
 		t.Fatal("Cancel left the bound event queued")
 	}
 	s.Reschedule(&o.ev, 4)

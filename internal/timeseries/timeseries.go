@@ -104,12 +104,6 @@ func NewRecorder(cfg Config) *Recorder {
 // the system under test); the label becomes the artifact cell label.
 func (r *Recorder) SetLabel(label string) { r.label = label }
 
-// Label returns the cell label.
-func (r *Recorder) Label() string { return r.label }
-
-// Interval returns the current (possibly decimated) sampling interval.
-func (r *Recorder) Interval() float64 { return r.interval }
-
 // Probe registers a sampled quantity. All probes must be registered
 // before the first sample lands; registering later panics, because the
 // new series would miss the shared time base's earlier points.
@@ -223,9 +217,3 @@ func (r *Recorder) decimate() {
 		r.next = r.times[n-1] + r.interval
 	}
 }
-
-// Len returns the number of retained samples.
-func (r *Recorder) Len() int { return len(r.times) }
-
-// Decimations returns how many times the ring halved.
-func (r *Recorder) Decimations() int { return r.decimations }

@@ -25,8 +25,8 @@ func TestTickSamplesBoundaries(t *testing.T) {
 
 	wantT := []float64{0, 1, 2, 3, 4}
 	wantV := []float64{10, 20, 20, 30, 30}
-	if r.Len() != len(wantT) {
-		t.Fatalf("Len = %d, want %d (times %v)", r.Len(), len(wantT), r.times)
+	if len(r.times) != len(wantT) {
+		t.Fatalf("Len = %d, want %d (times %v)", len(r.times), len(wantT), r.times)
 	}
 	for i := range wantT {
 		if r.times[i] != wantT[i] || r.vals[0][i] != wantV[i] {
@@ -55,8 +55,8 @@ func TestFinishClosingSample(t *testing.T) {
 		}
 	}
 	r.Tick(7) // also frozen
-	if r.Len() != 4 {
-		t.Errorf("Tick after Finish extended the series to %d samples", r.Len())
+	if len(r.times) != 4 {
+		t.Errorf("Tick after Finish extended the series to %d samples", len(r.times))
 	}
 }
 
@@ -70,15 +70,15 @@ func TestDecimation(t *testing.T) {
 	for i := 0; i <= 100; i++ {
 		r.Tick(float64(i))
 	}
-	if r.Decimations() == 0 {
+	if r.decimations == 0 {
 		t.Fatal("no decimation after 101 boundaries into a capacity-8 ring")
 	}
-	if r.Len() > 8 {
-		t.Fatalf("Len = %d exceeds capacity 8", r.Len())
+	if len(r.times) > 8 {
+		t.Fatalf("Len = %d exceeds capacity 8", len(r.times))
 	}
-	iv := r.Interval()
-	if want := math.Pow(2, float64(r.Decimations())); iv != want {
-		t.Errorf("interval = %g after %d decimations, want %g", iv, r.Decimations(), want)
+	iv := r.interval
+	if want := math.Pow(2, float64(r.decimations)); iv != want {
+		t.Errorf("interval = %g after %d decimations, want %g", iv, r.decimations, want)
 	}
 	times := r.times
 	if times[0] != 0 {
@@ -109,8 +109,8 @@ func TestLongGapCost(t *testing.T) {
 	if evals != 2 {
 		t.Errorf("probe evaluated %d times for 2 ticks, want 2", evals)
 	}
-	if r.Len() > 16 {
-		t.Errorf("Len = %d exceeds capacity", r.Len())
+	if len(r.times) > 16 {
+		t.Errorf("Len = %d exceeds capacity", len(r.times))
 	}
 }
 
@@ -153,7 +153,7 @@ func TestAttachScheduler(t *testing.T) {
 	if prior != 5 {
 		t.Errorf("prior hook ran %d times, want 5 (hooks must not displace each other)", prior)
 	}
-	if r.Len() == 0 {
+	if len(r.times) == 0 {
 		t.Fatal("no samples recorded off the scheduler hook")
 	}
 	// Probe 0 is sched/pending, probe 1 is sched/fired.

@@ -16,6 +16,7 @@ import (
 func TestSchedulerCounterKeepsOtherHooks(t *testing.T) {
 	s := sim.NewScheduler()
 	rec := timeseries.NewRecorder(timeseries.Config{Interval: 1, Capacity: 256})
+	rec.Probe("clock", "s", s.Now)
 	rec.AttachScheduler(s)
 	engine := obs.NewEngine(nil)
 	engine.StudyStarted("hooks", 1)
@@ -33,7 +34,7 @@ func TestSchedulerCounterKeepsOtherHooks(t *testing.T) {
 	s.Run()
 
 	// One sample per boundary 0, 1, …, events.
-	if got := rec.Len(); got != events+1 {
+	if got := len(rec.Snapshot().Series[0].Samples); got != events+1 {
 		t.Errorf("flight recorder took %d samples, want %d", got, events+1)
 	}
 	if snap := engine.Snapshot(); len(snap.Running) != 1 || snap.Running[0].SimTimeS != events {

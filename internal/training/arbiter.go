@@ -1,126 +1,140 @@
 package training
 
 import (
+	"slices"
+
 	"github.com/wafernet/fred/internal/collective"
 	"github.com/wafernet/fred/internal/netsim"
+	"github.com/wafernet/fred/internal/sim"
 )
 
-// arbiter starts collective schedules on the fabric, applying the
-// topology's concurrency discipline.
-type arbiter interface {
-	// submit queues a schedule under a communication class; done fires
-	// when it completes, with the finished op (nil for empty schedules,
-	// which complete via a zero-delay event so callers may rely on
-	// asynchronous completion). The op carries the blame decomposition
-	// when critpath recording is enabled.
-	submit(class Class, s collective.Schedule, done func(*collective.Op))
+// opRec is one submitted collective operation: the collective node it
+// belongs to, its class and schedule, when and under which id it was
+// submitted, and its op once started (nil for an empty schedule).
+type opRec struct {
+	node  int
+	class Class
+	s     collective.Schedule
+	t0    sim.Time
+	id    uint64
+	op    *collective.Op
 }
 
-// meshArbiter models a packet-switched mesh: every operation starts
-// immediately and shares link bandwidth max-min fairly with everything
-// else in flight.
-type meshArbiter struct {
-	net *netsim.Network
-}
-
-func (a meshArbiter) submit(_ Class, s collective.Schedule, done func(*collective.Op)) {
-	if s.Empty() {
-		a.net.Scheduler().After(0, func() { done(nil) })
-		return
-	}
-	collective.Start(a.net, s, done)
-}
-
-// fredArbiter models FRED's circuit discipline (Section 5.4): the
-// fabric executes one communication class at a time — the highest
-// priority class with pending work — preempting lower classes.
-// Operations of the same class run concurrently (the switch routes
-// their flows together). Streaming and input-load traffic bypass the
-// arbiter: it rides dedicated virtual circuits alongside collectives.
-type fredArbiter struct {
+// arbiter starts collective schedules on the fabric under FRED's
+// circuit discipline (Section 5.4) when circuit is set: the fabric
+// executes one communication class at a time — the highest priority
+// class with pending work — preempting lower classes. Operations of
+// the same class run concurrently (the switch routes their flows
+// together). Streaming and input-load traffic bypass arbitration: it
+// rides dedicated virtual circuits alongside collectives. Without
+// circuit (a packet-switched mesh) every operation starts at once and
+// shares link bandwidth max-min fairly with everything else in flight.
+//
+// done fires once per submission, with its op (nil for an empty
+// schedule, which completes via a zero-delay event so callers may rely
+// on asynchronous completion). The op carries the blame decomposition
+// when critpath recording is enabled.
+type arbiter struct {
 	net     *netsim.Network
-	running [numClasses][]*collective.Op
-	paused  [numClasses][]*collective.Op
-	pending [numClasses][]pendingOp
-	active  Class
-	hasWork bool
+	circuit bool
+	done    func(opRec)
+	// opEnded and emptyDone are the completion methods, bound once:
+	// every started op reports to opEnded, every empty schedule's
+	// zero-delay event to emptyDone, which takes the front of empty.
+	opEnded   func(*collective.Op)
+	emptyDone func()
+	empty     []opRec
+	running   [numClasses][]opRec
+	paused    [numClasses][]opRec
+	pending   [numClasses][]opRec
+	active    Class
 }
 
-type pendingOp struct {
-	s    collective.Schedule
-	done func(*collective.Op)
+func newArbiter(net *netsim.Network, circuit bool, done func(opRec)) *arbiter {
+	a := &arbiter{net: net, circuit: circuit, done: done}
+	a.opEnded, a.emptyDone = a.finish, a.finishEmpty
+	return a
 }
 
 // arbitrated reports whether the class competes for the switch
 // circuits; bulk streaming classes ride separate VCs.
-func arbitrated(c Class) bool { return c == ClassMP || c == ClassPP || c == ClassDP }
+func (a *arbiter) arbitrated(c Class) bool {
+	return a.circuit && (c == ClassMP || c == ClassPP || c == ClassDP)
+}
 
-func (a *fredArbiter) submit(class Class, s collective.Schedule, done func(*collective.Op)) {
-	if s.Empty() {
-		a.net.Scheduler().After(0, func() { done(nil) })
+func (a *arbiter) submit(r opRec) {
+	if r.s.Empty() {
+		a.empty = append(a.empty, r)
+		a.net.Scheduler().After(0, a.emptyDone)
 		return
 	}
-	if !arbitrated(class) {
-		collective.Start(a.net, s, done)
+	if !a.arbitrated(r.class) {
+		a.start(r)
 		return
 	}
-	a.pending[class] = append(a.pending[class], pendingOp{s, done})
+	a.pending[r.class] = append(a.pending[r.class], r)
 	a.reevaluate()
 }
 
-// highestActive returns the highest-priority arbitrated class with any
-// work (running, paused or pending).
-func (a *fredArbiter) highestActive() (Class, bool) {
-	for _, c := range []Class{ClassMP, ClassPP, ClassDP} {
-		if len(a.running[c]) > 0 || len(a.paused[c]) > 0 || len(a.pending[c]) > 0 {
-			return c, true
-		}
-	}
-	return 0, false
+func (a *arbiter) start(r opRec) {
+	r.op = collective.Start(a.net, r.s, a.opEnded)
+	a.running[r.class] = append(a.running[r.class], r)
 }
 
-func (a *fredArbiter) reevaluate() {
-	top, ok := a.highestActive()
-	if !ok {
-		a.hasWork = false
-		return
+// reevaluate hands the fabric to the highest-priority arbitrated class
+// with any work (running, paused or pending).
+func (a *arbiter) reevaluate() {
+	top := ClassMP
+	for len(a.running[top])+len(a.paused[top])+len(a.pending[top]) == 0 {
+		if top++; top > ClassDP {
+			return
+		}
 	}
-	if a.hasWork && top != a.active {
-		// Preempt the currently running class if it lost priority.
-		for _, op := range a.running[a.active] {
-			op.Pause()
+	if top != a.active {
+		// Preempt the currently running class if it lost priority (a
+		// no-op when the fabric was idle: nothing of it still runs).
+		for _, r := range a.running[a.active] {
+			r.op.Pause()
 		}
 		a.paused[a.active] = append(a.paused[a.active], a.running[a.active]...)
-		a.running[a.active] = nil
+		a.running[a.active] = a.running[a.active][:0]
 	}
 	a.active = top
-	a.hasWork = true
 	// Resume paused ops of the active class.
-	for _, op := range a.paused[top] {
-		op.Resume()
+	for _, r := range a.paused[top] {
+		r.op.Resume()
 	}
 	a.running[top] = append(a.running[top], a.paused[top]...)
-	a.paused[top] = nil
+	a.paused[top] = a.paused[top][:0]
 	// Start pending ops of the active class.
-	for _, p := range a.pending[top] {
-		p := p
-		var op *collective.Op
-		op = collective.Start(a.net, p.s, func(*collective.Op) {
-			a.finish(top, op, p.done)
-		})
-		a.running[top] = append(a.running[top], op)
+	for _, r := range a.pending[top] {
+		a.start(r)
 	}
-	a.pending[top] = nil
+	a.pending[top] = a.pending[top][:0]
 }
 
-func (a *fredArbiter) finish(class Class, op *collective.Op, done func(*collective.Op)) {
-	ops := a.running[class]
-	for i, o := range ops {
-		if o == op {
-			a.running[class] = append(ops[:i], ops[i+1:]...)
-			break
+// finish is every started op's completion: it drops the op from the
+// running list of its class, reports it, and lets the next class run
+// once an arbitrated one drained.
+func (a *arbiter) finish(op *collective.Op) {
+	for c := range a.running {
+		for i, r := range a.running[c] {
+			if r.op == op {
+				a.running[c] = slices.Delete(a.running[c], i, i+1)
+				a.done(r)
+				if a.arbitrated(r.class) {
+					a.reevaluate()
+				}
+				return
+			}
 		}
 	}
-	done(op)
-	a.reevaluate()
+}
+
+// finishEmpty completes the oldest empty schedule: the zero-delay
+// events fire in submission order.
+func (a *arbiter) finishEmpty() {
+	r := a.empty[0]
+	a.empty = a.empty[:copy(a.empty, a.empty[1:])]
+	a.done(r)
 }

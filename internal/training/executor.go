@@ -21,7 +21,7 @@ type executor struct {
 	sched *sim.Scheduler
 	net   *netsim.Network
 	comm  *collective.Comm
-	arb   arbiter
+	arb   *arbiter
 	// crit is the network's critpath recorder (nil when critpath
 	// recording is off); the timelines record their chains into it.
 	crit *critpath.Recorder
@@ -42,9 +42,10 @@ type executor struct {
 	tailMaxDur float64
 	tailBind   string
 
-	// The load and store trees span the wafer and every group pass
-	// reuses them, so each is resolved once per fabric state.
-	loadTrees, storeTrees *preparedRoutes
+	// The I/O routes — each NPU's from its nearest controller, and the
+	// load and store trees — are fixed and every pass reuses them, so
+	// each is resolved once per fabric state.
+	ioRoutes [numIOKinds]*preparedRoutes
 }
 
 // timeline is one timeline's account.
@@ -83,11 +84,7 @@ func newExecutor(cfg *Config, g *graph) *executor {
 		tls:   make([]timeline, len(g.npus)),
 		state: make([]nodeState, len(g.nodes)),
 	}
-	if cfg.Wafer.CircuitSwitched() {
-		x.arb = &fredArbiter{net: net}
-	} else {
-		x.arb = meshArbiter{net: net}
-	}
+	x.arb = newArbiter(net, cfg.Wafer.CircuitSwitched(), x.opDone)
 	return x
 }
 
@@ -151,55 +148,50 @@ func (x *executor) launch(i, by int) {
 			} else {
 				s = x.comm.AllReduce(e.group, e.bytes)
 			}
-			x.submit(i, n.class, s)
+			x.opSeq++
+			x.arb.submit(opRec{node: i, class: n.class, s: s, t0: now, id: x.opSeq})
 		}
 	case ioNode:
 		x.startFlows(i, n)
 	}
 }
 
-// submit starts one operation of collective node i. Its completion is
-// counted in the class's stats and traced as a "comm" span — submission
-// to completion, tagged with the class, the strategy and the injected
-// bytes, the per-op timeline behind the Figure 2/10 breakdowns.
-func (x *executor) submit(i int, class Class, s collective.Schedule) {
-	t0 := x.sched.Now()
-	bytes := s.TotalBytes()
-	x.opSeq++
-	id, name := x.opSeq, s.Name
-	x.arb.submit(class, s, func(op *collective.Op) {
-		now := x.sched.Now()
-		cs := x.stats[class]
-		cs.Ops++
-		cs.Bytes += bytes
-		cs.BusyTime += now - t0
-		x.stats[class] = cs
-		if x.tr != nil {
-			x.tr.AsyncSpan("comm", class.String()+" "+name, id, t0, now,
-				trace.String("class", class.String()),
-				trace.String("strategy", x.cfg.Strategy.String()),
-				trace.Float("bytes", bytes))
+// opDone completes one operation. It is counted in the class's stats
+// and traced as a "comm" span — submission to completion, tagged with
+// the class, the strategy and the injected bytes, the per-op timeline
+// behind the Figure 2/10 breakdowns.
+func (x *executor) opDone(r opRec) {
+	now, op, class := x.sched.Now(), r.op, r.class
+	bytes := r.s.TotalBytes()
+	cs := x.stats[class]
+	cs.Ops++
+	cs.Bytes += bytes
+	cs.BusyTime += now - r.t0
+	x.stats[class] = cs
+	if x.tr != nil {
+		x.tr.AsyncSpan("comm", class.String()+" "+r.s.Name, r.id, r.t0, now,
+			trace.String("class", class.String()),
+			trace.String("strategy", x.cfg.Strategy.String()),
+			trace.Float("bytes", bytes))
+	}
+	if x.crit != nil && op != nil && x.g.hasTail && class == x.g.tail {
+		x.tailBlame.Add(op.Blame())
+		if d := op.Duration(); d > x.tailMaxDur {
+			x.tailMaxDur = d
+			x.tailBind = op.BindLink()
 		}
-		if x.crit != nil && op != nil && x.g.hasTail && class == x.g.tail {
-			x.tailBlame.Add(op.Blame())
-			if d := op.Duration(); d > x.tailMaxDur {
-				x.tailMaxDur = d
-				x.tailBind = op.BindLink()
-			}
-		}
-		st := &x.state[i]
-		if st.left--; st.left == 0 {
-			st.op = op
-			x.complete(i)
-		}
-	})
+	}
+	st := &x.state[r.node]
+	if st.left--; st.left == 0 {
+		st.op = op
+		x.complete(r.node)
+	}
 }
 
 // startFlows starts an I/O node's flows, its bytes split evenly over
 // them: one per NPU from its nearest controller for the input load, one
 // per controller tree for weight loads and gradient stores.
 func (x *executor) startFlows(i int, n *node) {
-	w := x.cfg.Wafer
 	done := func(f *netsim.Flow) {
 		st := &x.state[i]
 		if st.left--; st.left > 0 {
@@ -211,34 +203,25 @@ func (x *executor) startFlows(i int, n *node) {
 		}
 		x.complete(i)
 	}
-	if n.io == inputLoad {
-		npus := w.NPUCount()
-		x.state[i].left = int32(npus)
-		bytes := n.bytes / float64(npus)
-		for npu := 0; npu < npus; npu++ {
-			x.net.StartFlow(netsim.FlowSpec{
-				Links: w.IOCToNPU(w.NearestIOC(npu), npu), Bytes: bytes, Latency: -1, Label: n.label, Done: done,
-			})
-		}
-		return
-	}
-	nIOC := w.IOCCount()
-	trees := &x.loadTrees
-	if n.io == gradStore {
-		trees = &x.storeTrees
-	}
-	if *trees == nil {
-		route := w.IOCLoadTree
-		if n.io == gradStore {
+	routes := x.ioRoutes[n.io]
+	if routes == nil {
+		w := x.cfg.Wafer
+		k, route := w.IOCCount(), w.IOCLoadTree
+		switch n.io {
+		case inputLoad:
+			k, route = w.NPUCount(), func(npu int) []netsim.LinkID { return w.IOCToNPU(w.NearestIOC(npu), npu) }
+		case gradStore:
 			route = w.IOCStoreTree
 		}
-		*trees = newPreparedRoutes(x.net, nIOC, route)
+		routes = newPreparedRoutes(x.net, k, route)
+		x.ioRoutes[n.io] = routes
 	}
-	x.state[i].left = int32(nIOC)
-	bytes := n.bytes / float64(nIOC)
-	for ioc := 0; ioc < nIOC; ioc++ {
+	k := len(routes.cached)
+	x.state[i].left = int32(k)
+	bytes := n.bytes / float64(k)
+	for r := 0; r < k; r++ {
 		x.net.StartFlow(netsim.FlowSpec{
-			Prepared: (*trees).get(ioc), Bytes: bytes, Latency: -1, Label: n.label, Done: done,
+			Prepared: routes.get(r), Bytes: bytes, Latency: -1, Label: n.label, Done: done,
 		})
 	}
 }

@@ -40,6 +40,7 @@ const (
 	// gradStore streams a layer group's reduced gradients up every
 	// store tree.
 	gradStore
+	numIOKinds
 )
 
 // node is one unit of work of the iteration.

@@ -265,11 +265,10 @@ func unreachedExports(fsys fs.FS) (unreached []string, declared int, err error) 
 }
 
 // exemptMethods are method names that a standard-library interface
-// calls (fmt, errors, net/http, sort, container/heap, encoding/json, io),
-// so no file of the tree need name them.
+// calls (fmt, errors, net/http, encoding/json, io), so no file of the
+// tree need name them.
 var exemptMethods = map[string]bool{
 	"String": true, "Error": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
 	"MarshalJSON": true, "Unwrap": true, "Read": true, "Write": true, "Close": true,
 }
 
